@@ -13,9 +13,11 @@ JSON and command-line surfaces.
 from .bifurcation import (
     CandidateLevel,
     LevelAnalysis,
+    LevelSweep,
     UnboundednessCertificate,
     Verdict,
     analyze_level,
+    analyze_levels,
     bif_index,
     candidate_levels,
     hessian_spectrum,
@@ -60,6 +62,7 @@ __all__ = [
     "LaplaceEigenData",
     "Lattice",
     "LevelAnalysis",
+    "LevelSweep",
     "MatrixEigenData",
     "ProblemSpec",
     "RefusalError",
@@ -71,6 +74,7 @@ __all__ = [
     "ValidationReport",
     "Verdict",
     "analyze_level",
+    "analyze_levels",
     "bif_index",
     "candidate_levels",
     "character",

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
-from .errors import ConsistencyError, CutoffError, InputError
+from .errors import ConsistencyError, CutoffError, InputError, TorbifError
 from .eulerring import EulerElement, deg_minus_id, lift, star
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
 from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
@@ -50,11 +50,11 @@ class UnboundednessCertificate:
     """
 
     kind: str  # "highest-weight" | "zero-level"
-    subgroup: TorusSubgroup | None
-    coefficient: int | None
-    multiplicity: int | None
-    witness: tuple[Fraction, Fraction, Vector, Vector] | None
-    excluded_levels: tuple[Fraction, ...]
+    subgroup: TorusSubgroup | None = None
+    coefficient: int | None = None
+    multiplicity: int | None = None
+    witness: tuple[Fraction, Fraction, Vector, Vector] | None = None
+    excluded_levels: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,26 @@ class LevelAnalysis:
 
 
 @dataclass(frozen=True)
+class LevelSweep:
+    """Outcome of :func:`analyze_levels`, with one record per requested level."""
+
+    validation: ValidationReport
+    candidates: tuple[CandidateLevel, ...]
+    records: tuple[tuple[Fraction, LevelAnalysis | TorbifError], ...]  # analysis or its error
+
+    def analyses(self) -> list[LevelAnalysis]:
+        """The analyses in request order; raises the first level's error instead."""
+        for _, outcome in self.records:
+            if isinstance(outcome, TorbifError):
+                raise outcome
+        return [outcome for _, outcome in self.records]
+
+
+@dataclass(frozen=True)
 class HessianEigenvalue:
     value: Fraction
     multiplicity: int
     rep: TorusRep
-
-
-def _require_valid(spec: ProblemSpec) -> ValidationReport:
-    report = validate(spec)
-    if report.structural_errors:
-        raise InputError("; ".join(report.structural_errors), code="SCHEMA")
-    return report
 
 
 def _check_cutoff(spec: ProblemSpec, lam: Fraction) -> None:
@@ -102,32 +111,19 @@ def _check_cutoff(spec: ProblemSpec, lam: Fraction) -> None:
         )
 
 
+def _pairs(spec: ProblemSpec) -> dict[Fraction, list[tuple[MatrixEigenData, LaplaceEigenData]]]:
+    """Matrix and Laplace eigendata grouped by their quotient beta/alpha."""
+    acc: dict[Fraction, list[tuple[MatrixEigenData, LaplaceEigenData]]] = {}
+    for me in spec.matrix_spectrum:
+        if me.alpha != 0:
+            for le in spec.laplace_spectrum:
+                acc.setdefault(le.beta / me.alpha, []).append((me, le))
+    return acc
+
+
 def candidate_levels(spec: ProblemSpec) -> tuple[CandidateLevel, ...]:
     """All exact quotients beta/alpha, deduplicated with witness sets."""
-    _require_valid(spec)
-    acc: dict[Fraction, set[tuple[Fraction, Fraction]]] = {}
-    for me in spec.matrix_spectrum:
-        if me.alpha == 0:
-            continue
-        for le in spec.laplace_spectrum:
-            lam = le.beta / me.alpha
-            acc.setdefault(lam, set()).add((me.alpha, le.beta))
-    return tuple(
-        CandidateLevel(lam, tuple(sorted(ws))) for lam, ws in sorted(acc.items())
-    )
-
-
-def _witness_pairs(
-    spec: ProblemSpec, lam0: Fraction
-) -> list[tuple[MatrixEigenData, LaplaceEigenData]]:
-    out = []
-    for me in spec.matrix_spectrum:
-        if me.alpha == 0:
-            continue
-        for le in spec.laplace_spectrum:
-            if le.beta != 0 and le.beta == lam0 * me.alpha:
-                out.append((me, le))
-    return out
+    return analyze_levels(spec, []).candidates
 
 
 def kernel_rep(spec: ProblemSpec, lambda0: Fraction | int | str) -> TorusRep:
@@ -140,9 +136,25 @@ def kernel_rep(spec: ProblemSpec, lambda0: Fraction | int | str) -> TorusRep:
     lam0 = Fraction(lambda0)
     _check_cutoff(spec, lam0)
     out = TorusRep.zero(spec.r + spec.l)
-    for me, le in _witness_pairs(spec, lam0):
-        out = direct_sum(out, tensor(me.eigenspace, le.eigenspace))
+    for me, le in _pairs(spec).get(lam0, []):
+        if le.beta != 0:
+            out = direct_sum(out, tensor(me.eigenspace, le.eigenspace))
     return out
+
+
+def _walk(spec: ProblemSpec, stop: Fraction) -> Iterator[tuple[Fraction, TorusRep, TorusRep, TorusRep]]:
+    """Yield (level, kernel, near side, far side) out to ``stop``, nearest first.
+
+    The levels are the candidates strictly between 0 and ``stop``, then ``stop``; the
+    sides are the negative spaces toward 0 and away from it.
+    """
+    inside = sorted((t for t in _pairs(spec) if 0 < t / stop < 1), key=abs)
+    near = TorusRep.zero(spec.r + spec.l)
+    for t in inside + [stop]:
+        kernel = kernel_rep(spec, t)
+        far = direct_sum(near, kernel)
+        yield t, kernel, near, far
+        near = far
 
 
 def negative_rep(
@@ -159,29 +171,10 @@ def negative_rep(
         raise InputError("side must be 'below' or 'above'")
     lam0 = Fraction(lambda0)
     _check_cutoff(spec, lam0)
-    quotients = sorted(
-        {
-            le.beta / me.alpha
-            for me in spec.matrix_spectrum
-            if me.alpha != 0
-            for le in spec.laplace_spectrum
-            if le.beta != 0
-        }
-    )
-    if lam0 > 0:
-        chosen = [t for t in quotients if 0 < t < lam0]
-        if side == "above":
-            chosen.append(lam0)
-    elif lam0 < 0:
-        chosen = [t for t in quotients if lam0 < t < 0]
-        if side == "below":
-            chosen.append(lam0)
-    else:
-        chosen = []
-    out = TorusRep.zero(spec.r + spec.l)
-    for t in chosen:
-        out = direct_sum(out, kernel_rep(spec, t))
-    return out
+    if lam0 == 0:
+        return TorusRep.zero(spec.r + spec.l)
+    *_, (_, _, near, far) = _walk(spec, lam0)
+    return far if (side == "above") == (lam0 > 0) else near
 
 
 def hessian_spectrum(
@@ -201,49 +194,83 @@ def hessian_spectrum(
     )
 
 
-def _product_route(spec: ProblemSpec, lam0: Fraction) -> EulerElement:
-    total = spec.r + spec.l
-    below = deg_minus_id(negative_rep(spec, lam0, "below"))
-    kernel_deg = deg_minus_id(kernel_rep(spec, lam0))
-    lifted = lift(spec.origin_degree_pos, spec.l)
-    return star(star(lifted, below), kernel_deg - EulerElement.unit(total))
+def analyze_levels(
+    spec: ProblemSpec, levels: Iterable[Fraction | int | str] | None = None
+) -> LevelSweep:
+    """Analyse the given levels (every candidate by default) in one sorted sweep.
+
+    The spec is validated once.  Walking outward from 0 on each side, each
+    kernel is built once and added to the negative space.  At a requested
+    level the degree of -Id on the far side is computed directly; the one
+    on the near side is reused from the previous level if that was
+    analysed.  The index, lift(F) * (deg(above) - deg(below)), must equal
+    the product route lift(F) * deg(near) * (deg(kernel) - I), negated
+    below 0.  A level past the cutoff is refused before it is checked for
+    being a candidate.
+    """
+    report = validate(spec)
+    if report.structural_errors:
+        raise InputError("; ".join(report.structural_errors), code="SCHEMA")
+    cands = tuple(
+        CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in pairs)))
+        for lam, pairs in sorted(_pairs(spec).items())
+    )
+    known = {c.lambda0 for c in cands}
+    wanted = sorted(known) if levels is None else [Fraction(x) for x in levels]
+    out: dict[Fraction, LevelAnalysis | TorbifError] = {}
+    for lam in wanted:
+        try:
+            _check_cutoff(spec, lam)
+            if lam != 0 and lam not in known:
+                raise InputError(f"{lam} is not a candidate level")
+        except TorbifError as exc:
+            out[lam] = exc
+    todo = set(wanted) - set(out)
+    zero = TorusRep.zero(spec.r + spec.l)
+    unit = EulerElement.unit(spec.r + spec.l)
+    if 0 in todo:  # both negative spaces are zero, with degree the unit
+        index = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
+        out[Fraction(0)] = _record(spec, report, Fraction(0), zero, zero, zero, index, {})
+    for stop in {max(todo | {0}), min(todo | {0})} - {0}:
+        lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
+        between: dict[Fraction, TorusRep] = {}
+        last: dict[TorusRep, EulerElement] = {}  # far-side degree of the last analysed level
+        for t, kernel, near, far in _walk(spec, stop):
+            if t in todo:
+                d_near = last[near] if near in last else deg_minus_id(near)
+                d_far = deg_minus_id(far)
+                last = {far: d_far}
+                index = star(lifted, d_far - d_near if t > 0 else d_near - d_far)
+                product = star(star(lifted, d_near), deg_minus_id(kernel) - unit)
+                try:
+                    if index != (product if t > 0 else -product):
+                        raise ConsistencyError(f"index routes disagree at level {t}")
+                    out[t] = _record(spec, report, t, kernel, near, far, index, between)
+                except ConsistencyError as exc:
+                    out[t] = exc
+            between[t] = kernel
+    return LevelSweep(report, cands, tuple((lam, out[lam]) for lam in wanted))
+
+
+def analyze_level(spec: ProblemSpec, lambda0: Fraction | int | str) -> LevelAnalysis:
+    """Full per-level record: kernel, side spaces, index, verdict."""
+    return analyze_levels(spec, [lambda0]).analyses()[0]
 
 
 def bif_index(spec: ProblemSpec, lambda0: Fraction | int | str) -> EulerElement:
     """Bifurcation index at a candidate level, in U(T^(r+l)).
 
-    Primary route: lifted origin degree times the difference of the
-    degrees of -Id on the negative spaces above and below the level.  For
-    positive levels the equivalent product route through the kernel degree
-    is recomputed and must agree exactly.
+    Lifted origin degree times the difference of the degrees of -Id on the
+    negative spaces above and below the level, checked against the product
+    route through the kernel degree (see :func:`analyze_levels`).
     """
-    _require_valid(spec)
-    lam0 = Fraction(lambda0)
-    _check_cutoff(spec, lam0)
-    if lam0 != 0 and not _witness_pairs(spec, lam0):
-        raise InputError(f"{lam0} is not a candidate level")
-    total = spec.r + spec.l
-    above = deg_minus_id(negative_rep(spec, lam0, "above"))
-    below = deg_minus_id(negative_rep(spec, lam0, "below"))
-    if lam0 > 0:
-        diff = star(lift(spec.origin_degree_pos, spec.l), above - below)
-        prod = _product_route(spec, lam0)
-        if prod != diff:
-            raise ConsistencyError(f"index routes disagree at level {lam0}")
-        return diff
-    if lam0 < 0:
-        return star(lift(spec.origin_degree_neg, spec.l), above - below)
-    pos = star(lift(spec.origin_degree_pos, spec.l), above)
-    neg = star(lift(spec.origin_degree_neg, spec.l), below)
-    return pos - neg
+    return analyze_level(spec, lambda0).index
 
 
 def sum_indices(spec: ProblemSpec, levels: Iterable[Fraction | int | str]) -> EulerElement:
     """Ring sum of bifurcation indices over a set of levels."""
-    out = EulerElement.zero(spec.r + spec.l)
-    for lam in levels:
-        out = out + bif_index(spec, lam)
-    return out
+    analyses = analyze_levels(spec, levels).analyses()
+    return sum((a.index for a in analyses), EulerElement.zero(spec.r + spec.l))
 
 
 def _domain_part_nonzero(spec: ProblemSpec, rep: TorusRep) -> bool:
@@ -282,13 +309,18 @@ def unboundedness_certificate(
     against the expected closed form, and the weight is scanned out of
     every kernel strictly between 0 and the level.
     """
-    report = _require_valid(spec)
-    lam0 = Fraction(lambda0)
-    return _unboundedness(spec, report, lam0)
+    v = verdict(spec, lambda0)
+    return v.unbounded, v.unbounded_reason
 
 
 def _unboundedness(
-    spec: ProblemSpec, report: ValidationReport, lam0: Fraction
+    spec: ProblemSpec,
+    report: ValidationReport,
+    lam0: Fraction,
+    kernel: TorusRep,
+    far: TorusRep,
+    index: EulerElement,
+    between: dict[Fraction, TorusRep],
 ) -> tuple[UnboundednessCertificate | None, str | None]:
     if not report.e_holds:
         return None, "(E) fails: markers missing or not unique"
@@ -301,29 +333,16 @@ def _unboundedness(
             return None, "origin degenerate (N1 fails)"
         if spec.p % 2 == 0:
             return None, "p is even"
-        if bif_index(spec, 0).is_zero:
+        if index.is_zero:
             return None, "index at level 0 vanishes despite odd p"
-        return (
-            UnboundednessCertificate(
-                kind="zero-level",
-                subgroup=None,
-                coefficient=None,
-                multiplicity=None,
-                witness=None,
-                excluded_levels=(),
-            ),
-            None,
-        )
+        return UnboundednessCertificate(kind="zero-level"), None
 
     side = spec.origin_degree_pos if lam0 > 0 else spec.origin_degree_neg
     n0 = side.unit_coefficient()
     if n0 == 0:
         return None, "unit coefficient of the origin degree vanishes"
 
-    pairs = _witness_pairs(spec, lam0)
-    if not pairs:
-        raise InputError(f"{lam0} is not a nonzero candidate level")
-    me, le = min(pairs, key=lambda p: p[1].beta)
+    me, le = min(_pairs(spec)[lam0], key=lambda p: p[1].beta)
     mu = me.marker_weight
     nu = le.highest_weight
     assert mu is not None and nu is not None
@@ -331,27 +350,18 @@ def _unboundedness(
     mirrored = canonical_weight(mu + tuple(-x for x in nu))
     h_star = subgroup_canonical(spec.r + spec.l, [combined])
 
-    kernel = kernel_rep(spec, lam0)
     mult = kernel.multiplicity(combined)
-    index = bif_index(spec, lam0)
     coeff = index.coefficient(h_star)
-    if lam0 > 0:
-        expected = -n0 * (-1) ** negative_rep(spec, lam0, "above").dim * mult
-    else:
-        expected = n0 * (-1) ** negative_rep(spec, lam0, "below").dim * mult
+    # the far side is above a positive level and below a negative one
+    expected = (-n0 if lam0 > 0 else n0) * (-1) ** far.dim * mult
     if mult < 1 or coeff != expected or coeff == 0:
         raise ConsistencyError(
             f"certificate coefficient at {h_star} is {coeff}, expected {expected}"
         )
 
-    between = [
-        c.lambda0
-        for c in candidate_levels(spec)
-        if (0 < c.lambda0 < lam0) or (lam0 < c.lambda0 < 0)
-    ]
-    for lam in between:
-        v = kernel_rep(spec, lam)
-        if v.occurs(combined) or v.occurs(mirrored):
+    excluded = tuple(sorted(between))
+    for lam in excluded:
+        if between[lam].occurs(combined) or between[lam].occurs(mirrored):
             raise ConsistencyError(
                 f"weight {combined} leaks into the kernel at intermediate level {lam}"
             )
@@ -362,7 +372,7 @@ def _unboundedness(
             coefficient=coeff,
             multiplicity=mult,
             witness=(me.alpha, le.beta, mu, nu),
-            excluded_levels=tuple(between),
+            excluded_levels=excluded,
         ),
         None,
     )
@@ -378,10 +388,21 @@ def verdict(spec: ProblemSpec, lambda0: Fraction | int | str) -> Verdict:
     level.  When neither N1 nor N2 is certified the verdict degrades to
     the local-or-global alternative.
     """
-    report = _require_valid(spec)
-    lam0 = Fraction(lambda0)
-    index = bif_index(spec, lam0)
-    kernel = kernel_rep(spec, lam0)
+    return analyze_level(spec, lambda0).verdict
+
+
+def _record(
+    spec: ProblemSpec,
+    report: ValidationReport,
+    lam0: Fraction,
+    kernel: TorusRep,
+    near: TorusRep,
+    far: TorusRep,
+    index: EulerElement,
+    between: dict[Fraction, TorusRep],
+) -> LevelAnalysis:
+    """The level's analysis from the sweep's kernel, side spaces and index."""
+    cert, reason = _unboundedness(spec, report, lam0, kernel, far, index, between)
     certified = report.n1 or report.n2
     domain_action = _domain_part_nonzero(spec, kernel)
     odd = kernel.dim % 2 == 1
@@ -406,8 +427,7 @@ def verdict(spec: ProblemSpec, lambda0: Fraction | int | str) -> Verdict:
     if lam0 == 0 and report.n1:
         zero_parity = "p-odd" if spec.p % 2 else "p-even"
 
-    cert, reason = _unboundedness(spec, report, lam0)
-    return Verdict(
+    v = Verdict(
         lambda0=lam0,
         global_bifurcation=glob,
         reasons=tuple(reasons),
@@ -417,16 +437,5 @@ def verdict(spec: ProblemSpec, lambda0: Fraction | int | str) -> Verdict:
         unbounded_reason=reason,
         zero_level_parity=zero_parity,
     )
-
-
-def analyze_level(spec: ProblemSpec, lambda0: Fraction | int | str) -> LevelAnalysis:
-    """Full per-level record: kernel, side spaces, index, verdict."""
-    lam0 = Fraction(lambda0)
-    return LevelAnalysis(
-        lambda0=lam0,
-        kernel=kernel_rep(spec, lam0),
-        negative_below=negative_rep(spec, lam0, "below"),
-        negative_above=negative_rep(spec, lam0, "above"),
-        index=bif_index(spec, lam0),
-        verdict=verdict(spec, lam0),
-    )
+    below, above = (far, near) if lam0 < 0 else (near, far)
+    return LevelAnalysis(lam0, kernel, below, above, index, v)

@@ -76,7 +76,7 @@ def analyze(problem: str, level: str) -> None:
     def run() -> None:
         spec = parse_problem(problem)
         lam = parse_rational(level, "--level")
-        report = build_report(spec, levels=[lam], parallel=False, refusals_as_records=False)
+        report = build_report(spec, levels=[lam], refusals_as_records=False)
         click.echo(render_text(report))
 
     _dispatch(run)
@@ -85,7 +85,7 @@ def analyze(problem: str, level: str) -> None:
 @main.command("analyze-all")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 def analyze_all(problem: str) -> None:
-    """Analyze every candidate level (parallel fan-out, ordered output)."""
+    """Analyze every candidate level in one sorted sweep, ordered by level."""
 
     def run() -> None:
         spec = parse_problem(problem)

@@ -592,21 +592,28 @@ def _fixture_checks_kernel() -> list[tuple[str, bool]]:
 
 
 def _fixture_checks_two_routes() -> list[tuple[str, bool]]:
+    """Index against the product through the kernel degree at every nonzero level.
+
+    Above 0: lift(F_pos) * deg(below) * (deg(kernel) - I); below 0 the
+    mirror image -lift(F_neg) * deg(above) * (deg(kernel) - I).
+    """
     checks = []
     for name, spec in _fixture_specs():
         total = spec.r + spec.l
         for cand in bif.candidate_levels(spec):
-            if cand.lambda0 <= 0:
+            lam = cand.lambda0
+            if lam == 0:
                 continue
-            index = bif.bif_index(spec, cand.lambda0)
+            positive = lam > 0
+            index = bif.bif_index(spec, lam)
             explicit = star(
                 star(
-                    lift(spec.origin_degree_pos, spec.l),
-                    deg_minus_id(bif.negative_rep(spec, cand.lambda0, "below")),
+                    lift(spec.origin_degree_pos if positive else spec.origin_degree_neg, spec.l),
+                    deg_minus_id(bif.negative_rep(spec, lam, "below" if positive else "above")),
                 ),
-                deg_minus_id(bif.kernel_rep(spec, cand.lambda0)) - EulerElement.unit(total),
+                deg_minus_id(bif.kernel_rep(spec, lam)) - EulerElement.unit(total),
             )
-            checks.append((f"{name}@{cand.lambda0}", index == explicit))
+            checks.append((f"{name}@{lam}", index == (explicit if positive else -explicit)))
     return checks
 
 

@@ -10,24 +10,19 @@ pipeline.  Reports serialize losslessly and deterministically.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable
 
-from .bifurcation import (
-    LevelAnalysis,
-    Verdict,
-    analyze_level,
-    candidate_levels,
-)
-from .errors import CutoffError, InputError
+from .bifurcation import LevelAnalysis, Verdict, analyze_levels
+from .errors import CutoffError, InputError, TorbifError
 from .eulerring import EulerElement
 from .intlat import TorusSubgroup, subgroup_canonical
 from .spectra import (
     LaplaceEigenData,
     MatrixEigenData,
     ProblemSpec,
+    ValidationReport,
     flat_torus_spectrum,
     sphere_spectrum,
     validate,
@@ -125,7 +120,7 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
                     f"flat torus provider enumerates up to {pcut}, below beta_cutoff {cutoff}",
                     code="CUTOFF_INSUFFICIENT",
                 )
-            entries = flat_torus_spectrum(d, pcut)
+            provide, args = flat_torus_spectrum, (d, pcut)
         elif provider == "sphere":
             n = _expect_int(params.get("n"), "laplace.params.n")
             kmax = _expect_int(params.get("cutoff_k"), "laplace.params.cutoff_k")
@@ -139,9 +134,13 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
                     f"sphere provider stops below beta_cutoff {cutoff}; raise cutoff_k",
                     code="CUTOFF_INSUFFICIENT",
                 )
-            entries = sphere_spectrum(n, kmax)
+            provide, args = sphere_spectrum, (n, kmax)
         else:
             raise InputError(f"laplace.provider: unknown provider {provider!r}", code="SCHEMA")
+        try:
+            entries = provide(*args)
+        except InputError as exc:
+            raise InputError(f"laplace.params: {exc}", code="SCHEMA")
         return tuple(e for e in entries if e.beta <= cutoff)
     out = []
     for i, item in enumerate(_expect_list(doc, "laplace")):
@@ -329,8 +328,7 @@ def _analysis_doc(a: LevelAnalysis, witnesses) -> dict:
     }
 
 
-def _validation_doc(spec: ProblemSpec) -> dict:
-    rep = validate(spec)
+def _validation_doc(rep: ValidationReport) -> dict:
     return {
         "N1": rep.n1,
         "N2": rep.n2,
@@ -348,36 +346,27 @@ def _validation_doc(spec: ProblemSpec) -> dict:
 def build_report(
     spec: ProblemSpec,
     levels: Iterable[Fraction | int | str] | None = None,
-    parallel: bool = True,
     refusals_as_records: bool = True,
 ) -> dict:
     """Full machine-readable report: validation block plus level records.
 
-    Level analyses are independent and fan out across a thread pool; the
-    output ordering is by level regardless of completion order.  A level
-    whose cutoff guard refuses is recorded in place unless
-    ``refusals_as_records`` is off, in which case the refusal propagates.
+    All levels are analysed in one sorted sweep and recorded in level
+    order.  A level whose cutoff guard refuses is recorded in place unless
+    ``refusals_as_records`` is off, in which case the refusal propagates;
+    any other error of the first failing level propagates.
     """
-    cands = candidate_levels(spec)
-    witness_map = {c.lambda0: c.witnesses for c in cands}
-    wanted = (
-        sorted(Fraction(x) for x in levels) if levels is not None else [c.lambda0 for c in cands]
-    )
-
-    def one(lam: Fraction) -> dict:
-        try:
-            return _analysis_doc(analyze_level(spec, lam), witness_map.get(lam, ()))
-        except CutoffError as exc:
-            if not refusals_as_records:
-                raise
-            return {"lambda0": format_rational(lam), "refused": str(exc)}
-
-    if parallel and len(wanted) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(wanted))) as pool:
-            records = list(pool.map(one, wanted))
-    else:
-        records = [one(lam) for lam in wanted]
-    return {"validation": _validation_doc(spec), "levels": records}
+    wanted = None if levels is None else sorted(Fraction(x) for x in levels)
+    sweep = analyze_levels(spec, wanted)
+    witness_map = {c.lambda0: c.witnesses for c in sweep.candidates}
+    records = []
+    for lam, outcome in sweep.records:
+        if isinstance(outcome, CutoffError) and refusals_as_records:
+            records.append({"lambda0": format_rational(lam), "refused": str(outcome)})
+        elif isinstance(outcome, TorbifError):
+            raise outcome
+        else:
+            records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
+    return {"validation": _validation_doc(sweep.validation), "levels": records}
 
 
 def report_to_json(report: dict) -> str:

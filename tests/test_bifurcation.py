@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import torbif.bifurcation as bifurcation
 from torbif.bifurcation import (
     REASON_DOMAIN,
     REASON_INDEX,
     REASON_ODD,
+    LevelAnalysis,
     analyze_level,
+    analyze_levels,
     bif_index,
     candidate_levels,
     hessian_spectrum,
@@ -16,7 +19,7 @@ from torbif.bifurcation import (
     unboundedness_certificate,
     verdict,
 )
-from torbif.errors import CutoffError, InputError
+from torbif.errors import ConsistencyError, CutoffError, InputError
 from torbif.eulerring import EulerElement, deg_minus_id, lift, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
@@ -321,3 +324,38 @@ def test_analyze_level_consistency(circle_spec):
     assert a.negative_above == direct_sum(a.negative_below, a.kernel)
     assert a.index == bif_index(circle_spec, 4)
     assert a.verdict.global_bifurcation
+
+
+# --- the level sweep -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["circle_spec", "sphere_spec", "inverted"])
+def test_sweep_records_match_single_levels(name, request):
+    # the full sweep reuses each near-side degree; a single level computes it afresh
+    spec = circle_inverted_spec(9) if name == "inverted" else request.getfixturevalue(name)
+    records = analyze_levels(spec).records
+    assert [lam for lam, _ in records] == [c.lambda0 for c in candidate_levels(spec)]
+    for lam, outcome in records:
+        assert outcome == analyze_level(spec, lam)
+
+
+def test_sweep_keeps_request_order_duplicates_and_errors(circle_spec):
+    records = analyze_levels(circle_spec, [4, 1, 4, Fraction(1, 2), 16]).records
+    assert [lam for lam, _ in records] == [4, 1, 4, Fraction(1, 2), 16]
+    kinds = [type(outcome) for _, outcome in records]
+    assert kinds == [LevelAnalysis, LevelAnalysis, LevelAnalysis, InputError, CutoffError]
+    assert records[0][1] == records[2][1]
+
+
+def test_negative_level_route_mismatch_is_a_defect(monkeypatch):
+    spec = circle_inverted_spec(9)
+    kernel = kernel_rep(spec, -4)
+    honest = bifurcation.deg_minus_id
+
+    def corrupted(v):
+        deg = honest(v)
+        return deg + EulerElement.unit(v.ambient_rank) if v == kernel else deg
+
+    monkeypatch.setattr(bifurcation, "deg_minus_id", corrupted)
+    with pytest.raises(ConsistencyError, match="level -4"):
+        bif_index(spec, -4)

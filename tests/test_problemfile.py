@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from torbif.errors import InputError
+from torbif.errors import CutoffError, InputError
 from torbif.eulerring import EulerElement
 from torbif.problemfile import (
     build_report,
@@ -113,6 +114,22 @@ def test_float_rejected_in_spectrum():
     assert err.value.code == "SCHEMA"
 
 
+@pytest.mark.parametrize(
+    "path, top, params, message",
+    [
+        ("circle_fixture_path", {"beta_cutoff": "-1"}, {"cutoff": -1}, "cutoff must be nonnegative"),
+        ("sphere_fixture_path", {"l": 0}, {"n": 1, "cutoff_k": 5}, "ambient dimension must be at least 2"),
+    ],
+)
+def test_provider_errors_are_schema_errors(path, top, params, message, request):
+    doc = json.loads(request.getfixturevalue(path).read_text())
+    doc.update(top)
+    doc["laplace"]["params"].update(params)
+    with pytest.raises(InputError, match=message) as err:
+        parse_problem_dict(doc)
+    assert err.value.code == "SCHEMA"
+
+
 def test_explicit_laplace_list():
     doc = circle_doc()
     doc["laplace"] = [
@@ -144,11 +161,34 @@ def test_report_structure_and_determinism(circle_spec):
     level_one = doc["levels"][1]
     assert level_one["kernel"]["dim"] == 4
     assert {"characters": [[1, 2]], "coeff": -1} in doc["levels"][2]["index"]
-    # byte-stable across repeated builds, parallel or not
-    again = build_report(circle_spec, parallel=False)
+    # byte-stable across repeated builds
+    again = build_report(circle_spec)
     assert report_to_json(doc) == report_to_json(again)
     parsed = json.loads(report_to_json(doc))
     assert parsed["levels"][1]["verdict"]["global_bifurcation"]
+
+
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("circle_fixture_path", "64be75ed31b757ff0924fe44cfbdbc0a7e0361bb7cc648a319b98aa8248a4b6e"),
+        ("sphere_fixture_path", "5687cb316fc5e508afe448a30c1a3b2684bf93a4a9094c3013ad2ca0976f7d85"),
+    ],
+)
+def test_report_bytes_pinned(path, digest, request):
+    text = report_to_json(build_report(parse_problem(request.getfixturevalue(path))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_report_errors_in_level_order(circle_spec):
+    # -16 is past the cutoff and comes first in level order; 1/2 is not a candidate
+    levels = [Fraction(1, 2), -16]
+    with pytest.raises(CutoffError):
+        build_report(circle_spec, levels=levels, refusals_as_records=False)
+    with pytest.raises(InputError):  # the refusal is recorded, the input error propagates
+        build_report(circle_spec, levels=levels)
+    doc = build_report(circle_spec, levels=[16, 1, 1])
+    assert [rec["lambda0"] for rec in doc["levels"]] == ["1", "1", "16"]
 
 
 def test_report_records_refusals(circle_spec):
