@@ -224,7 +224,9 @@ def analyze_levels(
             if lam != 0 and lam not in known:
                 raise InputError(f"{lam} is not a candidate level")
         except TorbifError as exc:
-            out[lam] = exc
+            # a stored traceback would hold this frame, whose `out` holds the
+            # error: a cycle that keeps the whole sweep alive until gc runs
+            out[lam] = exc.with_traceback(None)
     todo = set(wanted) - set(out)
     zero = TorusRep.zero(spec.r + spec.l)
     unit = EulerElement.unit(spec.r + spec.l)
@@ -247,7 +249,7 @@ def analyze_levels(
                         raise ConsistencyError(f"index routes disagree at level {t}")
                     out[t] = _record(spec, report, t, kernel, near, far, index, between)
                 except ConsistencyError as exc:
-                    out[t] = exc
+                    out[t] = exc.with_traceback(None)
             between[t] = kernel
     return LevelSweep(report, cands, tuple((lam, out[lam]) for lam in wanted))
 

@@ -53,21 +53,23 @@ def _tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synthesize(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
-    """Grid values of both components from the coefficient layout."""
+    """Grid values of both components from the coefficient layout.
+
+    Axes before the last two of ``coeffs`` (shape ``(..., 2, 2N+1)``) are
+    batch axes and are kept.
+    """
     cos_t, sin_t = _tables(n_modes)
-    a = coeffs[:, 1::2]
-    b = coeffs[:, 2::2]
-    return coeffs[:, :1] + a @ cos_t + b @ sin_t
+    return coeffs[..., :1] + coeffs[..., 1::2] @ cos_t + coeffs[..., 2::2] @ sin_t
 
 
 def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Fourier coefficients (modes 0..N) from grid values."""
-    m = values.shape[1]
+    """Fourier coefficients (modes 0..N) from grid values, batched like ``synthesize``."""
+    m = values.shape[-1]
     cos_t, sin_t = _tables(n_modes)
-    out = np.empty((2, 2 * n_modes + 1))
-    out[:, 0] = values.mean(axis=1)
-    out[:, 1::2] = 2.0 / m * values @ cos_t.T
-    out[:, 2::2] = 2.0 / m * values @ sin_t.T
+    out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
+    out[..., 0] = values.mean(axis=-1)
+    out[..., 1::2] = 2.0 / m * values @ cos_t.T
+    out[..., 2::2] = 2.0 / m * values @ sin_t.T
     return out
 
 
@@ -80,17 +82,22 @@ def _mode_weights(n_modes: int) -> np.ndarray:
     return w
 
 
+def _linear(coeffs: np.ndarray, lam: float) -> np.ndarray:
+    """Linear part (k^2 - lam) * c_k of the discretized equation, before normalization."""
+    k = np.arange(1, coeffs.shape[-1] // 2 + 1)
+    lin = np.empty_like(coeffs)
+    lin[..., 0] = -lam * coeffs[..., 0]
+    lin[..., 1::2] = (k * k - lam) * coeffs[..., 1::2]
+    lin[..., 2::2] = (k * k - lam) * coeffs[..., 2::2]
+    return lin
+
+
 def residual(model: CircleModel) -> np.ndarray:
     """Per-mode normalized residual of the discretized equation."""
     n = model.n_modes
     u = synthesize(model.coeffs, n)
     cubic = analyze((u[0] ** 2 + u[1] ** 2) * u, n)
-    lin = np.empty_like(model.coeffs)
-    lin[:, 0] = -model.lam * model.coeffs[:, 0]
-    k = np.arange(1, n + 1)
-    lin[:, 1::2] = (k * k - model.lam) * model.coeffs[:, 1::2]
-    lin[:, 2::2] = (k * k - model.lam) * model.coeffs[:, 2::2]
-    return (lin + cubic) / _mode_weights(n)
+    return (_linear(model.coeffs, model.lam) + cubic) / _mode_weights(n)
 
 
 def energy(model: CircleModel) -> float:
@@ -117,26 +124,16 @@ def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _jacobian(model: CircleModel) -> np.ndarray:
+    """Derivative of ``residual`` in the flattened coefficients, all columns at once."""
     n = model.n_modes
+    size = 2 * (2 * n + 1)
     u = synthesize(model.coeffs, n)
     sq = u[0] ** 2 + u[1] ** 2
-    size = 2 * (2 * n + 1)
-    weights = _mode_weights(n)
-    k = np.arange(1, n + 1)
-    jac = np.empty((size, size))
-    basis = np.zeros((2, 2 * n + 1))
-    for col in range(size):
-        basis.flat[col] = 1.0
-        v = synthesize(basis, n)
-        dot = u[0] * v[0] + u[1] * v[1]
-        nl = analyze(sq * v + 2.0 * dot * u, n)
-        lin = np.empty_like(basis)
-        lin[:, 0] = -model.lam * basis[:, 0]
-        lin[:, 1::2] = (k * k - model.lam) * basis[:, 1::2]
-        lin[:, 2::2] = (k * k - model.lam) * basis[:, 2::2]
-        jac[:, col] = ((lin + nl) / weights).ravel()
-        basis.flat[col] = 0.0
-    return jac
+    basis = np.eye(size).reshape(size, 2, 2 * n + 1)  # basis[col] perturbs coefficient col
+    v = synthesize(basis, n)
+    dot = u[0] * v[:, 0] + u[1] * v[:, 1]
+    nl = analyze(sq * v + 2.0 * dot[:, None] * u, n)
+    return ((_linear(basis, model.lam) + nl) / _mode_weights(n)).reshape(size, size).T
 
 
 def trivial_branch_eigenvalues(n_modes: int, lam: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Hermite and Smith normal forms, integer lattices in canonical (row-style
-Hermite) form, and closed subgroups of a torus encoded by their annihilator
-character lattice.  All values are immutable and all operations are pure,
-so everything here is safe to share across threads.
+Hermite and Smith normal forms, integer lattices (whose one constructor
+stores the row-style Hermite basis of the span it is given), and closed
+subgroups of a torus encoded by their annihilator character lattice.
+All values are immutable and all operations are pure, so everything here
+is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -296,27 +297,22 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
 
 @dataclass(frozen=True)
 class Lattice:
-    """Integer sublattice of Z^r held in canonical Hermite form."""
+    """Integer sublattice of Z^r spanned by ``basis``.
+
+    The constructor accepts any spanning vectors and stores the canonical
+    Hermite basis of their span, so two lattices are equal iff they span
+    the same sublattice.
+    """
 
     ambient_rank: int
-    basis: tuple[Vector, ...]
+    basis: tuple[Vector, ...] = ()
 
     def __post_init__(self):
-        if self.basis != hermite_basis(self.ambient_rank, self.basis):
-            raise InputError("lattice basis is not in canonical form")
-
-    @staticmethod
-    def span(ambient_rank: int, vectors: Iterable[Sequence[int]] = ()) -> "Lattice":
-        return Lattice(ambient_rank, hermite_basis(ambient_rank, vectors))
+        object.__setattr__(self, "basis", hermite_basis(self.ambient_rank, self.basis))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def sum(self, other: "Lattice") -> "Lattice":
-        if self.ambient_rank != other.ambient_rank:
-            raise InputError("lattice sum needs equal ambient ranks")
-        return Lattice.span(self.ambient_rank, self.basis + other.basis)
 
 
 @dataclass(frozen=True)
@@ -337,7 +333,7 @@ class TorusSubgroup:
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
-        return TorusSubgroup(r, Lattice.span(r))
+        return TorusSubgroup(r, Lattice(r))
 
     @property
     def dim(self) -> int:
@@ -363,14 +359,15 @@ class TorusSubgroup:
 
 def subgroup_canonical(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
     """Subgroup cut out by the given characters, canonically encoded."""
-    return TorusSubgroup(r, Lattice.span(r, characters))
+    return TorusSubgroup(r, Lattice(r, characters))
 
 
 def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
     """Intersection; the annihilator of the result is the lattice sum."""
     if h.ambient_rank != h2.ambient_rank:
         raise InputError("cannot intersect subgroups of different tori")
-    return TorusSubgroup(h.ambient_rank, h.annihilator.sum(h2.annihilator))
+    r = h.ambient_rank
+    return TorusSubgroup(r, Lattice(r, h.annihilator.basis + h2.annihilator.basis))
 
 
 def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
@@ -407,5 +404,4 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     if l < 0:
         raise InputError("extension rank must be nonnegative")
     padded = tuple(row + (0,) * l for row in h.annihilator.basis)
-    # zero-padding preserves Hermite canonical form
     return TorusSubgroup(h.ambient_rank + l, Lattice(h.ambient_rank + l, padded))

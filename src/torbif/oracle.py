@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Sequence
 
 from . import bifurcation as bif
@@ -30,6 +31,7 @@ from .intlat import (
     subgroup_canonical,
     subgroup_intersect,
 )
+from .problemfile import parse_problem
 from .spectra import (
     MatrixEigenData,
     ProblemSpec,
@@ -228,20 +230,6 @@ def circle_inverted_spec(cutoff: int = 9) -> ProblemSpec:
     )
 
 
-def sphere_radial_spec(levels: int = 4) -> ProblemSpec:
-    """Scalar problem on the two-sphere; the system torus acts trivially."""
-    return ProblemSpec(
-        r=1,
-        l=1,
-        p=1,
-        matrix_spectrum=(MatrixEigenData(Fraction(1), TorusRep.trivial(1, 1), (0,)),),
-        laplace_spectrum=sphere_spectrum(3, levels),
-        beta_cutoff=Fraction(levels * (levels + 1)),
-        origin_degree_pos=EulerElement.unit(1),
-        origin_degree_neg=-EulerElement.unit(1),
-    )
-
-
 def degenerate_origin_spec(odd_kernel: bool) -> ProblemSpec:
     """Origin degree without a unit part (zero unit coefficient).
 
@@ -277,7 +265,7 @@ def _fixture_specs() -> list[tuple[str, ProblemSpec]]:
     return [
         ("circle", circle_quartic_spec(25)),
         ("circle-inverted", circle_inverted_spec(9)),
-        ("sphere", sphere_radial_spec(4)),
+        ("sphere", parse_problem(Path(__file__).parent / "fixtures" / "sphere_p1.json")),
     ]
 
 

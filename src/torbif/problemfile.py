@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .bifurcation import LevelAnalysis, Verdict, analyze_levels
-from .errors import CutoffError, InputError, TorbifError
+from .errors import CutoffError, InputError, RefusalError, TorbifError
 from .eulerring import EulerElement
 from .intlat import TorusSubgroup, subgroup_canonical
 from .spectra import (
@@ -141,6 +141,8 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
             entries = provide(*args)
         except InputError as exc:
             raise InputError(f"laplace.params: {exc}", code="SCHEMA")
+        except RefusalError as exc:
+            raise RefusalError(f"laplace.params: {exc}")
         return tuple(e for e in entries if e.beta <= cutoff)
     out = []
     for i, item in enumerate(_expect_list(doc, "laplace")):

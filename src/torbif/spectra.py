@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
-from .errors import InputError
+from .errors import InputError, RefusalError
 from .eulerring import EulerElement
 from .intlat import Vector
 from .torusrep import TorusRep, canonical_weight
@@ -22,6 +22,10 @@ from .torusrep import TorusRep, canonical_weight
 N2_IRREDUCIBLE = "irreducible-flags"
 N2_FIXED_FREE = "no-torus-fixed-vectors"
 N2_VACUOUS = "vacuous"
+
+# Largest lattice cube flat_torus_spectrum walks before it refuses; the
+# shipped and benchmarked problems walk at most 25 points.
+FLAT_TORUS_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,21 @@ def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
 
     Eigenvalues are the squared lattice norms |m|^2 <= cutoff; the
     eigenspace of a positive eigenvalue is one rotation block per
-    sign-canonical lattice point on the sphere of that radius.
+    sign-canonical lattice point on the sphere of that radius.  Refuses
+    when the cube it walks has more than ``FLAT_TORUS_MAX_POINTS`` points.
     """
     if d < 1:
         raise InputError("dimension must be at least 1")
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
     s = isqrt(cutoff)
+    # (2s+1)^d with the exponent capped at the limit's bit length: exact for
+    # 2s+1 >= 2, since 2**bit_length exceeds the limit, and never a huge power
+    if (2 * s + 1) ** min(d, FLAT_TORUS_MAX_POINTS.bit_length()) > FLAT_TORUS_MAX_POINTS:
+        raise RefusalError(
+            f"flat torus T^{d} up to cutoff {cutoff} walks {2 * s + 1}^{d} lattice points, "
+            f"more than {FLAT_TORUS_MAX_POINTS}; lower the cutoff or d"
+        )
     by_beta: dict[int, dict[Vector, int]] = {}
     for m in product(range(-s, s + 1), repeat=d):
         q = sum(x * x for x in m)

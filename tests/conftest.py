@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from torbif.oracle import circle_quartic_spec, sphere_radial_spec
+from torbif.oracle import circle_quartic_spec
 from torbif.problemfile import parse_problem
 
 
@@ -37,8 +37,3 @@ def sphere_spec(sphere_fixture_path):
 def circle_deep_spec():
     # same model with spectral data out to beta = 25, for levels up to 25
     return circle_quartic_spec(25)
-
-
-@pytest.fixture(scope="session")
-def sphere_api_spec():
-    return sphere_radial_spec(4)

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,19 @@ def test_sweep_keeps_request_order_duplicates_and_errors(circle_spec):
     kinds = [type(outcome) for _, outcome in records]
     assert kinds == [LevelAnalysis, LevelAnalysis, LevelAnalysis, InputError, CutoffError]
     assert records[0][1] == records[2][1]
+
+
+def test_sweep_errors_leave_no_reference_cycles(circle_spec):
+    # a stored error with its traceback would keep the whole sweep alive until gc runs
+    gc.collect()
+    gc.disable()
+    try:
+        records = analyze_levels(circle_spec, [1, Fraction(1, 2), 16]).records
+        assert [type(outcome) for _, outcome in records] == [LevelAnalysis, InputError, CutoffError]
+        del records
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_negative_level_route_mismatch_is_a_defect(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -59,6 +60,24 @@ def test_malformed_file_exit_code(runner, tmp_path):
     result = runner.invoke(cli.main, ["candidates", str(bad)])
     assert result.exit_code == 2
     assert "MALFORMED_JSON" in result.output or "MALFORMED_JSON" in (result.stderr or "")
+
+
+def test_oversized_flat_torus_is_refused(runner, tmp_path):
+    # (2*8+1)^6 = 24,137,569 lattice points: refused before any is walked
+    problem = tmp_path / "flat_t6.json"
+    problem.write_text(
+        '{"r": 1, "l": 6, "p": 2,\n'
+        ' "matrix_spectrum": [{"alpha": "1", "weights": [{"m": [1]}], "marker": [1]}],\n'
+        ' "laplace": {"provider": "flat_torus", "params": {"d": 6, "cutoff": 64}},\n'
+        ' "beta_cutoff": "64",\n'
+        ' "degF_pos": [{"characters": [], "coeff": 1}],\n'
+        ' "degF_neg": [{"characters": [], "coeff": 1}]}\n'
+    )
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["candidates", str(problem)])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3
+    assert "laplace.params" in result.output and "17^6" in result.output
 
 
 def test_scan_command(runner):

@@ -6,6 +6,7 @@ import pytest
 from torbif.bifurcation import candidate_levels
 from torbif.corroborate import (
     CircleModel,
+    _jacobian,
     amplitude,
     coefficient_inner,
     energy,
@@ -112,6 +113,22 @@ def test_residual_is_gradient_of_energy():
     finite_difference = (up - down) / (2 * h)
     pairing = coefficient_inner(6, residual(model), direction)
     assert abs(finite_difference - pairing) < 1e-6 * abs(pairing)
+
+
+@pytest.mark.parametrize("n_modes", [3, 8])
+def test_jacobian_matches_central_differences(n_modes):
+    rng = np.random.default_rng(n_modes)
+    model = CircleModel(n_modes, 2.3, 0.4 * rng.normal(size=(2, 2 * n_modes + 1)))
+    x = model.coeffs.ravel()
+    h = 1e-5
+    columns = []
+    for col in range(x.size):
+        step = np.zeros_like(x)
+        step[col] = h
+        up = residual(CircleModel(n_modes, model.lam, (x + step).reshape(model.coeffs.shape)))
+        down = residual(CircleModel(n_modes, model.lam, (x - step).reshape(model.coeffs.shape)))
+        columns.append(((up - down) / (2 * h)).ravel())
+    assert np.abs(_jacobian(model) - np.column_stack(columns)).max() < 1e-8
 
 
 def test_equivariance_of_residual_norm():

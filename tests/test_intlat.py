@@ -156,9 +156,10 @@ def test_hermite_reduces_above_pivots():
     assert basis == ((1, 1), (0, 2))
 
 
-def test_lattice_rejects_noncanonical_basis():
-    with pytest.raises(InputError):
-        Lattice(2, ((2, 2), (1, 1)))
+def test_lattice_canonicalises_basis():
+    lat = Lattice(2, ((2, 2), (1, 1)))
+    assert lat.basis == ((1, 1),)
+    assert lat == Lattice(2, ((1, 1),))
 
 
 # --- subgroup encodings ---------------------------------------------------------

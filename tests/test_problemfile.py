@@ -1,10 +1,14 @@
+import copy
 import hashlib
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torbif.errors import CutoffError, InputError
+from torbif.errors import CutoffError, InputError, RefusalError
 from torbif.eulerring import EulerElement
 from torbif.problemfile import (
     build_report,
@@ -112,6 +116,47 @@ def test_float_rejected_in_spectrum():
     with pytest.raises(InputError) as err:
         parse_problem_dict(doc)
     assert err.value.code == "SCHEMA"
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in _leaf_paths(child, path + (key,))]
+    if isinstance(node, list) and node:
+        return [p for i, child in enumerate(node) for p in _leaf_paths(child, path + (i,))]
+    return [path]
+
+
+FIXTURE_DOCS = [
+    json.loads((resources.files("torbif") / "fixtures" / name).read_text())
+    for name in ("circle_quartic.json", "sphere_p1.json")
+]
+LEAVES = [(i, path) for i, doc in enumerate(FIXTURE_DOCS) for path in _leaf_paths(doc)]
+# small integers and short strings keep every provider and rational parse cheap
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-20, 20)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+)
+# scalars drawn directly as well as inside containers, which st.recursive favours
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEAVES), JSON_VALUES)
+def test_parse_raises_only_documented_errors_on_any_leaf(leaf, value):
+    doc_index, path = leaf
+    doc = copy.deepcopy(FIXTURE_DOCS[doc_index])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        parse_problem_dict(doc)
+    except (InputError, RefusalError):
+        pass
 
 
 @pytest.mark.parametrize(
