@@ -14,7 +14,7 @@ import click
 
 from .bifurcation import candidate_levels
 from .corroborate import newton_branch, stability_scan
-from .errors import ConsistencyError, InputError, RefusalError
+from .errors import ConsistencyError, CutoffError, InputError, RefusalError
 from .oracle import run_selftest
 from .problemfile import (
     build_report,
@@ -76,7 +76,10 @@ def analyze(problem: str, level: str) -> None:
     def run() -> None:
         spec = parse_problem(problem)
         lam = parse_rational(level, "--level")
-        report = build_report(spec, levels=[lam], refusals_as_records=False)
+        report = build_report(spec, levels=[lam])
+        refused = report["levels"][0].get("refused")
+        if refused is not None:
+            raise CutoffError(refused)
         click.echo(render_text(report))
 
     _dispatch(run)

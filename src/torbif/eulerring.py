@@ -10,7 +10,7 @@ bilinearly; the unit is the full-torus generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError
 from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, subgroup_intersect
@@ -52,9 +52,6 @@ class EulerElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def term_dict(self) -> dict[TorusSubgroup, int]:
-        return dict(self.terms)
-
     def coefficient(self, h: TorusSubgroup) -> int:
         return dict(self.terms).get(h, 0)
 
@@ -76,9 +73,6 @@ class EulerElement:
         if not isinstance(scalar, int):
             return NotImplemented
         return EulerElement.make(self.ambient_rank, tuple((h, scalar * c) for h, c in self.terms))
-
-    def star(self, other: "EulerElement") -> "EulerElement":
-        return star(self, other)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -123,22 +117,28 @@ def star(a: EulerElement, b: EulerElement) -> EulerElement:
     return EulerElement.make(r, acc)
 
 
-def deg_minus_id(v: TorusRep) -> EulerElement:
+def deg_minus_id(
+    v: TorusRep, product: Callable[[EulerElement, EulerElement], EulerElement] | None = None
+) -> EulerElement:
     """Gradient degree of -Id on the unit ball of the representation.
 
     Computed as the ring product over the irreducible summands:
-    (-1)^k0 times the product of (I - chi(T^r/H_m+))^mult over the
-    nonzero canonical weights m of v, where H_m is the kernel of the
-    character m.
+    (-1)^k0 times the product of (I - chi(T^r/H_m+))^k over the nonzero
+    canonical weights m of v with multiplicity k, where H_m is the kernel
+    of the character m.  H_m has codimension 1, so chi(H_m) * chi(H_m) = 0
+    (the pair is not transversal) and each power is the single factor
+    I - k chi(H_m).  ``product`` is the ring multiplication, ``star``
+    unless a caller substitutes another rule; the default is looked up at
+    call time, so a rebound ``star`` is the one used.
     """
+    product = product or star
     r = v.ambient_rank
     out = EulerElement.unit(r)
     if v.trivial_mult % 2:
         out = -out
     for m, k in v.weights:
-        factor = EulerElement.unit(r) - EulerElement.generator(subgroup_canonical(r, [m]))
-        for _ in range(k):
-            out = star(out, factor)
+        factor = EulerElement.unit(r) - k * EulerElement.generator(subgroup_canonical(r, [m]))
+        out = product(out, factor)
     return out
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bifurcation as bif
 from .errors import InputError
@@ -35,9 +35,9 @@ from .problemfile import parse_problem
 from .spectra import (
     MatrixEigenData,
     ProblemSpec,
+    ValidationReport,
     flat_torus_spectrum,
     sphere_spectrum,
-    validate,
 )
 from .torusrep import TorusRep, canonical_weight, character, direct_sum, tensor
 
@@ -155,18 +155,6 @@ def _rand_point(rng: random.Random, r: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(r))
 
 
-def _deg_product(v: TorusRep, star_impl: StarImpl) -> EulerElement:
-    r = v.ambient_rank
-    out = EulerElement.unit(r)
-    if v.trivial_mult % 2:
-        out = -out
-    for m, k in v.weights:
-        factor = EulerElement.unit(r) - EulerElement.generator(subgroup_canonical(r, [m]))
-        for _ in range(k):
-            out = star_impl(out, factor)
-    return out
-
-
 def _tensor_by_complexification(w: TorusRep, v: TorusRep) -> TorusRep:
     """Independent tensor decomposition through complex weight multisets."""
 
@@ -261,12 +249,19 @@ def degenerate_origin_spec(odd_kernel: bool) -> ProblemSpec:
     )
 
 
-def _fixture_specs() -> list[tuple[str, ProblemSpec]]:
-    return [
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fixture_levels() -> Iterator[tuple[str, ProblemSpec, ValidationReport, bif.LevelAnalysis]]:
+    """(fixture, spec, validation, analysis) at every candidate level, one sweep per fixture."""
+    for name, spec in (
         ("circle", circle_quartic_spec(25)),
         ("circle-inverted", circle_inverted_spec(9)),
-        ("sphere", parse_problem(Path(__file__).parent / "fixtures" / "sphere_p1.json")),
-    ]
+        ("sphere", parse_problem(_FIXTURES / "sphere_p1.json")),
+    ):
+        sweep = bif.analyze_levels(spec)
+        for analysis in sweep.analyses():
+            yield name, spec, sweep.validation, analysis
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +405,7 @@ def _suite_truncation(star_impl: StarImpl):
     def run(rng: random.Random) -> tuple[str, bool]:
         r = rng.randint(1, 3)
         v = _rand_rep(rng, r)
-        deg = _deg_product(v, star_impl)
+        deg = deg_minus_id(v, star_impl)
         low = codim_part(deg, 0) + codim_part(deg, 1)
         sign = -1 if v.dim % 2 else 1
         expected = EulerElement.unit(r)
@@ -427,8 +422,8 @@ def _suite_multiplicative(star_impl: StarImpl):
         r = rng.randint(1, 3)
         v = _rand_rep(rng, r)
         w = _rand_rep(rng, r)
-        ok = _deg_product(direct_sum(v, w), star_impl) == star_impl(
-            _deg_product(v, star_impl), _deg_product(w, star_impl)
+        ok = deg_minus_id(direct_sum(v, w), star_impl) == star_impl(
+            deg_minus_id(v, star_impl), deg_minus_id(w, star_impl)
         )
         return f"V={v}; W={w}", ok
 
@@ -555,27 +550,21 @@ def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
 
 def _fixture_checks_kernel() -> list[tuple[str, bool]]:
     checks = []
-    for name, spec in _fixture_specs():
-        for cand in bif.candidate_levels(spec):
-            expected = 0
-            for me in spec.matrix_spectrum:
-                for le in spec.laplace_spectrum:
-                    if le.beta != 0 and me.alpha != 0 and le.beta == cand.lambda0 * me.alpha:
+    for name, spec, _, a in _fixture_levels():
+        expected = 0
+        base = 0  # zero eigenvalues contributed by beta = 0 blocks
+        for me in spec.matrix_spectrum:
+            for le in spec.laplace_spectrum:
+                if le.beta == a.lambda0 * me.alpha:
+                    if le.beta != 0 and me.alpha != 0:
                         expected += me.eigenspace.dim * le.eigenspace.dim
-            got = bif.kernel_rep(spec, cand.lambda0).dim
-            zero_part = sum(
-                h.multiplicity
-                for h in bif.hessian_spectrum(spec, cand.lambda0)
-                if h.value == 0
-            )
-            base = 0  # zero eigenvalues contributed by beta = 0 blocks
-            for me in spec.matrix_spectrum:
-                for le in spec.laplace_spectrum:
-                    if le.beta == 0 and le.beta == cand.lambda0 * me.alpha:
+                    elif le.beta == 0:
                         base += me.eigenspace.dim * le.eigenspace.dim
-            checks.append(
-                (f"{name}@{cand.lambda0}", got == expected and zero_part - base == expected)
-            )
+        zero_part = sum(
+            h.multiplicity for h in bif.hessian_spectrum(spec, a.lambda0) if h.value == 0
+        )
+        ok = a.kernel.dim == expected and zero_part - base == expected
+        checks.append((f"{name}@{a.lambda0}", ok))
     return checks
 
 
@@ -586,123 +575,117 @@ def _fixture_checks_two_routes() -> list[tuple[str, bool]]:
     mirror image -lift(F_neg) * deg(above) * (deg(kernel) - I).
     """
     checks = []
-    for name, spec in _fixture_specs():
-        total = spec.r + spec.l
-        for cand in bif.candidate_levels(spec):
-            lam = cand.lambda0
-            if lam == 0:
-                continue
-            positive = lam > 0
-            index = bif.bif_index(spec, lam)
-            explicit = star(
-                star(
-                    lift(spec.origin_degree_pos if positive else spec.origin_degree_neg, spec.l),
-                    deg_minus_id(bif.negative_rep(spec, lam, "below" if positive else "above")),
-                ),
-                deg_minus_id(bif.kernel_rep(spec, lam)) - EulerElement.unit(total),
-            )
-            checks.append((f"{name}@{lam}", index == (explicit if positive else -explicit)))
+    for name, spec, _, a in _fixture_levels():
+        lam = a.lambda0
+        if lam == 0:
+            continue
+        positive = lam > 0
+        explicit = star(
+            star(
+                lift(spec.origin_degree_pos if positive else spec.origin_degree_neg, spec.l),
+                deg_minus_id(a.negative_below if positive else a.negative_above),
+            ),
+            deg_minus_id(a.kernel) - EulerElement.unit(spec.r + spec.l),
+        )
+        checks.append((f"{name}@{lam}", a.index == (explicit if positive else -explicit)))
     return checks
 
 
 def _fixture_checks_accumulation() -> list[tuple[str, bool]]:
     checks = []
-    for name, spec in _fixture_specs():
-        for cand in bif.candidate_levels(spec):
-            lam = cand.lambda0
-            below = bif.negative_rep(spec, lam, "below")
-            above = bif.negative_rep(spec, lam, "above")
-            kern = bif.kernel_rep(spec, lam)
-            if lam > 0:
-                ok = above == direct_sum(below, kern)
-            elif lam < 0:
-                ok = below == direct_sum(above, kern)
-            else:
-                ok = below.dim == 0 and above.dim == 0
-            checks.append((f"{name}@{lam}", ok))
+    for name, _, _, a in _fixture_levels():
+        if a.lambda0 > 0:
+            ok = a.negative_above == direct_sum(a.negative_below, a.kernel)
+        elif a.lambda0 < 0:
+            ok = a.negative_below == direct_sum(a.negative_above, a.kernel)
+        else:
+            ok = a.negative_below.dim == 0 and a.negative_above.dim == 0
+        checks.append((f"{name}@{a.lambda0}", ok))
     return checks
 
 
 def _fixture_checks_verdict() -> list[tuple[str, bool]]:
     checks = []
-    for name, spec in _fixture_specs():
-        report = validate(spec)
-        for cand in bif.candidate_levels(spec):
-            if cand.lambda0 == 0:
-                continue
-            kern = bif.kernel_rep(spec, cand.lambda0)
-            domain = any(any(w[spec.r :]) for w, _ in kern.weights)
-            odd = kern.dim % 2 == 1
-            if (report.n1 or report.n2) and (domain or odd):
-                ok = not bif.bif_index(spec, cand.lambda0).is_zero
-                checks.append((f"{name}@{cand.lambda0}", ok))
+    for name, spec, report, a in _fixture_levels():
+        if a.lambda0 == 0:
+            continue
+        domain = any(any(w[spec.r :]) for w, _ in a.kernel.weights)
+        odd = a.kernel.dim % 2 == 1
+        if (report.n1 or report.n2) and (domain or odd):
+            checks.append((f"{name}@{a.lambda0}", not a.index.is_zero))
     # constructed degenerate-origin cases: unit coefficient zero
     odd_case = degenerate_origin_spec(odd_kernel=True)
     checks.append(("degenerate-odd@2", not bif.bif_index(odd_case, 2).is_zero))
     even_case = degenerate_origin_spec(odd_kernel=False)
     checks.append(("degenerate-even@1", not bif.bif_index(even_case, 1).is_zero))
     # unit-coefficient route on the standard fixture
-    base = circle_quartic_spec(9)
+    base = parse_problem(_FIXTURES / "circle_quartic.json")
     checks.append(("unit-route@1", not bif.bif_index(base, 1).is_zero))
     return checks
 
 
 def _fixture_checks_exclusion() -> list[tuple[str, bool]]:
     checks = []
-    for name, spec in _fixture_specs():
-        for cand in bif.candidate_levels(spec):
-            if cand.lambda0 == 0:
-                continue
-            cert, reason = bif.unboundedness_certificate(spec, cand.lambda0)
-            ok = cert is not None and reason is None
-            if ok:
-                me_alpha, le_beta, mu, nu = cert.witness
-                combined = mu + nu
-                ok = bif.kernel_rep(spec, cand.lambda0).occurs(combined)
-                for lam in cert.excluded_levels:
-                    ok = ok and not bif.kernel_rep(spec, lam).occurs(combined)
-            checks.append((f"{name}@{cand.lambda0}", ok))
+    for name, spec, _, a in _fixture_levels():
+        if a.lambda0 == 0:
+            continue
+        cert = a.verdict.unbounded
+        ok = cert is not None and a.verdict.unbounded_reason is None
+        if ok:
+            me_alpha, le_beta, mu, nu = cert.witness
+            combined = mu + nu
+            ok = a.kernel.occurs(combined)
+            for lam in cert.excluded_levels:
+                ok = ok and not bif.kernel_rep(spec, lam).occurs(combined)
+        checks.append((f"{name}@{a.lambda0}", ok))
     return checks
 
 
 def _fixture_checks_symmetry() -> list[tuple[str, bool]]:
-    checks = []
-    for name, spec in _fixture_specs():
-        report = validate(spec)
-        for cand in bif.candidate_levels(spec):
-            v = bif.verdict(spec, cand.lambda0)
-            ok = v.symmetry_breaking == (report.n2 and cand.lambda0 != 0)
-            checks.append((f"{name}@{cand.lambda0}", ok))
-    return checks
+    return [
+        (f"{name}@{a.lambda0}", a.verdict.symmetry_breaking == (report.n2 and a.lambda0 != 0))
+        for name, _, report, a in _fixture_levels()
+    ]
 
 
 # ---------------------------------------------------------------------------
 # driver
 
-SUITE_NAMES = (
-    "snf-decomposition",
-    "hnf-canonical",
-    "subgroup-intersection",
-    "dimension-lemma",
-    "membership-closure",
-    "ring-axioms",
-    "codim-ideal",
-    "degree-truncation",
-    "degree-multiplicative",
-    "lift-homomorphism",
-    "tensor-dimension",
-    "tensor-character",
-    "tensor-weights",
-    "rep-algebra",
-    "intersection-separation",
-    "product-nontrivial",
-    "kernel-consistency",
-    "index-two-routes",
-    "negative-accumulation",
-    "verdict-soundness",
-    "highest-weight-exclusion",
-    "symmetry-breaking-flag",
-)
+
+def _randomized_suites(
+    star_impl: StarImpl, tensor_impl: TensorImpl
+) -> dict[str, Callable[[random.Random], tuple[str, bool]]]:
+    """The seeded suites in run order, closed over the ring and tensor rules under test."""
+    return {
+        "snf-decomposition": _suite_snf,
+        "hnf-canonical": _suite_hnf,
+        "subgroup-intersection": _suite_intersection,
+        "dimension-lemma": _suite_dimension_lemma,
+        "membership-closure": _suite_membership,
+        "ring-axioms": _suite_ring_axioms(star_impl),
+        "codim-ideal": _suite_codim_ideal(star_impl),
+        "degree-truncation": _suite_truncation(star_impl),
+        "degree-multiplicative": _suite_multiplicative(star_impl),
+        "lift-homomorphism": _suite_lift,
+        "tensor-dimension": _suite_tensor_dim(tensor_impl),
+        "tensor-character": _suite_tensor_character(tensor_impl),
+        "tensor-weights": _suite_tensor_weights(tensor_impl),
+        "rep-algebra": _suite_rep_algebra(tensor_impl),
+        "intersection-separation": _suite_separation,
+        "product-nontrivial": _suite_nontrivial_product,
+    }
+
+
+_FIXTURE_SUITES: dict[str, Callable[[], list[tuple[str, bool]]]] = {
+    "kernel-consistency": _fixture_checks_kernel,
+    "index-two-routes": _fixture_checks_two_routes,
+    "negative-accumulation": _fixture_checks_accumulation,
+    "verdict-soundness": _fixture_checks_verdict,
+    "highest-weight-exclusion": _fixture_checks_exclusion,
+    "symmetry-breaking-flag": _fixture_checks_symmetry,
+}
+
+SUITE_NAMES = (*_randomized_suites(star, tensor), *_FIXTURE_SUITES)
 
 
 def run_selftest(
@@ -721,35 +704,7 @@ def run_selftest(
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
-    star_impl = star_impl or star
-    tensor_impl = tensor_impl or tensor
-
-    randomized: dict[str, Callable[[random.Random], tuple[str, bool]]] = {
-        "snf-decomposition": _suite_snf,
-        "hnf-canonical": _suite_hnf,
-        "subgroup-intersection": _suite_intersection,
-        "dimension-lemma": _suite_dimension_lemma,
-        "membership-closure": _suite_membership,
-        "ring-axioms": _suite_ring_axioms(star_impl),
-        "codim-ideal": _suite_codim_ideal(star_impl),
-        "degree-truncation": _suite_truncation(star_impl),
-        "degree-multiplicative": _suite_multiplicative(star_impl),
-        "lift-homomorphism": _suite_lift,
-        "tensor-dimension": _suite_tensor_dim(tensor_impl),
-        "tensor-character": _suite_tensor_character(tensor_impl),
-        "tensor-weights": _suite_tensor_weights(tensor_impl),
-        "rep-algebra": _suite_rep_algebra(tensor_impl),
-        "intersection-separation": _suite_separation,
-        "product-nontrivial": _suite_nontrivial_product,
-    }
-    fixture_driven: dict[str, Callable[[], list[tuple[str, bool]]]] = {
-        "kernel-consistency": _fixture_checks_kernel,
-        "index-two-routes": _fixture_checks_two_routes,
-        "negative-accumulation": _fixture_checks_accumulation,
-        "verdict-soundness": _fixture_checks_verdict,
-        "highest-weight-exclusion": _fixture_checks_exclusion,
-        "symmetry-breaking-flag": _fixture_checks_symmetry,
-    }
+    randomized = _randomized_suites(star_impl or star, tensor_impl or tensor)
 
     selected = tuple(suites) if suites is not None else SUITE_NAMES
     results: list[tuple[str, SuiteResult]] = []
@@ -769,9 +724,9 @@ def run_selftest(
                     if first is None:
                         first = case
             results.append((name, SuiteResult(trials, failures, first)))
-        elif name in fixture_driven:
+        elif name in _FIXTURE_SUITES:
             try:
-                checks = fixture_driven[name]()
+                checks = _FIXTURE_SUITES[name]()
             except Exception as exc:
                 checks = [(f"exception: {exc!r}", False)]
             bad = [case for case, ok in checks if not ok]

@@ -2,9 +2,11 @@
 
 Parsing is total: every violation maps to an InputError with a located
 message and a distinct code (MALFORMED_JSON, SCHEMA, DIM_MISMATCH,
-B6_TRIVIAL, CUTOFF_INSUFFICIENT).  Exact rationals travel as strings
-"num/den" or integers; floating point is rejected in the symbolic
-pipeline.  Reports serialize losslessly and deterministically.
+B6_TRIVIAL, CUTOFF_INSUFFICIENT); a problem too large to analyse in
+bounded time is refused with a RefusalError before the work starts.
+Exact rationals travel as strings "num/den" or integers; floating point
+is rejected in the symbolic pipeline.  Reports serialize losslessly and
+deterministically.
 """
 
 from __future__ import annotations
@@ -171,6 +173,10 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
     return tuple(out)
 
 
+# Largest r + l the parser accepts: lattice, weight and point lengths are r, l
+# or r + l, and the shipped and benchmarked problems have r + l <= 3.
+MAX_TORUS_RANK = 64
+
 _ERROR_CODES = ("DIM_MISMATCH", "B6_TRIVIAL", "CUTOFF_INSUFFICIENT", "SCHEMA")
 
 
@@ -179,6 +185,10 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
         raise InputError("top level: expected an object", code="SCHEMA")
     r = _expect_int(doc.get("r"), "r")
     l = _expect_int(doc.get("l"), "l")
+    if abs(r) + abs(l) > MAX_TORUS_RANK:
+        raise RefusalError(
+            f"torus rank r + l with r={r}, l={l} is over the limit {MAX_TORUS_RANK}; lower r or l"
+        )
     p = _expect_int(doc.get("p"), "p")
     cutoff = parse_rational(doc.get("beta_cutoff"), "beta_cutoff")
 
@@ -348,21 +358,20 @@ def _validation_doc(rep: ValidationReport) -> dict:
 def build_report(
     spec: ProblemSpec,
     levels: Iterable[Fraction | int | str] | None = None,
-    refusals_as_records: bool = True,
 ) -> dict:
     """Full machine-readable report: validation block plus level records.
 
     All levels are analysed in one sorted sweep and recorded in level
-    order.  A level whose cutoff guard refuses is recorded in place unless
-    ``refusals_as_records`` is off, in which case the refusal propagates;
-    any other error of the first failing level propagates.
+    order.  A level whose cutoff guard refuses is recorded in place as
+    ``{"lambda0", "refused"}``; any other error of the first failing level
+    propagates.
     """
     wanted = None if levels is None else sorted(Fraction(x) for x in levels)
     sweep = analyze_levels(spec, wanted)
     witness_map = {c.lambda0: c.witnesses for c in sweep.candidates}
     records = []
     for lam, outcome in sweep.records:
-        if isinstance(outcome, CutoffError) and refusals_as_records:
+        if isinstance(outcome, CutoffError):
             records.append({"lambda0": format_rational(lam), "refused": str(outcome)})
         elif isinstance(outcome, TorbifError):
             raise outcome

@@ -26,6 +26,12 @@ N2_VACUOUS = "vacuous"
 # Largest lattice cube flat_torus_spectrum walks before it refuses; the
 # shipped and benchmarked problems walk at most 25 points.
 FLAT_TORUS_MAX_POINTS = 10**6
+# Largest bound on coordinate updates, n l (cutoff_k+1)^2 (2 cutoff_k+1)^l with
+# l = n//2, that sphere_spectrum takes on before it refuses.  The slowest input
+# it admits with n <= 129 (the parser's rank limit) is n = 3 at cutoff_k = 117,
+# 0.3-0.7 s on a 2-core machine; the shipped, tested and benchmarked problems
+# need at most 82,810 (n = 5, cutoff_k = 6).
+SPHERE_MAX_WORK = 10**7
 
 
 @dataclass(frozen=True)
@@ -181,12 +187,9 @@ def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
     return tuple(entries)
 
 
-def _sym_power_weights(base: list[Vector], k: int) -> dict[Vector, int]:
-    """Weight multiset of the k-th symmetric power of a sum of lines."""
-    if not base:
-        return {} if k else {(): 1}
-    rank = len(base[0])
-    zero = (0,) * rank
+def _sym_power_weights(base: list[Vector], k: int) -> list[dict[Vector, int]]:
+    """Weight multisets of the symmetric powers 0..k of a sum of lines."""
+    zero = (0,) * len(base[0])
     state: list[dict[Vector, int]] = [{} for _ in range(k + 1)]
     state[0][zero] = 1
     for w in base:
@@ -200,7 +203,7 @@ def _sym_power_weights(base: list[Vector], k: int) -> dict[Vector, int]:
                     extra += 1
                     cur = tuple(a + b for a, b in zip(cur, w))
         state = nxt
-    return state[k]
+    return state
 
 
 def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
@@ -210,12 +213,22 @@ def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
     are obtained from the weight multisets of the symmetric powers of the
     standard n-dimensional representation: level k carries Sym^k minus
     Sym^(k-2).  The highest weight is k times the first basis character.
+    Refuses when the predicted work is more than ``SPHERE_MAX_WORK``.
     """
     if n < 2:
         raise InputError("ambient dimension must be at least 2")
     if cutoff_k < 0:
         raise InputError("cutoff level must be nonnegative")
     l = n // 2
+    # n base lines of length l, at most (cutoff_k+1)^2 updates of at most
+    # (2 cutoff_k+1)^l weights each; the exponent is capped as in
+    # flat_torus_spectrum, exact unless the bound is already over the limit
+    work = n * l * (cutoff_k + 1) ** 2 * (2 * cutoff_k + 1) ** min(l, SPHERE_MAX_WORK.bit_length())
+    if work > SPHERE_MAX_WORK:
+        raise RefusalError(
+            f"sphere S^{n - 1} up to cutoff_k = {cutoff_k} bounds its work by {work} coordinate "
+            f"updates, more than {SPHERE_MAX_WORK}; lower cutoff_k or n"
+        )
     base: list[Vector] = []
     for i in range(l):
         e = [0] * l
@@ -225,11 +238,12 @@ def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
     if n % 2:
         base.append((0,) * l)
     zero = (0,) * l
+    powers = _sym_power_weights(base, cutoff_k)
     entries = []
     for k in range(cutoff_k + 1):
-        cw = dict(_sym_power_weights(base, k))
+        cw = dict(powers[k])
         if k >= 2:
-            for w, mult in _sym_power_weights(base, k - 2).items():
+            for w, mult in powers[k - 2].items():
                 cw[w] = cw.get(w, 0) - mult
         trivial = cw.pop(zero, 0)
         folded: dict[Vector, int] = {}

@@ -80,6 +80,62 @@ def test_oversized_flat_torus_is_refused(runner, tmp_path):
     assert "laplace.params" in result.output and "17^6" in result.output
 
 
+def _write_problem(tmp_path, **changes):
+    doc = {
+        "r": 1, "l": 1, "p": 2,
+        "matrix_spectrum": [{"alpha": "1", "weights": [{"m": [1]}], "marker": [1]}],
+        "laplace": {"provider": "flat_torus", "params": {"d": 1, "cutoff": 4}},
+        "beta_cutoff": "4",
+        "degF_pos": [{"characters": [], "coeff": 1}],
+        "degF_neg": [{"characters": [], "coeff": 1}],
+    }
+    doc.update(changes)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    return problem
+
+
+def _timed_report(runner, problem):
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["report", str(problem)])
+    return result, time.perf_counter() - t0
+
+
+def test_oversized_torus_rank_is_refused(runner, tmp_path):
+    result, seconds = _timed_report(runner, _write_problem(tmp_path, r=10**7))
+    assert seconds < 1.0
+    assert result.exit_code == 3
+    assert "r=10000000" in result.output and "lower r or l" in result.output
+
+
+def test_oversized_sphere_is_refused(runner, tmp_path):
+    problem = _write_problem(
+        tmp_path,
+        p=1,
+        matrix_spectrum=[{"alpha": "1", "trivial_mult": 1, "marker": [0]}],
+        laplace={"provider": "sphere", "params": {"n": 3, "cutoff_k": 10**6}},
+        beta_cutoff="20",
+    )
+    result, seconds = _timed_report(runner, problem)
+    assert seconds < 1.0
+    assert result.exit_code == 3
+    assert "laplace.params" in result.output and "cutoff_k" in result.output
+
+
+def test_huge_multiplicity_is_reported(runner, tmp_path):
+    problem = _write_problem(
+        tmp_path,
+        p=2 * 10**9,
+        matrix_spectrum=[
+            {"alpha": "1", "weights": [{"m": [1], "mult": 10**9}], "marker": [1]}
+        ],
+    )
+    result, seconds = _timed_report(runner, problem)
+    assert seconds < 1.0
+    assert result.exit_code == 0
+    assert "coefficient -1000000000" in result.output
+
+
 def test_scan_command(runner):
     result = runner.invoke(cli.main, ["scan", "--lo", "0.5", "--hi", "5"])
     assert result.exit_code == 0

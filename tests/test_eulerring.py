@@ -112,6 +112,34 @@ def test_deg_zero_rep_is_unit():
     assert deg_minus_id(TorusRep.zero(2)) == EulerElement.unit(2)
 
 
+def test_deg_huge_multiplicity_is_one_factor():
+    # one factor I - k chi per weight, so the work does not grow with k
+    v = TorusRep.rotation(10**9, [1, 2])
+    assert deg_minus_id(v) == EulerElement.unit(2) - 10**9 * gen(2, (1, 2))
+
+
+def test_deg_takes_the_product_rule():
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return star(a, b)
+
+    v = TorusRep.make(2, 1, {(1, 0): 2, (0, 1): 1})
+    assert deg_minus_id(v, counted) == deg_minus_id(v)
+    assert len(calls) == 2  # one product per distinct weight
+
+
+def test_deg_default_product_is_looked_up_per_call(monkeypatch):
+    # wrappers that rebind eulerring.star (as profilers do) must see every product
+    import torbif.eulerring as eulerring
+
+    calls = []
+    monkeypatch.setattr(eulerring, "star", lambda a, b: calls.append(1) or star(a, b))
+    deg_minus_id(TorusRep.rotation(1, [1, 1]))
+    assert calls == [1]
+
+
 # --- codimension projection ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,20 @@ def test_snf_decomposition_properties(rows):
     assert all(f > 0 for f in fs)
     assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
     assert fs == factors_by_minor_gcds(m)
+
+
+def test_snf_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(7)
+    for _ in range(300):
+        p, r = rng.randint(1, 5), rng.randint(1, 5)
+        # half the entries zero, so rank-deficient matrices come up often
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(r)] for _ in range(p)]
+        theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = tuple(abs(int(f)) for f in theirs if f != 0)
+        assert snf(IntMatrix.from_rows(rows)).invariant_factors == expected, rows
 
 
 def test_inverse_unimodular_roundtrip():

@@ -1,5 +1,6 @@
 import pytest
 
+import torbif.bifurcation as bif
 from torbif.errors import InputError
 from torbif.oracle import (
     SUITE_NAMES,
@@ -53,3 +54,41 @@ def test_tensor_mutation_fails_named_suites():
     assert failing
     # the dimension suite alone cannot see this mutant; the oracles must
     assert set(failing) & {"tensor-character", "tensor-weights"}
+
+
+FIXTURE_SUITES = SUITE_NAMES[-6:]
+
+
+def test_fixture_suite_check_counts():
+    report = run_selftest(seed=1, trials=1, suites=FIXTURE_SUITES)
+    assert [(name, res.trials) for name, res in report.suites] == list(
+        zip(FIXTURE_SUITES, (15, 12, 15, 15, 12, 15))
+    )
+
+
+def test_fixture_suites_sweep_each_fixture_once(monkeypatch):
+    calls = []
+    sweep = bif.analyze_levels
+
+    def counted(spec, levels=None):
+        calls.append(levels)
+        return sweep(spec, levels)
+
+    monkeypatch.setattr(bif, "analyze_levels", counted)
+    assert run_selftest(seed=1, trials=1, suites=FIXTURE_SUITES).ok
+    # three fixtures per suite, plus the three single-level verdict cases
+    assert len(calls) == 6 * 3 + 3
+
+
+def test_mutation_gate_fails_exactly_the_named_suites():
+    star_report = run_selftest(seed=1, trials=30, star_impl=star_dimension_flipped)
+    assert [name for name, res in star_report.suites if not res.ok] == [
+        "ring-axioms",
+        "degree-truncation",
+        "degree-multiplicative",
+    ]
+    tensor_report = run_selftest(seed=1, trials=30, tensor_impl=tensor_sign_flipped)
+    assert [name for name, res in tensor_report.suites if not res.ok] == [
+        "tensor-character",
+        "tensor-weights",
+    ]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torbif.errors import CutoffError, InputError, RefusalError
+from torbif.errors import InputError, RefusalError
 from torbif.eulerring import EulerElement
 from torbif.problemfile import (
     build_report,
@@ -228,8 +228,6 @@ def test_report_bytes_pinned(path, digest, request):
 def test_report_errors_in_level_order(circle_spec):
     # -16 is past the cutoff and comes first in level order; 1/2 is not a candidate
     levels = [Fraction(1, 2), -16]
-    with pytest.raises(CutoffError):
-        build_report(circle_spec, levels=levels, refusals_as_records=False)
     with pytest.raises(InputError):  # the refusal is recorded, the input error propagates
         build_report(circle_spec, levels=levels)
     doc = build_report(circle_spec, levels=[16, 1, 1])

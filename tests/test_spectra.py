@@ -4,7 +4,7 @@ from math import comb, isqrt
 
 import pytest
 
-from torbif.errors import InputError
+from torbif.errors import InputError, RefusalError
 from torbif.eulerring import EulerElement
 from torbif.intlat import subgroup_canonical
 from torbif.spectra import (
@@ -104,6 +104,14 @@ def test_sphere_flags_and_weights():
         if k:
             assert e.irreducible_nontrivial
             assert e.highest_weight == (k, 0)
+
+
+def test_sphere_work_bound():
+    assert len(sphere_spectrum(4, 22)) == 23  # S^3 up to the largest cutoff_k admitted
+    with pytest.raises(RefusalError, match="lower cutoff_k"):
+        sphere_spectrum(4, 23)
+    with pytest.raises(RefusalError):  # refused before the base of n lines is built
+        sphere_spectrum(10**9, 0)
 
 
 # --- validation -----------------------------------------------------------------
