@@ -3,8 +3,15 @@
 Elements are finite integer combinations of generators chi(T^r/H+), one
 per closed subgroup H.  The star product of two generators is the
 generator of the intersection when the dimensions are transversal
-(dim H + dim H' = r + dim(H n H')) and zero otherwise, extended
+(codim(H n H') = codim H + codim H') and zero otherwise, extended
 bilinearly; the unit is the full-torus generator.
+
+The dimension count settles most pairs without computing the meet.  A
+meet has codimension at most r, so a pair with codim H + codim H' > r is
+never transversal.  The meet of H with the full torus is H itself, whose
+stored annihilator basis is already canonical, and the codimensions add,
+so such a pair is always transversal.  Only the remaining pairs need a
+lattice sum.
 """
 
 from __future__ import annotations
@@ -104,16 +111,30 @@ def linear_combine(scalars: Sequence[int], elements: Sequence[EulerElement]) -> 
 
 
 def star(a: EulerElement, b: EulerElement) -> EulerElement:
-    """Ring product; bilinear extension of the generator rule."""
+    """Ring product; bilinear extension of the generator rule.
+
+    A pair is met only when the codimensions cannot decide it: a sum of
+    codimensions above r is never transversal (a meet has codimension at
+    most r), and a full-torus factor yields the other subgroup itself.
+    The terms need not be sorted.
+    """
     if a.ambient_rank != b.ambient_rank:
         raise InputError("cannot multiply elements of different rings")
     r = a.ambient_rank
+    b_terms = [(hb, hb.codim, cb) for hb, cb in b.terms]
     acc: dict[TorusSubgroup, int] = {}
     for ha, ca in a.terms:
-        for hb, cb in b.terms:
-            hi = subgroup_intersect(ha, hb)
-            if ha.dim + hb.dim == r + hi.dim:
-                acc[hi] = acc.get(hi, 0) + ca * cb
+        ka = ha.codim
+        for hb, kb, cb in b_terms:
+            if ka + kb > r:
+                continue
+            if ka == 0 or kb == 0:
+                hi = hb if ka == 0 else ha
+            else:
+                hi = subgroup_intersect(ha, hb)
+                if hi.codim != ka + kb:
+                    continue
+            acc[hi] = acc.get(hi, 0) + ca * cb
     return EulerElement.make(r, acc)
 
 
@@ -133,12 +154,10 @@ def deg_minus_id(
     """
     product = product or star
     r = v.ambient_rank
-    out = EulerElement.unit(r)
-    if v.trivial_mult % 2:
-        out = -out
+    unit = EulerElement.unit(r)
+    out = -unit if v.trivial_mult % 2 else unit
     for m, k in v.weights:
-        factor = EulerElement.unit(r) - k * EulerElement.generator(subgroup_canonical(r, [m]))
-        out = product(out, factor)
+        out = product(out, unit - k * EulerElement.generator(subgroup_canonical(r, [m])))
     return out
 
 

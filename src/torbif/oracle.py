@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import bifurcation as bif
 from .errors import InputError
@@ -252,16 +252,20 @@ def degenerate_origin_spec(odd_kernel: bool) -> ProblemSpec:
 _FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _fixture_levels() -> Iterator[tuple[str, ProblemSpec, ValidationReport, bif.LevelAnalysis]]:
+FixtureRecord = tuple[str, ProblemSpec, ValidationReport, bif.LevelAnalysis]
+
+
+def _fixture_levels() -> list[FixtureRecord]:
     """(fixture, spec, validation, analysis) at every candidate level, one sweep per fixture."""
+    records = []
     for name, spec in (
         ("circle", circle_quartic_spec(25)),
         ("circle-inverted", circle_inverted_spec(9)),
         ("sphere", parse_problem(_FIXTURES / "sphere_p1.json")),
     ):
         sweep = bif.analyze_levels(spec)
-        for analysis in sweep.analyses():
-            yield name, spec, sweep.validation, analysis
+        records.extend((name, spec, sweep.validation, a) for a in sweep.analyses())
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +552,9 @@ def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
     return f"A={a}; B={b}", ok
 
 
-def _fixture_checks_kernel() -> list[tuple[str, bool]]:
+def _fixture_checks_kernel(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, _, a in _fixture_levels():
+    for name, spec, _, a in records:
         expected = 0
         base = 0  # zero eigenvalues contributed by beta = 0 blocks
         for me in spec.matrix_spectrum:
@@ -568,14 +572,14 @@ def _fixture_checks_kernel() -> list[tuple[str, bool]]:
     return checks
 
 
-def _fixture_checks_two_routes() -> list[tuple[str, bool]]:
+def _fixture_checks_two_routes(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     """Index against the product through the kernel degree at every nonzero level.
 
     Above 0: lift(F_pos) * deg(below) * (deg(kernel) - I); below 0 the
     mirror image -lift(F_neg) * deg(above) * (deg(kernel) - I).
     """
     checks = []
-    for name, spec, _, a in _fixture_levels():
+    for name, spec, _, a in records:
         lam = a.lambda0
         if lam == 0:
             continue
@@ -591,9 +595,9 @@ def _fixture_checks_two_routes() -> list[tuple[str, bool]]:
     return checks
 
 
-def _fixture_checks_accumulation() -> list[tuple[str, bool]]:
+def _fixture_checks_accumulation(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, _, _, a in _fixture_levels():
+    for name, _, _, a in records:
         if a.lambda0 > 0:
             ok = a.negative_above == direct_sum(a.negative_below, a.kernel)
         elif a.lambda0 < 0:
@@ -604,9 +608,9 @@ def _fixture_checks_accumulation() -> list[tuple[str, bool]]:
     return checks
 
 
-def _fixture_checks_verdict() -> list[tuple[str, bool]]:
+def _fixture_checks_verdict(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, report, a in _fixture_levels():
+    for name, spec, report, a in records:
         if a.lambda0 == 0:
             continue
         domain = any(any(w[spec.r :]) for w, _ in a.kernel.weights)
@@ -624,9 +628,9 @@ def _fixture_checks_verdict() -> list[tuple[str, bool]]:
     return checks
 
 
-def _fixture_checks_exclusion() -> list[tuple[str, bool]]:
+def _fixture_checks_exclusion(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, _, a in _fixture_levels():
+    for name, spec, _, a in records:
         if a.lambda0 == 0:
             continue
         cert = a.verdict.unbounded
@@ -641,10 +645,10 @@ def _fixture_checks_exclusion() -> list[tuple[str, bool]]:
     return checks
 
 
-def _fixture_checks_symmetry() -> list[tuple[str, bool]]:
+def _fixture_checks_symmetry(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     return [
         (f"{name}@{a.lambda0}", a.verdict.symmetry_breaking == (report.n2 and a.lambda0 != 0))
-        for name, _, report, a in _fixture_levels()
+        for name, _, report, a in records
     ]
 
 
@@ -676,7 +680,7 @@ def _randomized_suites(
     }
 
 
-_FIXTURE_SUITES: dict[str, Callable[[], list[tuple[str, bool]]]] = {
+_FIXTURE_SUITES: dict[str, Callable[[Sequence[FixtureRecord]], list[tuple[str, bool]]]] = {
     "kernel-consistency": _fixture_checks_kernel,
     "index-two-routes": _fixture_checks_two_routes,
     "negative-accumulation": _fixture_checks_accumulation,
@@ -699,14 +703,17 @@ def run_selftest(
     """Run the named suites (all by default) with a deterministic seed.
 
     ``trials`` applies to each randomized suite; fixture-driven suites run
-    their full deterministic check list once and report its length.
-    Failures are data, not exceptions.
+    their full deterministic check list once and report its length.  The
+    fixture sweeps are made once, when the first selected fixture suite
+    runs, and shared by the fixture suites of this call.  Failures are
+    data, not exceptions.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     randomized = _randomized_suites(star_impl or star, tensor_impl or tensor)
 
     selected = tuple(suites) if suites is not None else SUITE_NAMES
+    records: list[FixtureRecord] | None = None
     results: list[tuple[str, SuiteResult]] = []
     for name in selected:
         if name in randomized:
@@ -726,7 +733,9 @@ def run_selftest(
             results.append((name, SuiteResult(trials, failures, first)))
         elif name in _FIXTURE_SUITES:
             try:
-                checks = _FIXTURE_SUITES[name]()
+                if records is None:
+                    records = _fixture_levels()
+                checks = _FIXTURE_SUITES[name](records)
             except Exception as exc:
                 checks = [(f"exception: {exc!r}", False)]
             bad = [case for case, ok in checks if not ok]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -163,6 +164,15 @@ def test_selftest_command(runner):
     assert result.exit_code == 0
     assert "snf-decomposition: PASS" in result.output
     assert "FAIL" not in result.output
+
+
+def test_selftest_output_is_pinned(runner):
+    result = runner.invoke(cli.main, ["selftest", "--seed", "1", "--trials", "100"])
+    assert result.exit_code == 0
+    assert (
+        hashlib.sha256(result.output.encode()).hexdigest()
+        == "bda029f2bba218dab873aeb8136608169f6996a20f479c83cbef22f7a7ebb844"
+    )
 
 
 def test_dispatch_exit_codes():

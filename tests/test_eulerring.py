@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,8 @@ from torbif.eulerring import (
     linear_combine,
     star,
 )
-from torbif.intlat import subgroup_canonical
+from torbif.intlat import subgroup_canonical, subgroup_intersect
+from torbif.problemfile import build_report, parse_problem
 from torbif.torusrep import TorusRep, direct_sum
 
 
@@ -81,6 +84,73 @@ def test_star_self_product_vanishes():
 @given(element_strategy(2))
 def test_star_unit_law(x):
     assert star(EulerElement.unit(2), x) == x
+
+
+def literal_star(a, b):
+    """The generator rule as stated: meet every pair, keep the transversal ones."""
+    r = a.ambient_rank
+    acc = {}
+    for ha, ca in a.terms:
+        for hb, cb in b.terms:
+            hi = subgroup_intersect(ha, hb)
+            if ha.dim + hb.dim == r + hi.dim:
+                acc[hi] = acc.get(hi, 0) + ca * cb
+    return EulerElement.make(r, acc)
+
+
+def random_element(rng, r):
+    # zero to r characters per term: full-torus terms and codimensions up to r
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        chars = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, r))]
+        terms.append((subgroup_canonical(r, chars), rng.choice([-3, -2, -1, 1, 2, 3])))
+    return EulerElement.make(r, terms)
+
+
+def test_star_matches_literal_rule_on_random_pairs():
+    rng = random.Random(20250517)
+    unit_pairs = deep_pairs = 0
+    for trial in range(400):
+        r = 1 + trial % 4
+        a, b = random_element(rng, r), random_element(rng, r)
+        if trial % 2:
+            # unsorted terms: the public constructor does not sort
+            b = EulerElement(r, tuple(reversed(b.terms)))
+        codims = [(ha.codim, hb.codim) for ha, _ in a.terms for hb, _ in b.terms]
+        unit_pairs += sum(1 for ka, kb in codims if ka == 0 or kb == 0)
+        deep_pairs += sum(1 for ka, kb in codims if ka + kb > r)
+        assert star(a, b) == literal_star(a, b), (a, b)
+    assert unit_pairs >= 100 and deep_pairs >= 100
+
+
+@pytest.fixture()
+def meets(monkeypatch):
+    import torbif.eulerring as eulerring
+
+    calls = []
+    meet = eulerring.subgroup_intersect
+    monkeypatch.setattr(eulerring, "subgroup_intersect", lambda h, h2: calls.append(1) or meet(h, h2))
+    return calls
+
+
+def test_star_with_unit_makes_no_meets(meets):
+    x = gen(3, (1, 0, 0)) - 2 * gen(3, (1, 1, 0), (0, 1, 2)) + 3 * EulerElement.unit(3)
+    assert star(EulerElement.unit(3), x) == x
+    assert star(x, EulerElement.unit(3)) == x
+    assert meets == []
+
+
+def test_star_of_deep_terms_makes_no_meets(meets):
+    x = gen(3, (1, 0, 0), (0, 1, 0)) + 2 * gen(3, (1, 1, 1), (0, 2, 1))
+    y = gen(3, (0, 0, 1), (1, -1, 0))
+    assert star(x, y) == EulerElement.zero(3)  # codimensions 2 + 2 > 3
+    assert meets == []
+
+
+def test_sphere_report_meet_count(meets, sphere_fixture_path):
+    # 144 term pairs reach star; the dimension count settles all but 40
+    build_report(parse_problem(sphere_fixture_path))
+    assert len(meets) == 40
 
 
 # --- degree of -Id -----------------------------------------------------------------

@@ -76,8 +76,28 @@ def test_fixture_suites_sweep_each_fixture_once(monkeypatch):
 
     monkeypatch.setattr(bif, "analyze_levels", counted)
     assert run_selftest(seed=1, trials=1, suites=FIXTURE_SUITES).ok
-    # three fixtures per suite, plus the three single-level verdict cases
-    assert len(calls) == 6 * 3 + 3
+    # one sweep per fixture shared by the six suites, plus the three single-level verdict cases
+    assert len(calls) == 3 + 3
+
+
+def test_failing_sweep_fails_each_fixture_suite(monkeypatch):
+    def broken(spec, levels=None):
+        raise RuntimeError("sweep failed")
+
+    monkeypatch.setattr(bif, "analyze_levels", broken)
+    report = run_selftest(seed=1, trials=2)
+    assert [name for name, res in report.suites if not res.ok] == list(FIXTURE_SUITES)
+    for name in FIXTURE_SUITES:
+        res = report.suite(name)
+        assert (res.trials, res.failures) == (1, 1)
+        assert res.first_counterexample == "exception: RuntimeError('sweep failed')"
+
+
+def test_randomized_suites_make_no_sweeps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bif, "analyze_levels", lambda spec, levels=None: calls.append(spec))
+    assert run_selftest(seed=1, trials=2, suites=SUITE_NAMES[:-6]).ok
+    assert calls == []
 
 
 def test_mutation_gate_fails_exactly_the_named_suites():
