@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Literal
 
 from .errors import ConsistencyError, CutoffError, InputError, TorbifError
-from .eulerring import EulerElement, deg_minus_id, lift, star
+from .eulerring import EulerElement, MeetTable, deg_minus_id, lift, star
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
 from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
 from .torusrep import TorusRep, canonical_weight, direct_sum, tensor
@@ -205,7 +205,9 @@ def analyze_levels(
     on the near side is reused from the previous level if that was
     analysed.  The index, lift(F) * (deg(above) - deg(below)), must equal
     the product route lift(F) * deg(near) * (deg(kernel) - I), negated
-    below 0.  A level past the cutoff is refused before it is checked for
+    below 0.  Every ring product of the sweep goes through one meet table
+    (see :func:`~torbif.eulerring.star`), which is dropped when the sweep
+    returns.  A level past the cutoff is refused before it is checked for
     being a candidate.
     """
     report = validate(spec)
@@ -228,6 +230,11 @@ def analyze_levels(
             # error: a cycle that keeps the whole sweep alive until gc runs
             out[lam] = exc.with_traceback(None)
     todo = set(wanted) - set(out)
+    meets: MeetTable = {}  # shared by every product of this sweep, dropped with it
+
+    def product(a: EulerElement, b: EulerElement) -> EulerElement:
+        return star(a, b, meets)  # `star` looked up per call, so a rebound one sees each product
+
     zero = TorusRep.zero(spec.r + spec.l)
     unit = EulerElement.unit(spec.r + spec.l)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
@@ -239,13 +246,13 @@ def analyze_levels(
         last: dict[TorusRep, EulerElement] = {}  # far-side degree of the last analysed level
         for t, kernel, near, far in _walk(spec, stop):
             if t in todo:
-                d_near = last[near] if near in last else deg_minus_id(near)
-                d_far = deg_minus_id(far)
+                d_near = last[near] if near in last else deg_minus_id(near, product)
+                d_far = deg_minus_id(far, product)
                 last = {far: d_far}
-                index = star(lifted, d_far - d_near if t > 0 else d_near - d_far)
-                product = star(star(lifted, d_near), deg_minus_id(kernel) - unit)
+                index = product(lifted, d_far - d_near if t > 0 else d_near - d_far)
+                route_b = product(product(lifted, d_near), deg_minus_id(kernel, product) - unit)
                 try:
-                    if index != (product if t > 0 else -product):
+                    if index != (route_b if t > 0 else -route_b):
                         raise ConsistencyError(f"index routes disagree at level {t}")
                     out[t] = _record(spec, report, t, kernel, near, far, index, between)
                 except ConsistencyError as exc:

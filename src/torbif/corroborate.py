@@ -26,6 +26,13 @@ from .errors import InputError, RefusalError
 
 RESIDUAL_TOL = 1e-12
 CROSSING_TOL = 1e-6
+# Largest Fourier cutoff N that stability_scan and newton_branch take on.  A
+# Newton step solves a dense system of order 2(2N+1); at N = 128 a step takes
+# about 0.06 s on a 2-core machine, so the default 50 steps stay near 3 s.  The
+# scan resolves crossings up to (N-2)^2 = 15876 at this cutoff.
+GALERKIN_MAX_MODES = 128
+# Most grid steps stability_scan takes on; each step evaluates two negative counts.
+SCAN_MAX_STEPS = 20_000
 
 
 @dataclass
@@ -142,6 +149,13 @@ def trivial_branch_eigenvalues(n_modes: int, lam: float) -> np.ndarray:
     return (k * k - lam) / (1.0 + k * k)
 
 
+def _check_modes(n_modes: int) -> None:
+    if n_modes > GALERKIN_MAX_MODES:
+        raise RefusalError(
+            f"mode cutoff {n_modes} is over the limit {GALERKIN_MAX_MODES}; lower the cutoff"
+        )
+
+
 def _negative_count(n_modes: int, lam: float) -> int:
     eigs = trivial_branch_eigenvalues(n_modes, lam)
     mult = np.full(n_modes + 1, 4)
@@ -156,12 +170,19 @@ def stability_scan(
 
     Scans the interval on a uniform grid and refines every jump of the
     negative-eigenvalue count by bisection; estimates are accurate to the
-    crossing tolerance of 1e-6.
+    crossing tolerance of 1e-6.  Non-finite bounds are an input error;
+    more than ``SCAN_MAX_STEPS`` steps or ``GALERKIN_MAX_MODES`` modes are
+    refused before any work starts.
     """
+    if not math.isfinite(lam_hi - lam_lo):
+        raise InputError(f"scan interval [{lam_lo}, {lam_hi}] must be finite, with a finite width")
     if not lam_lo < lam_hi:
         raise InputError("scan interval is empty")
     if steps < 1:
         raise InputError("need at least one scan step")
+    if steps > SCAN_MAX_STEPS:
+        raise RefusalError(f"{steps} scan steps are over the limit {SCAN_MAX_STEPS}; lower the step count")
+    _check_modes(n_modes)
     needed = math.ceil(math.sqrt(max(lam_hi, 0.0))) + 2
     if n_modes < needed:
         raise RefusalError(
@@ -169,12 +190,20 @@ def stability_scan(
         )
 
     def refine(lo: float, hi: float) -> list[float]:
-        if _negative_count(n_modes, lo) == _negative_count(n_modes, hi):
-            return []
-        if hi - lo < 0.1 * CROSSING_TOL:
-            return [0.5 * (lo + hi)]
-        mid = 0.5 * (lo + hi)
-        return refine(lo, mid) + refine(mid, hi)
+        # bisection, left half first, on an explicit stack: a wide interval can
+        # take more halvings (about 1,000 from 1e300) than Python's recursion limit
+        found: list[float] = []
+        todo = [(lo, hi)]
+        while todo:
+            lo, hi = todo.pop()
+            if _negative_count(n_modes, lo) == _negative_count(n_modes, hi):
+                continue
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 0.1 * CROSSING_TOL:
+                found.append(mid)
+            else:
+                todo += [(mid, hi), (lo, mid)]
+        return found
 
     crossings: list[float] = []
     grid = np.linspace(lam_lo, lam_hi, steps + 1)
@@ -236,8 +265,11 @@ def newton_branch(
     Starts from the 0.1-amplitude guess on mode k, pins the phase, and
     iterates Newton on the trivial-family-deflated residual until the
     (undeflated) residual sup-norm drops below 1e-12.  Divergence after
-    ``max_iter`` steps is reported, not raised.
+    ``max_iter`` steps is reported, not raised.  A non-finite ``lam`` is an
+    input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused.
     """
+    if not math.isfinite(lam):
+        raise InputError(f"lambda must be finite, got {lam}")
     if k < 1:
         raise InputError("mode index must be at least 1")
     if not lam > k * k:
@@ -245,12 +277,13 @@ def newton_branch(
     n = n_modes if n_modes is not None else max(k + 2, 8)
     if n < k + 2:
         raise RefusalError(f"mode cutoff {n} too small for mode {k}; need >= {k + 2}")
+    _check_modes(n)
 
     model = CircleModel(n, float(lam), initial_guess(k, n))
     pin = 2 * k  # flat index of the sine coefficient of mode k, component 0
     iterations = 0
     res = residual(model).ravel()
-    while float(np.abs(res).max()) >= RESIDUAL_TOL:
+    while not float(np.abs(res).max()) < RESIDUAL_TOL:  # a NaN residual has not converged
         if iterations >= max_iter:
             return NewtonResult(False, iterations, model, amplitude(model), float(np.abs(res).max()))
         jac = _jacobian(model)

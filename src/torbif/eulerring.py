@@ -40,7 +40,7 @@ class EulerElement:
             if h.ambient_rank != ambient_rank:
                 raise InputError("generator subgroup has wrong ambient rank")
             acc[h] = acc.get(h, 0) + int(c)
-        cleaned = tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda t: t[0].sort_key()))
+        cleaned = tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda t: t[0].sort_key))
         return EulerElement(ambient_rank, cleaned)
 
     @staticmethod
@@ -110,16 +110,25 @@ def linear_combine(scalars: Sequence[int], elements: Sequence[EulerElement]) -> 
     return EulerElement.make(r, acc)
 
 
-def star(a: EulerElement, b: EulerElement) -> EulerElement:
+# (H, H') -> the meet of H and H' if the pair is transversal, else None
+MeetTable = dict[tuple[TorusSubgroup, TorusSubgroup], TorusSubgroup | None]
+
+
+def star(a: EulerElement, b: EulerElement, meets: MeetTable | None = None) -> EulerElement:
     """Ring product; bilinear extension of the generator rule.
 
     A pair is met only when the codimensions cannot decide it: a sum of
     codimensions above r is never transversal (a meet has codimension at
     most r), and a full-torus factor yields the other subgroup itself.
-    The terms need not be sorted.
+    Every other pair is looked up in ``meets`` and, when missing, met and
+    recorded there in both orders, so a caller that passes one table to a
+    run of products meets each unordered pair once.  The terms need not be
+    sorted.
     """
     if a.ambient_rank != b.ambient_rank:
         raise InputError("cannot multiply elements of different rings")
+    if meets is None:
+        meets = {}
     r = a.ambient_rank
     b_terms = [(hb, hb.codim, cb) for hb, cb in b.terms]
     acc: dict[TorusSubgroup, int] = {}
@@ -131,8 +140,14 @@ def star(a: EulerElement, b: EulerElement) -> EulerElement:
             if ka == 0 or kb == 0:
                 hi = hb if ka == 0 else ha
             else:
-                hi = subgroup_intersect(ha, hb)
-                if hi.codim != ka + kb:
+                try:
+                    hi = meets[ha, hb]
+                except KeyError:
+                    hi = subgroup_intersect(ha, hb)
+                    if hi.codim != ka + kb:
+                        hi = None
+                    meets[ha, hb] = meets[hb, ha] = hi  # the meet is symmetric
+                if hi is None:
                     continue
             acc[hi] = acc.get(hi, 0) + ca * cb
     return EulerElement.make(r, acc)

@@ -3,12 +3,21 @@
 Hermite and Smith normal forms, integer lattices (whose one constructor
 stores the row-style Hermite basis of the span it is given), and closed
 subgroups of a torus encoded by their annihilator character lattice.
-All values are immutable and all operations are pure, so everything here
-is safe to share across threads.
+
+The canonicalising subgroup constructors (``subgroup_canonical``,
+``subgroup_intersect``, ``extend_by_full_torus``, ``TorusSubgroup.full_torus``)
+intern their results: while a subgroup is alive, an equal one built by any
+of them is the same object, so dictionaries keyed by subgroups hit on
+identity and each instance computes its hash, codimension and sort key once.
+The intern table holds its values weakly and lives as long as the process.
+All values are immutable; two threads that build the same new subgroup at
+once may each keep their own copy, which is merely an equal duplicate,
+since equality falls back to comparing values.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
@@ -308,13 +317,15 @@ class Lattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusSubgroup:
     """Closed subgroup of T^r, identified by its annihilator lattice.
 
     The annihilator holds all characters k with <k, phi> in 2*pi*Z on the
     subgroup; it determines the subgroup uniquely, and the full torus is
-    the zero lattice.
+    the zero lattice.  ``codim`` and ``sort_key`` are computed at
+    construction, as is the hash; equality is by value, with identity, the
+    case of interned instances, checked first.
     """
 
     ambient_rank: int
@@ -323,25 +334,33 @@ class TorusSubgroup:
     def __post_init__(self):
         if self.annihilator.ambient_rank != self.ambient_rank:
             raise InputError("annihilator rank does not match ambient rank")
+        codim = self.annihilator.rank
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "sort_key", (codim, self.annihilator.basis))
+        object.__setattr__(self, "_hash", hash((self.ambient_rank, self.annihilator)))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, TorusSubgroup):
+            return NotImplemented
+        return (self._hash, self.ambient_rank, self.sort_key) == (
+            other._hash, other.ambient_rank, other.sort_key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
-        return TorusSubgroup(r, Lattice(r))
+        return _interned(r, ())
 
     @property
     def dim(self) -> int:
-        return self.ambient_rank - self.annihilator.rank
-
-    @property
-    def codim(self) -> int:
-        return self.annihilator.rank
+        return self.ambient_rank - self.codim
 
     @property
     def is_full(self) -> bool:
-        return self.annihilator.rank == 0
-
-    def sort_key(self):
-        return (self.codim, self.annihilator.basis)
+        return self.codim == 0
 
     def __str__(self) -> str:
         if self.is_full:
@@ -350,17 +369,30 @@ class TorusSubgroup:
         return f"H[{rows}]"
 
 
+# (ambient rank, Hermite basis of the annihilator) -> the live subgroup
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
+    """The one live subgroup of T^r cut out by ``characters``."""
+    lattice = Lattice(r, characters)
+    key = (r, lattice.basis)
+    h = _INTERNED.get(key)
+    if h is None:
+        h = _INTERNED.setdefault(key, TorusSubgroup(r, lattice))
+    return h
+
+
 def subgroup_canonical(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
     """Subgroup cut out by the given characters, canonically encoded."""
-    return TorusSubgroup(r, Lattice(r, characters))
+    return _interned(r, characters)
 
 
 def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
     """Intersection; the annihilator of the result is the lattice sum."""
     if h.ambient_rank != h2.ambient_rank:
         raise InputError("cannot intersect subgroups of different tori")
-    r = h.ambient_rank
-    return TorusSubgroup(r, Lattice(r, h.annihilator.basis + h2.annihilator.basis))
+    return _interned(h.ambient_rank, h.annihilator.basis + h2.annihilator.basis)
 
 
 def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
@@ -397,4 +429,4 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     if l < 0:
         raise InputError("extension rank must be nonnegative")
     padded = tuple(row + (0,) * l for row in h.annihilator.basis)
-    return TorusSubgroup(h.ambient_rank + l, Lattice(h.ambient_rank + l, padded))
+    return _interned(h.ambient_rank + l, padded)

@@ -381,7 +381,9 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    # a report is a fresh tree, so the encoder's cycle check (an id-marker dict
+    # that its closures keep in cyclic garbage after each call) is dropped
+    return json.dumps(report, indent=2, sort_keys=True, check_circular=False)
 
 
 def _format_element_terms(terms: list[dict]) -> str:

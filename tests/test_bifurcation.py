@@ -366,8 +366,8 @@ def test_negative_level_route_mismatch_is_a_defect(monkeypatch):
     kernel = kernel_rep(spec, -4)
     honest = bifurcation.deg_minus_id
 
-    def corrupted(v):
-        deg = honest(v)
+    def corrupted(v, product=None):
+        deg = honest(v, product)
         return deg + EulerElement.unit(v.ambient_rank) if v == kernel else deg
 
     monkeypatch.setattr(bifurcation, "deg_minus_id", corrupted)

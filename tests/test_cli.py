@@ -150,6 +150,54 @@ def test_scan_refusal_exit_code(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--lo", "0.5", "--hi", "inf"],
+        ["scan", "--lo", "-inf", "--hi", "5"],
+        ["scan", "--lo", "nan", "--hi", "5"],
+        ["corroborate-circle", "--k", "1", "--lambda", "inf"],
+        ["corroborate-circle", "--k", "1", "--lambda", "nan"],
+    ],
+)
+def test_non_finite_galerkin_input_is_an_input_error(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert "must be finite" in result.output
+
+
+@pytest.fixture()
+def no_galerkin_arrays(monkeypatch):
+    # a refusal must come before the first array is built
+    import torbif.corroborate as corroborate
+
+    monkeypatch.setattr(corroborate, "np", None)
+
+
+@pytest.mark.parametrize(
+    "args, limit",
+    [
+        (["scan", "--lo", "0.5", "--hi", "5", "--steps", "1000000000"], "limit 20000"),
+        (["scan", "--lo", "0.5", "--hi", "5", "--modes", "100000000"], "limit 128"),
+        (["corroborate-circle", "--k", "100000000", "--lambda", "1e17"], "limit 128"),
+        (["corroborate-circle", "--k", "1", "--lambda", "1.5", "--modes", "129"], "limit 128"),
+    ],
+)
+def test_oversized_galerkin_work_is_refused(runner, no_galerkin_arrays, args, limit):
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, args)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3
+    assert limit in result.output
+
+
+def test_wide_scan_interval_is_bisected_without_recursion(runner):
+    # the crossing at 0 lies about 1,000 halvings below a 1e300-wide step
+    result = runner.invoke(cli.main, ["scan", "--lo", "-1e300", "--hi", "5"])
+    assert result.exit_code == 0
+    assert [abs(float(x)) for x in result.output.split()] == pytest.approx([0.0, 1.0, 4.0], abs=1e-6)
+
+
 def test_corroborate_circle_command(runner):
     result = runner.invoke(
         cli.main, ["corroborate-circle", "--k", "1", "--lambda", "1.5"]

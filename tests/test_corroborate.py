@@ -5,6 +5,8 @@ import pytest
 
 from torbif.bifurcation import candidate_levels
 from torbif.corroborate import (
+    GALERKIN_MAX_MODES,
+    SCAN_MAX_STEPS,
     CircleModel,
     _jacobian,
     amplitude,
@@ -45,6 +47,17 @@ def test_scan_refuses_small_cutoff():
         stability_scan(3, 0.5, 5.0)
 
 
+def test_galerkin_limits_admit_the_verify_sizes():
+    # the benchmark's scan and largest Newton cutoff stay inside the limits
+    crossings = stability_scan(40, 0.5, 1000.0, 2000)
+    assert crossings == pytest.approx([k * k for k in range(1, 32)], abs=1e-6)
+    assert newton_branch(3, 12.0, n_modes=32).converged
+    with pytest.raises(RefusalError, match="limit"):
+        stability_scan(8, 0.5, 5.0, SCAN_MAX_STEPS + 1)
+    with pytest.raises(RefusalError, match="limit"):
+        newton_branch(1, 1.5, n_modes=GALERKIN_MAX_MODES + 1)
+
+
 def test_scan_matches_symbolic_candidates(circle_spec):
     # cross-module agreement: scanned crossings are the symbolic levels
     crossings = stability_scan(8, 0.5, 9.5)
@@ -82,6 +95,13 @@ def test_newton_second_mode():
     result = newton_branch(2, 6.0)
     assert result.converged
     assert abs(result.amplitude - math.sqrt(2.0)) < 1e-8
+
+
+def test_newton_overflow_is_not_convergence():
+    # at lambda = 1e308 the iterates overflow to NaN, which must fail the residual test
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = newton_branch(1, 1e308)
+    assert not result.converged
 
 
 def test_newton_refuses_at_boundary():

@@ -148,9 +148,42 @@ def test_star_of_deep_terms_makes_no_meets(meets):
 
 
 def test_sphere_report_meet_count(meets, sphere_fixture_path):
-    # 144 term pairs reach star; the dimension count settles all but 40
+    # 144 term pairs reach star; the dimension count settles all but 40, and
+    # the sweep's meet table leaves 9 unordered pairs among those to meet
     build_report(parse_problem(sphere_fixture_path))
-    assert len(meets) == 40
+    assert len(meets) == 9
+
+
+def test_meet_table_lives_for_one_sweep(meets, sphere_fixture_path):
+    # a table that outlived the sweep would spare the second report its meets
+    spec = parse_problem(sphere_fixture_path)
+    build_report(spec)
+    first = len(meets)
+    build_report(spec)
+    assert first > 0 and len(meets) == 2 * first
+
+
+def test_report_leaves_no_interned_subgroups(sphere_fixture_path):
+    import gc
+
+    from torbif.intlat import _INTERNED
+
+    gc.collect()
+    before = len(_INTERNED)
+    build_report(parse_problem(sphere_fixture_path))
+    gc.collect()
+    assert len(_INTERNED) <= before
+
+
+def test_star_meets_each_pair_of_a_shared_table_once(meets):
+    x = gen(3, (1, 0, 0)) + gen(3, (0, 1, 0))
+    y = gen(3, (0, 0, 1)) - gen(3, (1, 1, 1))
+    table = {}
+    product = star(x, y, table)
+    assert len(meets) == 4 and len(table) == 8  # each meet stored in both orders
+    assert star(x, y, table) == product == star(x, y)
+    assert star(y, x, table) == product
+    assert len(meets) == 8  # only the call without the table met again
 
 
 # --- degree of -Id -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from torbif.intlat import (
     IntMatrix,
     Lattice,
     TorusSubgroup,
+    _INTERNED,
     codim_generators,
     contains,
     extend_by_full_torus,
@@ -284,6 +286,39 @@ def test_extend_examples():
     assert extend_by_full_torus(TorusSubgroup.full_torus(2), 2) == TorusSubgroup.full_torus(4)
     point = subgroup_canonical(2, [(1, 0), (0, 1)])
     assert extend_by_full_torus(point, 3).dim == 3
+
+
+# --- interning -----------------------------------------------------------------
+
+
+def test_equal_subgroups_from_every_constructor_are_one_object():
+    # the subgroup {phi_1 = 0} of T^2 built four ways, all alive at once
+    canonical = subgroup_canonical(2, [(2, 0), (3, 0)])
+    met = subgroup_intersect(TorusSubgroup.full_torus(2), subgroup_canonical(2, [(1, 0)]))
+    extended = extend_by_full_torus(subgroup_canonical(1, [(1,)]), 1)
+    assert canonical is met is extended
+    full = TorusSubgroup.full_torus(3)
+    assert full is subgroup_canonical(3, []) is extend_by_full_torus(TorusSubgroup.full_torus(1), 2)
+    assert full is subgroup_intersect(full, full)
+
+
+def test_intern_table_holds_subgroups_weakly():
+    h = subgroup_canonical(3, [(97, 89, 83)])
+    key = (3, h.annihilator.basis)
+    assert _INTERNED[key] is h
+    del h
+    gc.collect()
+    assert key not in _INTERNED
+
+
+def test_directly_built_subgroup_equals_interned_one():
+    interned = subgroup_canonical(2, [(1, 2)])
+    direct = TorusSubgroup(2, Lattice(2, [(2, 4), (1, 2)]))
+    assert direct is not interned
+    assert direct == interned and hash(direct) == hash(interned)
+    assert {interned: 1}[direct] == 1
+    assert direct.codim == 1 and direct.sort_key == interned.sort_key == (1, ((1, 2),))
+    assert direct != subgroup_canonical(2, [(1, -2)])
 
 
 # --- randomized structure properties --------------------------------------------------
