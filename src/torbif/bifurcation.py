@@ -20,7 +20,19 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Literal
 
 from .errors import ConsistencyError, CutoffError, InputError, TorbifError
-from .eulerring import EulerElement, MeetTable, deg_minus_id, lift, star
+from .eulerring import (
+    PLUCKER_MAX_RANK,
+    PLUCKER_ONE,
+    EulerElement,
+    MeetTable,
+    deg_minus_id,
+    lift,
+    plucker_degree,
+    plucker_image,
+    plucker_star,
+    plucker_sub,
+    star,
+)
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
 from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
 from .torusrep import TorusRep, canonical_weight, direct_sum, tensor
@@ -200,15 +212,20 @@ def analyze_levels(
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
     The spec is validated once.  Walking outward from 0 on each side, each
-    kernel is built once and added to the negative space.  At a requested
-    level the degree of -Id on the far side is computed directly; the one
-    on the near side is reused from the previous level if that was
-    analysed.  The index, lift(F) * (deg(above) - deg(below)), must equal
-    the product route lift(F) * deg(near) * (deg(kernel) - I), negated
-    below 0.  Every ring product of the sweep goes through one meet table
-    (see :func:`~torbif.eulerring.star`), which is dropped when the sweep
-    returns.  A level past the cutoff is refused before it is checked for
-    being a candidate.
+    kernel is built once and added to the negative space, and the degree of
+    -Id on the negative space is carried as a running product: at every
+    walked level deg(far) = deg(near) * deg(kernel).  At a requested level
+    the index is lift(F) * (deg(far) - deg(near)), negated below 0.  It is
+    checked without the star product: its Plücker-square image (see
+    :mod:`~torbif.eulerring`) must equal Phi(lift(F)) * (P(far) - P(near)),
+    where P is the image of the degree carried alongside by the closed form
+    from the weights.  Phi is not injective, so an error that only swaps
+    subgroups of equal rational span and covolume passes this check.
+    Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
+    deg(far) computed from scratch.  Every ring product of the sweep goes
+    through one meet table (see :func:`~torbif.eulerring.star`), which is
+    dropped when the sweep returns.  A level past the cutoff is refused
+    before it is checked for being a candidate.
     """
     report = validate(spec)
     if report.structural_errors:
@@ -235,24 +252,30 @@ def analyze_levels(
     def product(a: EulerElement, b: EulerElement) -> EulerElement:
         return star(a, b, meets)  # `star` looked up per call, so a rebound one sees each product
 
-    zero = TorusRep.zero(spec.r + spec.l)
-    unit = EulerElement.unit(spec.r + spec.l)
+    n = spec.r + spec.l
+    zero = TorusRep.zero(n)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
         index = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
         out[Fraction(0)] = _record(spec, report, Fraction(0), zero, zero, zero, index, {})
     for stop in {max(todo | {0}), min(todo | {0})} - {0}:
         lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
+        phi_lifted = plucker_image(lifted) if n <= PLUCKER_MAX_RANK else None
         between: dict[Fraction, TorusRep] = {}
-        last: dict[TorusRep, EulerElement] = {}  # far-side degree of the last analysed level
+        d_far, p_far = EulerElement.unit(n), PLUCKER_ONE  # degree of the zero space, and its image
         for t, kernel, near, far in _walk(spec, stop):
+            d_near, p_near = d_far, p_far
+            d_far = product(d_near, deg_minus_id(kernel, product))
+            if phi_lifted is not None:
+                p_far = plucker_degree(kernel, p_near)
             if t in todo:
-                d_near = last[near] if near in last else deg_minus_id(near, product)
-                d_far = deg_minus_id(far, product)
-                last = {far: d_far}
                 index = product(lifted, d_far - d_near if t > 0 else d_near - d_far)
-                route_b = product(product(lifted, d_near), deg_minus_id(kernel, product) - unit)
                 try:
-                    if index != (route_b if t > 0 else -route_b):
+                    if phi_lifted is None:
+                        agree = d_far == deg_minus_id(far, product)
+                    else:
+                        diff = plucker_sub(p_far, p_near) if t > 0 else plucker_sub(p_near, p_far)
+                        agree = plucker_image(index) == plucker_star(phi_lifted, diff)
+                    if not agree:
                         raise ConsistencyError(f"index routes disagree at level {t}")
                     out[t] = _record(spec, report, t, kernel, near, far, index, between)
                 except ConsistencyError as exc:
@@ -270,8 +293,8 @@ def bif_index(spec: ProblemSpec, lambda0: Fraction | int | str) -> EulerElement:
     """Bifurcation index at a candidate level, in U(T^(r+l)).
 
     Lifted origin degree times the difference of the degrees of -Id on the
-    negative spaces above and below the level, checked against the product
-    route through the kernel degree (see :func:`analyze_levels`).
+    negative spaces above and below the level, checked against its
+    Plücker-square image (see :func:`analyze_levels`).
     """
     return analyze_level(spec, lambda0).index
 

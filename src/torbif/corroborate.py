@@ -31,7 +31,7 @@ CROSSING_TOL = 1e-6
 # about 0.06 s on a 2-core machine, so the default 50 steps stay near 3 s.  The
 # scan resolves crossings up to (N-2)^2 = 15876 at this cutoff.
 GALERKIN_MAX_MODES = 128
-# Most grid steps stability_scan takes on; each step evaluates two negative counts.
+# Most grid steps stability_scan takes on; each grid point is one negative count.
 SCAN_MAX_STEPS = 20_000
 
 
@@ -189,26 +189,24 @@ def stability_scan(
             f"mode cutoff {n_modes} cannot resolve crossings up to {lam_hi}; need >= {needed}"
         )
 
-    def refine(lo: float, hi: float) -> list[float]:
-        # bisection, left half first, on an explicit stack: a wide interval can
-        # take more halvings (about 1,000 from 1e300) than Python's recursion limit
-        found: list[float] = []
-        todo = [(lo, hi)]
-        while todo:
-            lo, hi = todo.pop()
-            if _negative_count(n_modes, lo) == _negative_count(n_modes, hi):
+    # one count per grid point and per bisection midpoint; each interval on the
+    # explicit stack carries the counts at its ends (a wide interval can take
+    # more halvings, about 1,000 from 1e300, than Python's recursion limit)
+    grid = [float(x) for x in np.linspace(lam_lo, lam_hi, steps + 1)]
+    ends = [_negative_count(n_modes, x) for x in grid]
+    crossings: list[float] = []
+    for i in range(steps):
+        todo = [(grid[i], ends[i], grid[i + 1], ends[i + 1])]
+        while todo:  # left half first
+            lo, c_lo, hi, c_hi = todo.pop()
+            if c_lo == c_hi:
                 continue
             mid = 0.5 * (lo + hi)
             if hi - lo < 0.1 * CROSSING_TOL:
-                found.append(mid)
+                crossings.append(mid)
             else:
-                todo += [(mid, hi), (lo, mid)]
-        return found
-
-    crossings: list[float] = []
-    grid = np.linspace(lam_lo, lam_hi, steps + 1)
-    for a, b in zip(grid[:-1], grid[1:]):
-        crossings.extend(refine(float(a), float(b)))
+                c_mid = _negative_count(n_modes, mid)
+                todo += [(mid, c_mid, hi, c_hi), (lo, c_lo, mid, c_mid)]
     return crossings
 
 

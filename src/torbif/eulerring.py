@@ -12,12 +12,26 @@ never transversal.  The meet of H with the full torus is H itself, whose
 stored annihilator basis is already canonical, and the codimensions add,
 so such a pair is always transversal.  Only the remaining pairs need a
 lattice sum.
+
+The Plücker-square image Phi maps the ring into the commutative algebra
+sum_c Lambda^c(Q^r) (x) Lambda^c(Q^r), which has C(2r, r) coordinates,
+without any meet: Phi(chi(H)) is w_H (x) w_H, where w_H is the wedge of
+the annihilator basis rows B, with Plücker coordinates det(B[:, I]).  It
+is a ring homomorphism.  The rows of
+a transversal pair together form a basis of the lattice sum, so the wedge
+of the meet is +-w_H ^ w_H' and the sign cancels in the square; the rows
+of any other pair are dependent, and the wedge is 0.  The image of a
+degree has the closed form (-1)^k0 prod_m (1 - k_m m (x) m).  Phi is not
+injective: +-w_H records only the rational span of the annihilator and
+its covolume, so for instance the order-2 subgroups Z/2 x 1 and 1 x Z/2
+of T^2 have the same image, and Phi cannot tell their difference from 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from .errors import InputError
 from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, subgroup_intersect
@@ -187,3 +201,108 @@ def lift(x: EulerElement, l: int) -> EulerElement:
         x.ambient_rank + l,
         tuple((extend_by_full_torus(h, l), c) for h, c in x.terms),
     )
+
+
+# Largest ambient rank n (r + l of a problem) at which the level sweep checks
+# an index by its Plücker-square image, which has C(2n, n) coordinates (3432
+# at n = 7).  Timed against the from-scratch degree of -Id on random problems
+# with n = 3 ... 8: up to 7 the image check cost at most 5 ms more on light
+# problems and a third to a half as much on every problem where either check
+# took over 0.1 s; at 8 it cost more on three problems of four (up to 13
+# times as much).
+PLUCKER_MAX_RANK = 7
+
+# (I, J) as column bitmasks -> coefficient of e_I (x) e_J; zeros are dropped
+PluckerImage = Mapping[tuple[int, int], int]
+PLUCKER_ONE: PluckerImage = MappingProxyType({(0, 0): 1})  # read-only: shared by every sweep
+
+
+def _wedge_sign(i: int, k: int) -> int:
+    """Sign of e_I ^ e_K against e_(I u K), for disjoint column sets."""
+    swaps = 0
+    while k:
+        low = k & -k
+        swaps += (i & -(low << 1)).bit_count()  # columns of I above this one of K
+        k ^= low
+    return -1 if swaps % 2 else 1
+
+
+def plucker_star(a: PluckerImage, b: PluckerImage) -> PluckerImage:
+    """Product of the image algebra: (e_I (x) e_J)(e_K (x) e_L) = +-e_(I u K) (x) e_(J u L)."""
+    acc: dict[tuple[int, int], int] = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if i & k or j & l:
+                continue
+            key = (i | k, j | l)
+            acc[key] = acc.get(key, 0) + _wedge_sign(i, k) * _wedge_sign(j, l) * x * y
+    return {key: c for key, c in acc.items() if c}
+
+
+def plucker_sub(a: PluckerImage, b: PluckerImage) -> PluckerImage:
+    """a - b."""
+    acc = dict(a)
+    for key, y in b.items():
+        acc[key] = acc.get(key, 0) - y
+    return {key: c for key, c in acc.items() if c}
+
+
+def _wedge(w: dict[int, int], m: Sequence[int]) -> dict[int, int]:
+    """w ^ m for w in Lambda^c(Q^r) (column bitmask -> coordinate) and m in Q^r."""
+    acc: dict[int, int] = {}
+    for i, p in w.items():
+        for c, x in enumerate(m):
+            bit = 1 << c
+            if x and not i & bit:
+                acc[i | bit] = acc.get(i | bit, 0) + _wedge_sign(i, bit) * p * x
+    return {i: p for i, p in acc.items() if p}
+
+
+def _annihilator_wedge(h: TorusSubgroup) -> dict[int, int]:
+    """w_H = b_1 ^ ... ^ b_c over the annihilator basis rows: the minors det(B[:, I])."""
+    w = {0: 1}
+    for row in h.annihilator.basis:
+        w = _wedge(w, row)
+    return w
+
+
+def plucker_generator(h: TorusSubgroup) -> PluckerImage:
+    """Phi(chi(H)) = w_H (x) w_H; the full torus maps to 1."""
+    w = _annihilator_wedge(h)
+    return {(i, j): p * q for i, p in w.items() for j, q in w.items()}
+
+
+def plucker_image(x: EulerElement) -> PluckerImage:
+    """Phi(x) = sum of c * w_H (x) w_H over the terms c chi(H) of x."""
+    acc: dict[tuple[int, int], int] = {}
+    for h, c in x.terms:
+        w = _annihilator_wedge(h)
+        for i, p in w.items():
+            for j, q in w.items():
+                acc[i, j] = acc.get((i, j), 0) + c * p * q
+    return {key: y for key, y in acc.items() if y}
+
+
+def plucker_degree(v: TorusRep, start: PluckerImage) -> PluckerImage:
+    """``start`` times Phi(deg(-Id)(v)) = (-1)^k0 prod_m (1 - k_m m (x) m), from the weights alone.
+
+    (1 - k m (x) m) = (1 - m (x) m)^k since (m (x) m)^2 = 0, and
+    (e_I (x) e_J)(m (x) m) = (e_I ^ m) (x) (e_J ^ m), so each factor wedges
+    every distinct column set with m once.
+    """
+    sign = -1 if v.trivial_mult % 2 else 1
+    out = {key: sign * y for key, y in start.items()}
+    for m, k in v.weights:
+        wedged: dict[int, dict[int, int]] = {}
+        acc = dict(out)
+        for (i, j), y in out.items():
+            if i not in wedged:
+                wedged[i] = _wedge({i: 1}, m)
+            if j not in wedged:
+                wedged[j] = _wedge({j: 1}, m)
+            wj = wedged[j]
+            for a, p in wedged[i].items():
+                for b, q in wj.items():
+                    acc[a, b] = acc.get((a, b), 0) - k * y * p * q
+        out = {key: y for key, y in acc.items() if y}
+    return out

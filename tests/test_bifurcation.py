@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,10 @@ from torbif.bifurcation import (
     verdict,
 )
 from torbif.errors import ConsistencyError, CutoffError, InputError
-from torbif.eulerring import EulerElement, deg_minus_id, lift, star
+from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_generator, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
+from torbif.problemfile import build_report, parse_problem_dict, report_to_json
 from torbif.spectra import MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
 
@@ -373,3 +375,97 @@ def test_negative_level_route_mismatch_is_a_defect(monkeypatch):
     monkeypatch.setattr(bifurcation, "deg_minus_id", corrupted)
     with pytest.raises(ConsistencyError, match="level -4"):
         bif_index(spec, -4)
+
+
+def corrupt_kernel_degree(monkeypatch, spec, level, error=None):
+    """Add ``error`` (by default the unit) to the sweep's deg(-Id) of the level's kernel."""
+    kernel = kernel_rep(spec, level)
+    honest = bifurcation.deg_minus_id
+
+    def corrupted(v, product=None):
+        deg = honest(v, product)
+        if v != kernel:
+            return deg
+        return deg + (EulerElement.unit(v.ambient_rank) if error is None else error)
+
+    monkeypatch.setattr(bifurcation, "deg_minus_id", corrupted)
+
+
+def test_first_level_kernel_corruption_is_a_defect(monkeypatch, circle_spec):
+    # at the first level deg(far) is deg(kernel): only the image check sees it
+    corrupt_kernel_degree(monkeypatch, circle_spec, 1)
+    with pytest.raises(ConsistencyError, match="level 1"):
+        bif_index(circle_spec, 1)
+
+
+def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circle_spec):
+    # Phi sees an annihilator only through its rational span and covolume:
+    # the order-2 subgroups Z/2 x 1 and 1 x Z/2 of T^2 have the same image,
+    # so a kernel degree off by their difference is not caught
+    h1, h2 = subgroup_canonical(2, [(2, 0), (0, 1)]), subgroup_canonical(2, [(1, 0), (0, 2)])
+    assert plucker_generator(h1) == plucker_generator(h2) == {(3, 3): 4}
+    assert circle_spec.r + circle_spec.l == 2
+    honest = bif_index(circle_spec, 1)
+    corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement.make(2, [(h1, 1), (h2, -1)]))
+    assert bif_index(circle_spec, 1) != honest
+
+
+def high_rank_doc(l):
+    """A problem with r = 3 and a few weights on T^l, l >= 4: levels -2, -1, -1/2 and 1/3 ... 4."""
+    def m(*head):
+        return [*head, *[0] * (l - len(head))]
+
+    return {
+        "r": 3, "l": l, "p": 6,
+        "matrix_spectrum": [
+            {"alpha": "1", "trivial_mult": 0, "weights": [{"m": [1, 0, 0], "mult": 1}], "marker": [1, 0, 0]},
+            {"alpha": "-2", "trivial_mult": 1, "weights": [{"m": [0, 1, 1], "mult": 1}]},
+            {"alpha": "3", "trivial_mult": 1, "weights": []},
+        ],
+        "laplace": [
+            {"beta": 0, "trivial_mult": 1, "weights": []},
+            {"beta": 1, "trivial_mult": 0, "weights": [{"m": m(1), "mult": 1}],
+             "irreducible": True, "highest_weight": m(1)},
+            {"beta": 2, "trivial_mult": 0, "weights": [{"m": m(0, 1, 0, 1), "mult": 1}],
+             "irreducible": True, "highest_weight": m(0, 1, 0, 1)},
+            {"beta": 4, "trivial_mult": 0,
+             "weights": [{"m": m(1, 1), "mult": 1}, {"m": m(0, 0, 1, 2), "mult": 1}]},
+        ],
+        "beta_cutoff": "12",
+        "degF_pos": [{"characters": [], "coeff": 1}],
+        "degF_neg": [{"characters": [], "coeff": 1}, {"characters": [[1, 0, 0]], "coeff": -1}],
+    }
+
+
+# report sha256 measured before the running degree and the image check; the
+# first rank is the last checked by the Plücker image, the second is past it
+HIGH_RANK_DIGESTS = {
+    7: "6f8dbe5f81fbcdf86bcd9bf47e66ddac0a0eb8adbd21e8cf3a3433b85119f440",
+    8: "5bc5464de01c05d631bf658f90f7e2333d672e63239ca78c5782e32b1222b62e",
+}
+
+
+def high_rank_spec(monkeypatch, rank):
+    spec = parse_problem_dict(high_rank_doc(rank - 3))
+    if rank > PLUCKER_MAX_RANK:
+        def refuse(*args):
+            raise AssertionError("Plücker image taken above the rank bound")
+
+        monkeypatch.setattr(bifurcation, "plucker_image", refuse)
+    return spec
+
+
+@pytest.mark.parametrize("rank", sorted(HIGH_RANK_DIGESTS))
+def test_high_rank_report_is_pinned(monkeypatch, rank):
+    assert sorted(HIGH_RANK_DIGESTS) == [PLUCKER_MAX_RANK, PLUCKER_MAX_RANK + 1]
+    text = report_to_json(build_report(high_rank_spec(monkeypatch, rank)))
+    assert hashlib.sha256(text.encode()).hexdigest() == HIGH_RANK_DIGESTS[rank]
+
+
+@pytest.mark.parametrize("rank", sorted(HIGH_RANK_DIGESTS))
+@pytest.mark.parametrize("level", [-1, 2])
+def test_high_rank_kernel_corruption_is_a_defect(monkeypatch, rank, level):
+    spec = high_rank_spec(monkeypatch, rank)
+    corrupt_kernel_degree(monkeypatch, spec, level)
+    with pytest.raises(ConsistencyError, match=f"level {level}"):
+        bif_index(spec, level)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import torbif.corroborate as corroborate
 from torbif.bifurcation import candidate_levels
 from torbif.corroborate import (
+    CROSSING_TOL,
     GALERKIN_MAX_MODES,
     SCAN_MAX_STEPS,
     CircleModel,
     _jacobian,
+    _negative_count,
     amplitude,
     coefficient_inner,
     energy,
@@ -56,6 +59,42 @@ def test_galerkin_limits_admit_the_verify_sizes():
         stability_scan(8, 0.5, 5.0, SCAN_MAX_STEPS + 1)
     with pytest.raises(RefusalError, match="limit"):
         newton_branch(1, 1.5, n_modes=GALERKIN_MAX_MODES + 1)
+
+
+def two_count_scan(n_modes, lam_lo, lam_hi, steps):
+    """The scan that counts at both ends of every interval it bisects."""
+    crossings = []
+    grid = np.linspace(lam_lo, lam_hi, steps + 1)
+    for a, b in zip(grid[:-1], grid[1:]):
+        todo = [(float(a), float(b))]
+        while todo:
+            lo, hi = todo.pop()
+            if _negative_count(n_modes, lo) == _negative_count(n_modes, hi):
+                continue
+            mid = 0.5 * (lo + hi)
+            if hi - lo < 0.1 * CROSSING_TOL:
+                crossings.append(mid)
+            else:
+                todo += [(mid, hi), (lo, mid)]
+    return crossings
+
+
+@pytest.mark.parametrize(
+    "args", [(8, 0.5, 9.5, 60), (8, -1.0, 0.5, 60), (40, 0.5, 1000.0, 7), (12, -1e300, 5.0, 60)]
+)
+def test_scan_crossings_equal_the_two_count_scan(args):
+    assert stability_scan(*args) == two_count_scan(*args)
+
+
+def test_scan_counts_each_point_once(monkeypatch):
+    calls = []
+    count = corroborate._negative_count
+    monkeypatch.setattr(corroborate, "_negative_count", lambda n, lam: calls.append(lam) or count(n, lam))
+    crossings = stability_scan(40, 0.5, 1000.0, 2000)
+    # 2,001 grid points and 713 midpoints: 31 crossings of 23 halvings each;
+    # counting at both ends of every bisected interval took 6,852
+    assert len(crossings) == 31
+    assert len(calls) == len(set(calls)) == 2001 + 31 * 23
 
 
 def test_scan_matches_symbolic_candidates(circle_spec):

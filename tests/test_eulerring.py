@@ -1,19 +1,28 @@
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torbif.errors import InputError
+import torbif.bifurcation as bifurcation
+from torbif.errors import ConsistencyError, InputError
 from torbif.eulerring import (
+    PLUCKER_ONE,
     EulerElement,
     codim_part,
     deg_minus_id,
     lift,
     linear_combine,
+    plucker_degree,
+    plucker_generator,
+    plucker_image,
+    plucker_star,
     star,
 )
-from torbif.intlat import subgroup_canonical, subgroup_intersect
+from torbif.intlat import IntMatrix, subgroup_canonical, subgroup_intersect
+from torbif.oracle import star_dimension_flipped
 from torbif.problemfile import build_report, parse_problem
 from torbif.torusrep import TorusRep, direct_sum
 
@@ -311,3 +320,85 @@ def test_truncation_conformance(v):
 @given(rep_strategy(2), rep_strategy(2))
 def test_deg_multiplicative(v, w):
     assert deg_minus_id(direct_sum(v, w)) == star(deg_minus_id(v), deg_minus_id(w))
+
+
+# --- Plücker-square image -------------------------------------------------------
+
+
+def test_plucker_generator_examples():
+    assert plucker_generator(subgroup_canonical(3, [])) == PLUCKER_ONE
+    with pytest.raises(TypeError):
+        PLUCKER_ONE[0, 0] = 2  # shared by every sweep, so read-only
+    # disconnected: the kernel of (2, 0) has annihilator 2Z x 0, so w = 2 e_0
+    assert plucker_generator(subgroup_canonical(2, [(2, 0)])) == {(1, 1): 4}
+    # (1, 1) and (1, -1) span an index-2 lattice: w = 2 e_01 up to sign
+    assert plucker_generator(subgroup_canonical(2, [(1, 1), (1, -1)])) == {(3, 3): 4}
+
+
+def test_plucker_coordinates_are_the_minors():
+    rng = random.Random(3)
+    for trial in range(200):
+        r = 1 + trial % 4
+        h = subgroup_canonical(r, [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, r))])
+        basis = h.annihilator.basis
+        minors = {}
+        for cols in itertools.combinations(range(r), len(basis)):
+            p = IntMatrix.from_rows([[row[c] for c in cols] for row in basis], len(cols)).det()
+            if p:
+                minors[sum(1 << c for c in cols)] = p
+        assert plucker_generator(h) == {(i, j): p * q for i, p in minors.items() for j, q in minors.items()}
+
+
+def test_plucker_rank_three_algebra_has_twenty_coordinates():
+    rng = random.Random(7)
+    keys = set()
+    for _ in range(60):
+        keys |= plucker_image(random_element(rng, 3)).keys()
+    assert all(bin(i).count("1") == bin(j).count("1") for i, j in keys)
+    assert len(keys) == 20
+
+
+def test_plucker_image_is_multiplicative():
+    rng = random.Random(20261018)
+    disconnected = 0
+    for trial in range(300):
+        r = 1 + trial % 4
+        a, b = random_element(rng, r), random_element(rng, r)
+        if trial % 3 == 0:  # doubled characters: non-primitive annihilators
+            a = EulerElement.make(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.annihilator.basis]), c)
+                                      for h, c in a.terms])
+        for h, _ in a.terms + b.terms:
+            coords = {abs(p) for (i, j), p in plucker_generator(h).items() if i == j}
+            disconnected += math.gcd(*coords) > 1  # p_I^2 on the diagonal
+        assert plucker_image(star(a, b)) == plucker_star(plucker_image(a), plucker_image(b)), (a, b)
+    assert disconnected >= 100
+
+
+def random_rep(rng, r):
+    weights = []
+    for _ in range(rng.randint(0, 4)):
+        m = [rng.randint(-3, 3) for _ in range(r)]
+        if any(m):
+            weights.append((m, rng.randint(1, 3)))
+    return TorusRep.make(r, rng.randint(0, 3), weights)
+
+
+def test_plucker_degree_closed_form():
+    rng = random.Random(11)
+    for trial in range(200):
+        v = random_rep(rng, 1 + trial % 4)
+        assert plucker_degree(v, PLUCKER_ONE) == plucker_image(deg_minus_id(v)), v
+        start = plucker_image(random_element(rng, v.ambient_rank))
+        assert plucker_degree(v, start) == plucker_star(start, plucker_degree(v, PLUCKER_ONE))
+
+
+@pytest.mark.parametrize("name", ["circle_fixture_path", "sphere_fixture_path"])
+def test_flipped_star_fails_the_route_check_at_every_nonzero_level(name, request, monkeypatch):
+    spec = parse_problem(request.getfixturevalue(name))
+    monkeypatch.setattr(bifurcation, "star", lambda a, b, meets=None: star_dimension_flipped(a, b))
+    records = bifurcation.analyze_levels(spec).records
+    nonzero = [(lam, outcome) for lam, outcome in records if lam != 0]
+    assert len(nonzero) >= 3
+    for lam, outcome in nonzero:
+        assert isinstance(outcome, ConsistencyError), (lam, outcome)
+        assert str(outcome) == f"index routes disagree at level {lam}"

@@ -2,8 +2,10 @@
 
 The sweep builds its negative spaces by walking the candidate levels and
 adding kernels; ``hessian_spectrum`` builds the eigenvalue blocks at one
-parameter value directly.  The report must not depend on the order in which
-a problem file lists its spectra, weights or degree terms.
+parameter value directly.  The sweep carries the degrees of -Id as running
+products; the index must equal the one built from degrees computed from
+scratch.  The report must not depend on the order in which a problem file
+lists its spectra, weights or degree terms.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from torbif.bifurcation import LevelAnalysis, analyze_levels, hessian_spectrum
 from torbif.errors import CutoffError, TorbifError
+from torbif.eulerring import deg_minus_id, lift, star
 from torbif.problemfile import build_report, parse_problem_dict, report_to_json
 from torbif.torusrep import TorusRep, direct_sum, tensor
 
@@ -119,6 +122,25 @@ def test_sweep_negative_spaces_match_hessian_blocks(doc):
         above = (points[i + 1] + lam) / 2 if i + 1 < len(points) else lam + 1
         for side, probe in ((outcome.negative_below, below), (outcome.negative_above, above)):
             assert direct_sum(side, _constant_modes(spec, probe)) == _negative_blocks(spec, probe), (lam, probe)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem_docs())
+def test_index_equals_the_from_scratch_route(doc):
+    spec = parse_problem_dict(doc)
+    for lam, outcome in analyze_levels(spec).records:
+        if isinstance(outcome, CutoffError):
+            continue
+        assert isinstance(outcome, LevelAnalysis), outcome
+        if lam == 0:
+            expected = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
+        else:
+            far, near = (outcome.negative_above, outcome.negative_below) if lam > 0 else (
+                outcome.negative_below, outcome.negative_above)
+            lifted = lift(spec.origin_degree_pos if lam > 0 else spec.origin_degree_neg, spec.l)
+            expected = star(lifted, deg_minus_id(far, star) - deg_minus_id(near, star))
+            expected = expected if lam > 0 else -expected
+        assert outcome.index == expected, lam
 
 
 def _shuffled(doc: dict, rnd) -> dict:
