@@ -24,7 +24,6 @@ from .eulerring import (
     PLUCKER_MAX_RANK,
     PLUCKER_ONE,
     EulerElement,
-    MeetTable,
     deg_minus_id,
     lift,
     plucker_degree,
@@ -222,10 +221,10 @@ def analyze_levels(
     from the weights.  Phi is not injective, so an error that only swaps
     subgroups of equal rational span and covolume passes this check.
     Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
-    deg(far) computed from scratch.  Every ring product of the sweep goes
-    through one meet table (see :func:`~torbif.eulerring.star`), which is
-    dropped when the sweep returns.  A level past the cutoff is refused
-    before it is checked for being a candidate.
+    deg(far) computed from scratch.  Every ring product is ``star`` looked
+    up in this module at call time, so a rebound ``star`` sees each one.  A
+    level past the cutoff is refused before it is checked for being a
+    candidate.
     """
     report = validate(spec)
     if report.structural_errors:
@@ -247,11 +246,6 @@ def analyze_levels(
             # error: a cycle that keeps the whole sweep alive until gc runs
             out[lam] = exc.with_traceback(None)
     todo = set(wanted) - set(out)
-    meets: MeetTable = {}  # shared by every product of this sweep, dropped with it
-
-    def product(a: EulerElement, b: EulerElement) -> EulerElement:
-        return star(a, b, meets)  # `star` looked up per call, so a rebound one sees each product
-
     n = spec.r + spec.l
     zero = TorusRep.zero(n)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
@@ -264,14 +258,14 @@ def analyze_levels(
         d_far, p_far = EulerElement.unit(n), PLUCKER_ONE  # degree of the zero space, and its image
         for t, kernel, near, far in _walk(spec, stop):
             d_near, p_near = d_far, p_far
-            d_far = product(d_near, deg_minus_id(kernel, product))
+            d_far = star(d_near, deg_minus_id(kernel, star))
             if phi_lifted is not None:
                 p_far = plucker_degree(kernel, p_near)
             if t in todo:
-                index = product(lifted, d_far - d_near if t > 0 else d_near - d_far)
+                index = star(lifted, d_far - d_near if t > 0 else d_near - d_far)
                 try:
                     if phi_lifted is None:
-                        agree = d_far == deg_minus_id(far, product)
+                        agree = d_far == deg_minus_id(far, star)
                     else:
                         diff = plucker_sub(p_far, p_near) if t > 0 else plucker_sub(p_near, p_far)
                         agree = plucker_image(index) == plucker_star(phi_lifted, diff)
@@ -310,7 +304,7 @@ def _domain_part_nonzero(spec: ProblemSpec, rep: TorusRep) -> bool:
 
 
 def _uniqueness_scan(spec: ProblemSpec) -> str | None:
-    """Check declared highest weights are new at their own level."""
+    """Check declared highest weights are weights of their own level, new there."""
     for le in spec.laplace_spectrum:
         if le.beta <= 0:
             continue
@@ -320,6 +314,8 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
             return f"no highest weight declared at {le.beta}"
         if not any(le.highest_weight):
             return f"zero highest weight at {le.beta}"
+        if not le.eigenspace.occurs(le.highest_weight):
+            return f"highest weight {le.highest_weight} of level {le.beta} is not a weight of its eigenspace"
         for lower in spec.laplace_spectrum:
             if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
                 return (

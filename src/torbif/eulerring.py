@@ -124,25 +124,16 @@ def linear_combine(scalars: Sequence[int], elements: Sequence[EulerElement]) -> 
     return EulerElement.make(r, acc)
 
 
-# (H, H') -> the meet of H and H' if the pair is transversal, else None
-MeetTable = dict[tuple[TorusSubgroup, TorusSubgroup], TorusSubgroup | None]
-
-
-def star(a: EulerElement, b: EulerElement, meets: MeetTable | None = None) -> EulerElement:
+def star(a: EulerElement, b: EulerElement) -> EulerElement:
     """Ring product; bilinear extension of the generator rule.
 
     A pair is met only when the codimensions cannot decide it: a sum of
     codimensions above r is never transversal (a meet has codimension at
     most r), and a full-torus factor yields the other subgroup itself.
-    Every other pair is looked up in ``meets`` and, when missing, met and
-    recorded there in both orders, so a caller that passes one table to a
-    run of products meets each unordered pair once.  The terms need not be
-    sorted.
+    The terms need not be sorted.
     """
     if a.ambient_rank != b.ambient_rank:
         raise InputError("cannot multiply elements of different rings")
-    if meets is None:
-        meets = {}
     r = a.ambient_rank
     b_terms = [(hb, hb.codim, cb) for hb, cb in b.terms]
     acc: dict[TorusSubgroup, int] = {}
@@ -154,14 +145,8 @@ def star(a: EulerElement, b: EulerElement, meets: MeetTable | None = None) -> Eu
             if ka == 0 or kb == 0:
                 hi = hb if ka == 0 else ha
             else:
-                try:
-                    hi = meets[ha, hb]
-                except KeyError:
-                    hi = subgroup_intersect(ha, hb)
-                    if hi.codim != ka + kb:
-                        hi = None
-                    meets[ha, hb] = meets[hb, ha] = hi  # the meet is symmetric
-                if hi is None:
+                hi = subgroup_intersect(ha, hb)
+                if hi.codim != ka + kb:
                     continue
             acc[hi] = acc.get(hi, 0) + ca * cb
     return EulerElement.make(r, acc)

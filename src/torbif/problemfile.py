@@ -12,6 +12,7 @@ deterministically.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable
@@ -31,6 +32,10 @@ from .spectra import (
 )
 from .torusrep import TorusRep
 
+# the only string form of a rational: "num" or "num/den" in decimal digits, so
+# no exponent ("1e30000000") can make the parser build a huge integer
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
@@ -42,6 +47,8 @@ def parse_rational(value: Any, where: str) -> Fraction:
             f"{where}: floating point is not allowed in the symbolic pipeline", code="SCHEMA"
         )
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(f"{where}: bad rational {value[:40]!r} (expected num or num/den)", code="SCHEMA")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -240,12 +247,12 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
 def parse_problem(path: str | Path) -> ProblemSpec:
     """Load and validate a problem file; raises InputError with a code."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}", code="INPUT")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, integers past the digit limit, deep nesting
         raise InputError(f"{path}: {exc}", code="MALFORMED_JSON")
     return parse_problem_dict(doc)
 

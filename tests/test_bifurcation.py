@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 from fractions import Fraction
@@ -307,6 +308,17 @@ def test_certificate_denied_zero_unit_coefficient():
     spec = degenerate_origin_spec(odd_kernel=False)
     cert, reason = unboundedness_certificate(spec, 1)
     assert cert is None and "unit coefficient" in reason
+
+
+def test_certificate_denied_for_a_highest_weight_outside_its_eigenspace(circle_spec):
+    # [3] is not a weight of the circle's beta = 1 eigenspace, so no coefficient can match
+    laplace = tuple(
+        dataclasses.replace(le, highest_weight=(3,)) if le.beta == 1 else le for le in circle_spec.laplace_spectrum
+    )
+    spec = dataclasses.replace(circle_spec, laplace_spectrum=laplace)
+    for level in (1, 4, 9):
+        cert, reason = unboundedness_certificate(spec, level)
+        assert cert is None and reason == "highest weight (3,) of level 1 is not a weight of its eigenspace"
 
 
 def test_certificate_zero_level(sphere_spec):

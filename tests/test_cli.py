@@ -137,6 +137,49 @@ def test_huge_multiplicity_is_reported(runner, tmp_path):
     assert "coefficient -1000000000" in result.output
 
 
+def test_exponent_rational_is_refused_without_expanding(runner, tmp_path):
+    problem = tmp_path / "exponent.json"
+    problem.write_text('{"r":1,"l":1,"p":2,"beta_cutoff":"1e30000000"}')
+    result, seconds = _timed_report(runner, problem)
+    assert seconds < 1.0
+    assert result.exit_code == 2
+    assert "error[SCHEMA]: beta_cutoff: bad rational" in result.output
+
+
+def test_exponent_level_is_refused_without_expanding(runner, circle_fixture_path):
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["analyze", str(circle_fixture_path), "--level", "1e30000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2
+    assert "error[SCHEMA]: --level: bad rational" in result.output
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"r": ' + b"1" * 5000 + b"}", b"[" * 200_000, b"\xff\xfe{"],
+    ids=["integer-past-the-digit-limit", "deep-nesting", "not-utf-8"],
+)
+def test_unparsable_json_is_malformed(runner, tmp_path, data):
+    problem = tmp_path / "bad.json"
+    problem.write_bytes(data)
+    result, seconds = _timed_report(runner, problem)
+    assert seconds < 1.0
+    assert result.exit_code == 2
+    assert "error[MALFORMED_JSON]" in result.output
+
+
+def test_highest_weight_outside_its_eigenspace_declines_the_certificate(runner, tmp_path):
+    laplace = [
+        {"beta": "0", "trivial_mult": 1},
+        {"beta": "1", "weights": [{"m": [1]}], "irreducible": True, "highest_weight": [3]},
+        {"beta": "4", "weights": [{"m": [2]}], "irreducible": True, "highest_weight": [2]},
+    ]
+    result, seconds = _timed_report(runner, _write_problem(tmp_path, laplace=laplace))
+    assert seconds < 1.0
+    assert result.exit_code == 0
+    assert "no certificate (highest weight (3,) of level 1 is not a weight of its eigenspace)" in result.output
+
+
 def test_scan_command(runner):
     result = runner.invoke(cli.main, ["scan", "--lo", "0.5", "--hi", "5"])
     assert result.exit_code == 0

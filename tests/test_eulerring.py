@@ -23,7 +23,7 @@ from torbif.eulerring import (
 )
 from torbif.intlat import IntMatrix, subgroup_canonical, subgroup_intersect
 from torbif.oracle import star_dimension_flipped
-from torbif.problemfile import build_report, parse_problem
+from torbif.problemfile import build_report, parse_problem, parse_problem_dict
 from torbif.torusrep import TorusRep, direct_sum
 
 
@@ -136,10 +136,10 @@ def test_star_matches_literal_rule_on_random_pairs():
 def meets(monkeypatch):
     import torbif.eulerring as eulerring
 
-    calls = []
+    pairs = []  # each meet as its unordered pair
     meet = eulerring.subgroup_intersect
-    monkeypatch.setattr(eulerring, "subgroup_intersect", lambda h, h2: calls.append(1) or meet(h, h2))
-    return calls
+    monkeypatch.setattr(eulerring, "subgroup_intersect", lambda h, h2: pairs.append(frozenset((h, h2))) or meet(h, h2))
+    return pairs
 
 
 def test_star_with_unit_makes_no_meets(meets):
@@ -157,14 +157,38 @@ def test_star_of_deep_terms_makes_no_meets(meets):
 
 
 def test_sphere_report_meet_count(meets, sphere_fixture_path):
-    # 144 term pairs reach star; the dimension count settles all but 40, and
-    # the sweep's meet table leaves 9 unordered pairs among those to meet
+    # 94 term pairs reach star and the dimension count settles all but 30;
+    # this rank-2 sweep meets 9 distinct pairs, 8 of them more than once
     build_report(parse_problem(sphere_fixture_path))
-    assert len(meets) == 9
+    assert len(meets) == 30
+
+
+def p3_problem(cutoff):
+    """r=1, l=2, p=4 on flat T^2 with alpha 1 (weight [1]) and 3 (weight [2])."""
+    return {
+        "r": 1,
+        "l": 2,
+        "p": 4,
+        "matrix_spectrum": [
+            {"alpha": "1", "trivial_mult": 0, "weights": [{"m": [1], "mult": 1}], "marker": [1]},
+            {"alpha": "3", "trivial_mult": 0, "weights": [{"m": [2], "mult": 1}], "marker": [2]},
+        ],
+        "laplace": {"provider": "flat_torus", "params": {"d": 2, "cutoff": cutoff}},
+        "beta_cutoff": str(cutoff),
+        "degF_pos": [{"characters": [], "coeff": 1}],
+        "degF_neg": [{"characters": [], "coeff": 1}],
+    }
+
+
+@pytest.mark.parametrize(("cutoff", "count"), [(5, 2036), (9, 6426)])
+def test_p3_report_meets_each_pair_once(cutoff, count, meets):
+    # the running degrees never meet a pair twice, so a meet memo would save nothing here
+    build_report(parse_problem_dict(p3_problem(cutoff)))
+    assert len(meets) == len(set(meets)) == count
 
 
 def test_meet_table_lives_for_one_sweep(meets, sphere_fixture_path):
-    # a table that outlived the sweep would spare the second report its meets
+    # a meet memo that outlived one report would spare the second its meets
     spec = parse_problem(sphere_fixture_path)
     build_report(spec)
     first = len(meets)
@@ -182,17 +206,6 @@ def test_report_leaves_no_interned_subgroups(sphere_fixture_path):
     build_report(parse_problem(sphere_fixture_path))
     gc.collect()
     assert len(_INTERNED) <= before
-
-
-def test_star_meets_each_pair_of_a_shared_table_once(meets):
-    x = gen(3, (1, 0, 0)) + gen(3, (0, 1, 0))
-    y = gen(3, (0, 0, 1)) - gen(3, (1, 1, 1))
-    table = {}
-    product = star(x, y, table)
-    assert len(meets) == 4 and len(table) == 8  # each meet stored in both orders
-    assert star(x, y, table) == product == star(x, y)
-    assert star(y, x, table) == product
-    assert len(meets) == 8  # only the call without the table met again
 
 
 # --- degree of -Id -----------------------------------------------------------------
@@ -395,7 +408,7 @@ def test_plucker_degree_closed_form():
 @pytest.mark.parametrize("name", ["circle_fixture_path", "sphere_fixture_path"])
 def test_flipped_star_fails_the_route_check_at_every_nonzero_level(name, request, monkeypatch):
     spec = parse_problem(request.getfixturevalue(name))
-    monkeypatch.setattr(bifurcation, "star", lambda a, b, meets=None: star_dimension_flipped(a, b))
+    monkeypatch.setattr(bifurcation, "star", star_dimension_flipped)
     records = bifurcation.analyze_levels(spec).records
     nonzero = [(lam, outcome) for lam, outcome in records if lam != 0]
     assert len(nonzero) >= 3

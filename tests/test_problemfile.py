@@ -55,6 +55,14 @@ def test_parse_rational_rejects_floats_and_junk():
         parse_rational(True, "x")
 
 
+@pytest.mark.parametrize("text", ["1e3", "0.5", " 1", "1_000", "1/-2", "+", "", "١", pytest.param("x" * 10**6, id="long")])
+def test_parse_rational_accepts_only_num_or_num_over_den(text):
+    with pytest.raises(InputError) as err:
+        parse_rational(text, "x")
+    assert err.value.code == "SCHEMA"
+    assert len(str(err.value)) < 100  # a long value is not echoed whole
+
+
 # --- problem parsing ----------------------------------------------------------------
 
 
