@@ -315,12 +315,12 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
         if not any(le.highest_weight):
             return f"zero highest weight at {le.beta}"
         if not le.eigenspace.occurs(le.highest_weight):
-            return f"highest weight {le.highest_weight} of level {le.beta} is not a weight of its eigenspace"
+            return f"highest weight {le.highest_weight} at beta {le.beta} is not a weight of its eigenspace"
         for lower in spec.laplace_spectrum:
             if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
                 return (
-                    f"highest weight {le.highest_weight} of level {le.beta} "
-                    f"already occurs at {lower.beta}"
+                    f"highest weight {le.highest_weight} at beta {le.beta} "
+                    f"already occurs at beta {lower.beta}"
                 )
     return None
 

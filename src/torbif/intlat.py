@@ -271,28 +271,43 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
             raise InputError(f"vector of length {len(row)} in ambient rank {ambient}")
         if any(row):
             mat.append(row)
+    m = len(mat)
     nr = 0
     for c in range(ambient):
-        piv = next((i for i in range(nr, len(mat)) if mat[i][c]), None)
-        if piv is None:
+        if nr == m:
+            break
+        for piv in range(nr, m):
+            if mat[piv][c]:
+                break
+        else:
             continue
-        mat[nr], mat[piv] = mat[piv], mat[nr]
-        for i in range(nr + 1, len(mat)):
-            if mat[i][c] == 0:
+        top = mat[piv]
+        mat[piv] = mat[nr]
+        for i in range(nr + 1, m):
+            row = mat[i]
+            b = row[c]
+            if not b:
                 continue
-            a, b = mat[nr][c], mat[i][c]
+            a = top[c]
+            q, rem = divmod(b, a)
+            if not rem:
+                # here xgcd(a, b) = (|a|, +-1, 0): the pivot row stays, up to sign
+                mat[i] = [t - q * s for s, t in zip(top, row)]
+                continue
             g, x, y = xgcd(a, b)
             u, v = a // g, b // g
-            top = [x * s + y * t for s, t in zip(mat[nr], mat[i])]
-            bot = [-v * s + u * t for s, t in zip(mat[nr], mat[i])]
-            mat[nr], mat[i] = top, bot
-        if mat[nr][c] < 0:
-            mat[nr] = [-e for e in mat[nr]]
-        pivval = mat[nr][c]
+            top, mat[i] = (
+                [x * s + y * t for s, t in zip(top, row)],
+                [u * t - v * s for s, t in zip(top, row)],
+            )
+        if top[c] < 0:
+            top = [-e for e in top]
+        mat[nr] = top
+        p = top[c]
         for i in range(nr):
-            q = mat[i][c] // pivval
+            q = mat[i][c] // p
             if q:
-                mat[i] = [e - q * s for e, s in zip(mat[i], mat[nr])]
+                mat[i] = [e - q * s for e, s in zip(mat[i], top)]
         nr += 1
     return tuple(tuple(r) for r in mat[:nr])
 

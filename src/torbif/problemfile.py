@@ -388,9 +388,65 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    # a report is a fresh tree, so the encoder's cycle check (an id-marker dict
-    # that its closures keep in cyclic garbage after each call) is dropped
-    return json.dumps(report, indent=2, sort_keys=True, check_circular=False)
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
+
+    Written directly, since ``indent`` sends ``json.dumps`` to its
+    pure-Python encoder.  Only the vocabulary of a report is accepted:
+    dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``;
+    anything else raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out)
+    return "".join(out)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(x: Any, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON of ``x`` to ``out``; ``newline`` is its own indent."""
+    kind = type(x)
+    if kind is str:
+        out.append(_json_str(x))
+    elif kind is int:
+        out.append(int.__repr__(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            out.append(sep)
+            out.append(_json_str(key))
+            out.append(": ")
+            _write_json(x[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(e) is int for e in x):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + newline + "]")
+            return
+        sep = "[" + inner
+        for e in x:
+            out.append(sep)
+            _write_json(e, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not part of a report")
 
 
 def _format_element_terms(terms: list[dict]) -> str:

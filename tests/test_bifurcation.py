@@ -318,7 +318,19 @@ def test_certificate_denied_for_a_highest_weight_outside_its_eigenspace(circle_s
     spec = dataclasses.replace(circle_spec, laplace_spectrum=laplace)
     for level in (1, 4, 9):
         cert, reason = unboundedness_certificate(spec, level)
-        assert cert is None and reason == "highest weight (3,) of level 1 is not a weight of its eigenspace"
+        assert cert is None and reason == "highest weight (3,) at beta 1 is not a weight of its eigenspace"
+
+
+def test_certificate_denied_for_a_highest_weight_that_is_not_new(circle_spec):
+    # declare the beta = 4 highest weight as [1], a weight of the beta = 1 eigenspace too
+    low = next(le for le in circle_spec.laplace_spectrum if le.beta == 1)
+    laplace = tuple(
+        dataclasses.replace(le, eigenspace=direct_sum(le.eigenspace, low.eigenspace), highest_weight=(1,))
+        if le.beta == 4 else le
+        for le in circle_spec.laplace_spectrum
+    )
+    cert, reason = unboundedness_certificate(dataclasses.replace(circle_spec, laplace_spectrum=laplace), 4)
+    assert cert is None and reason == "highest weight (1,) at beta 4 already occurs at beta 1"
 
 
 def test_certificate_zero_level(sphere_spec):

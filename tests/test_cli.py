@@ -177,7 +177,7 @@ def test_highest_weight_outside_its_eigenspace_declines_the_certificate(runner, 
     result, seconds = _timed_report(runner, _write_problem(tmp_path, laplace=laplace))
     assert seconds < 1.0
     assert result.exit_code == 0
-    assert "no certificate (highest weight (3,) of level 1 is not a weight of its eigenspace)" in result.output
+    assert "no certificate (highest weight (3,) at beta 1 is not a weight of its eigenspace)" in result.output
 
 
 def test_scan_command(runner):

@@ -173,6 +173,86 @@ def test_hermite_reduces_above_pivots():
     assert basis == ((1, 1), (0, 2))
 
 
+def random_stack(rng: random.Random) -> tuple[int, list[tuple[int, ...]]]:
+    """Up to 6 rows in ambient rank 1-5 spanning a lattice of rank 1-5.
+
+    Rows are integer combinations of ``rank`` random generators, so the
+    stack is often dependent; a fifth of the stacks carry entries above 2**64,
+    and in some the first row starts with a unit.
+    """
+    ambient = rng.randint(1, 5)
+    rank = rng.randint(1, ambient)
+    big = rng.random() < 0.2
+    gens = []
+    for _ in range(rank):
+        g = [rng.randint(-9, 9) for _ in range(ambient)]
+        if big:
+            g[rng.randrange(ambient)] += rng.choice((-1, 1)) * rng.randint(2**64, 2**70)
+        gens.append(g)
+    rows = [tuple(sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(ambient))
+            for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:  # a unit pivot, which divides every entry below it
+        rows[0] = (rng.choice((-1, 1)),) + rows[0][1:]
+    return ambient, rows
+
+
+def in_span(basis, v) -> bool:
+    """Membership in the span of an echelon basis, by solving from the first pivot."""
+    v = list(v)
+    for b in basis:
+        c = next(j for j, e in enumerate(b) if e)
+        q, rem = divmod(v[c], b[c])
+        if rem:
+            return False
+        v = [x - q * y for x, y in zip(v, b)]
+    return not any(v)
+
+
+def minor_gcd(rows, k: int) -> int:
+    """gcd of the k x k minors, the k-th determinantal divisor."""
+    g = 0
+    cols = len(rows[0])
+    for rsel in itertools.combinations(range(len(rows)), k):
+        for csel in itertools.combinations(range(cols), k):
+            g = math.gcd(g, IntMatrix.from_rows([[rows[i][j] for j in csel] for i in rsel]).det())
+    return g
+
+
+def test_hermite_basis_on_random_stacks(monkeypatch):
+    import torbif.intlat as intlat
+
+    xgcd_calls = []
+    monkeypatch.setattr(intlat, "xgcd", lambda a, b: xgcd_calls.append(1) or xgcd(a, b))
+    rng = random.Random(20261018)
+    paths = {"divisible": 0, "xgcd": 0, "big": 0}
+    for _ in range(1000):
+        ambient, rows = random_stack(rng)
+        before = len(xgcd_calls)
+        basis = hermite_basis(ambient, rows)
+        # a stack whose first column has two nonzero entries needs an elimination
+        # step; with no xgcd call it went through the divisible path
+        if sum(1 for row in rows if row[0]) >= 2:
+            paths["xgcd" if len(xgcd_calls) > before else "divisible"] += 1
+        paths["big"] += any(abs(e) > 2**64 for row in rows for e in row)
+
+        pivots = []
+        for b in basis:
+            assert len(b) == ambient and any(b)
+            c = next(j for j, e in enumerate(b) if e)
+            assert b[c] > 0
+            pivots.append(c)
+        assert pivots == sorted(set(pivots))
+        for i, c in enumerate(pivots):
+            for above in basis[:i]:
+                assert 0 <= above[c] < basis[i][c], (rows, basis)
+        assert all(in_span(basis, row) for row in rows), (rows, basis)
+        rank = rank_by_gauss(rows)
+        assert len(basis) == rank
+        if rank:
+            assert minor_gcd(basis, rank) == minor_gcd(rows, rank), (rows, basis)
+    assert paths["divisible"] >= 100 and paths["xgcd"] >= 100 and paths["big"] >= 40, paths
+
+
 def test_lattice_canonicalises_basis():
     lat = Lattice(2, ((2, 2), (1, 1)))
     assert lat.basis == ((1, 1),)

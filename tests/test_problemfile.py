@@ -233,6 +233,57 @@ def test_report_bytes_pinned(path, digest, request):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def dumps(x) -> str:
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
+report_strings = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x08\x1f\x7fé \U0001f600 aZ')),
+    st.lists(st.integers(0xD800, 0xDFFF).map(chr) | st.characters(), max_size=6).map("".join),
+)
+report_ints = st.integers() | st.integers(-(2**200), 2**200) | st.sampled_from([0, 1, -1, 2**64, -(2**64)])
+report_leaves = st.none() | st.booleans() | report_ints | report_strings
+report_trees = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.booleans() | st.sampled_from([0, 1]), max_size=5)
+    | st.dictionaries(report_strings, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_trees)
+def test_report_writer_matches_json_dumps(tree):
+    assert report_to_json(tree) == dumps(tree)
+
+
+def test_report_writer_edge_cases():
+    cases = [
+        [True, 1, False, 0],
+        {"a": [1, True], "b": [0, False], "c": [1, 1]},
+        {}, [], [{}, [], ""], {"e": {}, "f": []},
+        ["\ud800", "x\udfffy", "\"\\\n\t\x00é\U0001f600"],
+        [2**300, -(2**300), -1, 0],
+        {"é": 1, "B": 2, "a": 3, "": 4},
+    ]
+    deep_list, deep_dict = 1, "leaf"
+    for depth in range(150):
+        deep_list = [deep_list, depth]
+        deep_dict = {"k": deep_dict, "d": depth}
+    for x in cases + [deep_list, deep_dict]:
+        assert report_to_json(x) == dumps(x), x
+
+
+@pytest.mark.parametrize(
+    "x", [1.5, (1, 2), {1: "a"}, {None: 1}, object(), [1, 2.0], {"a": [(0,)]}, {"a": {"b": b"c"}}]
+)
+def test_report_writer_refuses_other_types(x):
+    with pytest.raises(TypeError):
+        report_to_json(x)
+
+
 def test_report_errors_in_level_order(circle_spec):
     # -16 is past the cutoff and comes first in level order; 1/2 is not a candidate
     levels = [Fraction(1, 2), -16]
