@@ -33,7 +33,7 @@ from .eulerring import (
     star,
 )
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
-from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
+from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, raise_structural_errors, validate
 from .torusrep import TorusRep, canonical_weight, direct_sum, tensor
 
 REASON_INDEX = "index-nonzero"
@@ -157,7 +157,8 @@ def _walk(spec: ProblemSpec, stop: Fraction) -> Iterator[tuple[Fraction, TorusRe
     """Yield (level, kernel, near side, far side) out to ``stop``, nearest first.
 
     The levels are the candidates strictly between 0 and ``stop``, then ``stop``; the
-    sides are the negative spaces toward 0 and away from it.
+    sides are the negative spaces toward 0 and away from it: below and above a
+    positive level, above and below a negative one.
     """
     inside = sorted((t for t in _pairs(spec) if 0 < t / stop < 1), key=abs)
     near = TorusRep.zero(spec.r + spec.l)
@@ -213,13 +214,14 @@ def analyze_levels(
     The spec is validated once.  Walking outward from 0 on each side, each
     kernel is built once and added to the negative space, and the degree of
     -Id on the negative space is carried as a running product: at every
-    walked level deg(far) = deg(near) * deg(kernel).  At a requested level
-    the index is lift(F) * (deg(far) - deg(near)), negated below 0.  It is
-    checked without the star product: its Plücker-square image (see
-    :mod:`~torbif.eulerring`) must equal Phi(lift(F)) * (P(far) - P(near)),
-    where P is the image of the degree carried alongside by the closed form
-    from the weights.  Phi is not injective, so an error that only swaps
-    subgroups of equal rational span and covolume passes this check.
+    walked level deg(far) = deg(near) * deg(kernel).  At a requested level,
+    with the near and far sides named below and above, the index is
+    lift(F) * (deg(above) - deg(below)).  It is checked without the star
+    product: its Plücker-square image (see :mod:`~torbif.eulerring`) must
+    equal Phi(lift(F)) * (P(above) - P(below)), where P is the image of the
+    degree carried alongside by the closed form from the weights.  Phi is
+    not injective, so an error that only swaps subgroups of equal rational
+    span and covolume passes this check.
     Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
     deg(far) computed from scratch.  Every ring product is ``star`` looked
     up in this module at call time, so a rebound ``star`` sees each one.  A
@@ -227,8 +229,7 @@ def analyze_levels(
     candidate.
     """
     report = validate(spec)
-    if report.structural_errors:
-        raise InputError("; ".join(report.structural_errors), code="SCHEMA")
+    raise_structural_errors(report)
     cands = tuple(
         CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in pairs)))
         for lam, pairs in sorted(_pairs(spec).items())
@@ -262,16 +263,17 @@ def analyze_levels(
             if phi_lifted is not None:
                 p_far = plucker_degree(kernel, p_near)
             if t in todo:
-                index = star(lifted, d_far - d_near if t > 0 else d_near - d_far)
+                sides = [(near, d_near, p_near), (far, d_far, p_far)]
+                (below, d_below, p_below), (above, d_above, p_above) = sides if t > 0 else sides[::-1]
+                index = star(lifted, d_above - d_below)
                 try:
                     if phi_lifted is None:
                         agree = d_far == deg_minus_id(far, star)
                     else:
-                        diff = plucker_sub(p_far, p_near) if t > 0 else plucker_sub(p_near, p_far)
-                        agree = plucker_image(index) == plucker_star(phi_lifted, diff)
+                        agree = plucker_image(index) == plucker_star(phi_lifted, plucker_sub(p_above, p_below))
                     if not agree:
                         raise ConsistencyError(f"index routes disagree at level {t}")
-                    out[t] = _record(spec, report, t, kernel, near, far, index, between)
+                    out[t] = _record(spec, report, t, kernel, below, above, index, between)
                 except ConsistencyError as exc:
                     out[t] = exc.with_traceback(None)
             between[t] = kernel
@@ -346,7 +348,8 @@ def _unboundedness(
     report: ValidationReport,
     lam0: Fraction,
     kernel: TorusRep,
-    far: TorusRep,
+    below: TorusRep,
+    above: TorusRep,
     index: EulerElement,
     between: dict[Fraction, TorusRep],
 ) -> tuple[UnboundednessCertificate | None, str | None]:
@@ -380,8 +383,11 @@ def _unboundedness(
 
     mult = kernel.multiplicity(combined)
     coeff = index.coefficient(h_star)
-    # the far side is above a positive level and below a negative one
-    expected = (-n0 if lam0 > 0 else n0) * (-1) ** far.dim * mult
+
+    def degree_coefficient(v: TorusRep) -> int:  # of chi(h_star) in deg(-Id)(v)
+        return -((-1) ** v.dim) * v.multiplicity(combined)
+
+    expected = n0 * (degree_coefficient(above) - degree_coefficient(below))
     if mult < 1 or coeff != expected or coeff == 0:
         raise ConsistencyError(
             f"certificate coefficient at {h_star} is {coeff}, expected {expected}"
@@ -424,13 +430,13 @@ def _record(
     report: ValidationReport,
     lam0: Fraction,
     kernel: TorusRep,
-    near: TorusRep,
-    far: TorusRep,
+    below: TorusRep,
+    above: TorusRep,
     index: EulerElement,
     between: dict[Fraction, TorusRep],
 ) -> LevelAnalysis:
-    """The level's analysis from the sweep's kernel, side spaces and index."""
-    cert, reason = _unboundedness(spec, report, lam0, kernel, far, index, between)
+    """The level's analysis from the sweep's kernel, negative spaces and index."""
+    cert, reason = _unboundedness(spec, report, lam0, kernel, below, above, index, between)
     certified = report.n1 or report.n2
     domain_action = _domain_part_nonzero(spec, kernel)
     odd = kernel.dim % 2 == 1
@@ -465,5 +471,4 @@ def _record(
         unbounded_reason=reason,
         zero_level_parity=zero_parity,
     )
-    below, above = (far, near) if lam0 < 0 else (near, far)
     return LevelAnalysis(lam0, kernel, below, above, index, v)

@@ -30,7 +30,7 @@ of T^2 have the same image, and Phi cannot tell their difference from 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import InputError
@@ -40,34 +40,37 @@ from .torusrep import TorusRep
 
 @dataclass(frozen=True)
 class EulerElement:
-    ambient_rank: int
-    terms: tuple[tuple[TorusSubgroup, int], ...]
+    """Integer combination of generators chi(T^r/H+).
 
-    @staticmethod
-    def make(
-        ambient_rank: int,
-        terms: Mapping[TorusSubgroup, int] | Iterable[tuple[TorusSubgroup, int]] = (),
-    ) -> "EulerElement":
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    The constructor takes terms as a mapping or as (subgroup, coefficient)
+    pairs in any order and stores them merged, without zero coefficients,
+    sorted by ``sort_key``, so equal elements have equal terms.
+    """
+
+    ambient_rank: int
+    terms: tuple[tuple[TorusSubgroup, int], ...] = ()
+
+    def __post_init__(self):
+        items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
         acc: dict[TorusSubgroup, int] = {}
         for h, c in items:
-            if h.ambient_rank != ambient_rank:
+            if h.ambient_rank != self.ambient_rank:
                 raise InputError("generator subgroup has wrong ambient rank")
             acc[h] = acc.get(h, 0) + int(c)
         cleaned = tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda t: t[0].sort_key))
-        return EulerElement(ambient_rank, cleaned)
+        object.__setattr__(self, "terms", cleaned)
 
     @staticmethod
     def zero(r: int) -> "EulerElement":
-        return EulerElement(r, ())
+        return EulerElement(r)
 
     @staticmethod
     def unit(r: int) -> "EulerElement":
-        return EulerElement.make(r, [(TorusSubgroup.full_torus(r), 1)])
+        return EulerElement(r, [(TorusSubgroup.full_torus(r), 1)])
 
     @staticmethod
     def generator(h: TorusSubgroup, coeff: int = 1) -> "EulerElement":
-        return EulerElement.make(h.ambient_rank, [(h, coeff)])
+        return EulerElement(h.ambient_rank, [(h, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -82,18 +85,20 @@ class EulerElement:
     def __add__(self, other: "EulerElement") -> "EulerElement":
         if self.ambient_rank != other.ambient_rank:
             raise InputError("cannot add elements of different rings")
-        return EulerElement.make(self.ambient_rank, self.terms + other.terms)
+        return EulerElement(self.ambient_rank, self.terms + other.terms)
 
     def __neg__(self) -> "EulerElement":
         return EulerElement(self.ambient_rank, tuple((h, -c) for h, c in self.terms))
 
     def __sub__(self, other: "EulerElement") -> "EulerElement":
-        return self + (-other)
+        if self.ambient_rank != other.ambient_rank:
+            raise InputError("cannot subtract elements of different rings")
+        return EulerElement(self.ambient_rank, self.terms + tuple((h, -c) for h, c in other.terms))
 
     def __rmul__(self, scalar: int) -> "EulerElement":
         if not isinstance(scalar, int):
             return NotImplemented
-        return EulerElement.make(self.ambient_rank, tuple((h, scalar * c) for h, c in self.terms))
+        return EulerElement(self.ambient_rank, tuple((h, scalar * c) for h, c in self.terms))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -121,7 +126,7 @@ def linear_combine(scalars: Sequence[int], elements: Sequence[EulerElement]) -> 
         if e.ambient_rank != r:
             raise InputError("mixed ambient ranks in combination")
         acc.extend((h, s * c) for h, c in e.terms)
-    return EulerElement.make(r, acc)
+    return EulerElement(r, acc)
 
 
 def star(a: EulerElement, b: EulerElement) -> EulerElement:
@@ -130,7 +135,6 @@ def star(a: EulerElement, b: EulerElement) -> EulerElement:
     A pair is met only when the codimensions cannot decide it: a sum of
     codimensions above r is never transversal (a meet has codimension at
     most r), and a full-torus factor yields the other subgroup itself.
-    The terms need not be sorted.
     """
     if a.ambient_rank != b.ambient_rank:
         raise InputError("cannot multiply elements of different rings")
@@ -149,7 +153,7 @@ def star(a: EulerElement, b: EulerElement) -> EulerElement:
                 if hi.codim != ka + kb:
                     continue
             acc[hi] = acc.get(hi, 0) + ca * cb
-    return EulerElement.make(r, acc)
+    return EulerElement(r, acc)
 
 
 def deg_minus_id(
@@ -182,7 +186,7 @@ def codim_part(x: EulerElement, c: int) -> EulerElement:
 
 def lift(x: EulerElement, l: int) -> EulerElement:
     """Image in U(T^(r+l)) under the extra torus acting trivially."""
-    return EulerElement.make(
+    return EulerElement(
         x.ambient_rank + l,
         tuple((extend_by_full_torus(h, l), c) for h, c in x.terms),
     )

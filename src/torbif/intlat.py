@@ -4,19 +4,21 @@ Hermite and Smith normal forms, integer lattices (whose one constructor
 stores the row-style Hermite basis of the span it is given), and closed
 subgroups of a torus encoded by their annihilator character lattice.
 
-The canonicalising subgroup constructors (``subgroup_canonical``,
-``subgroup_intersect``, ``extend_by_full_torus``, ``TorusSubgroup.full_torus``)
-intern their results: while a subgroup is alive, an equal one built by any
-of them is the same object, so dictionaries keyed by subgroups hit on
-identity and each instance computes its hash, codimension and sort key once.
-The intern table holds its values weakly and lives as long as the process.
-All values are immutable; two threads that build the same new subgroup at
-once may each keep their own copy, which is merely an equal duplicate,
-since equality falls back to comparing values.
+Subgroups have no public constructor: ``subgroup_canonical``,
+``subgroup_intersect``, ``extend_by_full_torus`` and
+``TorusSubgroup.full_torus`` intern their results, and copying or unpickling
+a subgroup interns it again.  While a subgroup is alive, an equal one built
+by any of these is the same object, so subgroups compare and hash by
+identity and each instance computes its codimension and sort key once.  The
+intern table holds its values weakly and lives as long as the process.  One
+lock covers the table's look-up and insert, so two threads that build the
+same new subgroup at once get the same object; the Hermite basis that keys
+the table is computed outside the lock.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,38 +334,30 @@ class Lattice:
         return len(self.basis)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TorusSubgroup:
     """Closed subgroup of T^r, identified by its annihilator lattice.
 
     The annihilator holds all characters k with <k, phi> in 2*pi*Z on the
     subgroup; it determines the subgroup uniquely, and the full torus is
-    the zero lattice.  ``codim`` and ``sort_key`` are computed at
-    construction, as is the hash; equality is by value, with identity, the
-    case of interned instances, checked first.
+    the zero lattice.  Instances are interned (see the module docstring):
+    they are built only by ``subgroup_canonical``, ``subgroup_intersect``,
+    ``extend_by_full_torus`` and ``TorusSubgroup.full_torus``, and equality
+    and hashing are by identity.  ``codim`` and ``sort_key`` are computed
+    once per instance.
     """
 
     ambient_rank: int
     annihilator: Lattice
 
-    def __post_init__(self):
-        if self.annihilator.ambient_rank != self.ambient_rank:
-            raise InputError("annihilator rank does not match ambient rank")
-        codim = self.annihilator.rank
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "sort_key", (codim, self.annihilator.basis))
-        object.__setattr__(self, "_hash", hash((self.ambient_rank, self.annihilator)))
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "TorusSubgroup is built by subgroup_canonical, subgroup_intersect, "
+            "extend_by_full_torus or TorusSubgroup.full_torus"
+        )
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, TorusSubgroup):
-            return NotImplemented
-        return (self._hash, self.ambient_rank, self.sort_key) == (
-            other._hash, other.ambient_rank, other.sort_key)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return _interned, (self.ambient_rank, self.annihilator.basis)
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
@@ -386,15 +380,21 @@ class TorusSubgroup:
 
 # (ambient rank, Hermite basis of the annihilator) -> the live subgroup
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 def _interned(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
     """The one live subgroup of T^r cut out by ``characters``."""
     lattice = Lattice(r, characters)
     key = (r, lattice.basis)
-    h = _INTERNED.get(key)
-    if h is None:
-        h = _INTERNED.setdefault(key, TorusSubgroup(r, lattice))
+    with _INTERN_LOCK:
+        h = _INTERNED.get(key)
+        if h is None:
+            h = object.__new__(TorusSubgroup)
+            h.__dict__.update(
+                ambient_rank=r, annihilator=lattice, codim=lattice.rank, sort_key=(lattice.rank, lattice.basis)
+            )
+            _INTERNED[key] = h
     return h
 
 

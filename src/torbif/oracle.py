@@ -85,28 +85,18 @@ def star_dimension_flipped(a: EulerElement, b: EulerElement) -> EulerElement:
             hi = subgroup_intersect(ha, hb)
             if ha.dim + hb.dim != r + hi.dim:
                 acc[hi] = acc.get(hi, 0) + ca * cb
-    return EulerElement.make(r, acc)
+    return EulerElement(r, acc)
 
 
 def tensor_sign_flipped(w: TorusRep, v: TorusRep) -> TorusRep:
     """Tensor rule without the mirrored twin: (m, n) counted twice."""
     r, l = w.ambient_rank, v.ambient_rank
-    acc: dict[Vector, int] = {}
-
-    def add(m: Vector, k: int) -> None:
-        cm = canonical_weight(m)
-        acc[cm] = acc.get(cm, 0) + k
-
-    for m, lm in w.weights:
-        if v.trivial_mult:
-            add(m + (0,) * l, lm * v.trivial_mult)
-    for n, kn in v.weights:
-        if w.trivial_mult:
-            add((0,) * r + n, w.trivial_mult * kn)
+    blocks = [(m + (0,) * l, lm * v.trivial_mult) for m, lm in w.weights]
+    blocks += [((0,) * r + n, w.trivial_mult * kn) for n, kn in v.weights]
     for m, lm in w.weights:
         for n, kn in v.weights:
-            add(m + n, 2 * kn * lm)
-    return TorusRep.make(r + l, w.trivial_mult * v.trivial_mult, acc)
+            blocks.append((m + n, 2 * kn * lm))
+    return TorusRep(r + l, w.trivial_mult * v.trivial_mult, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +130,7 @@ def _rand_rep(rng: random.Random, r: int, max_weights: int = 3) -> TorusRep:
     weights: dict[Vector, int] = {}
     for _ in range(rng.randint(0, max_weights)):
         weights[_rand_weight(rng, r)] = rng.randint(1, 2)
-    return TorusRep.make(r, rng.randint(0, 2), weights)
+    return TorusRep(r, rng.randint(0, 2), weights)
 
 
 def _rand_element(rng: random.Random, r: int, max_terms: int = 6) -> EulerElement:
@@ -148,7 +138,7 @@ def _rand_element(rng: random.Random, r: int, max_terms: int = 6) -> EulerElemen
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
         terms.append((_rand_subgroup(rng, r), coeff))
-    return EulerElement.make(r, terms)
+    return EulerElement(r, terms)
 
 
 def _rand_point(rng: random.Random, r: int) -> tuple[Fraction, ...]:
@@ -181,7 +171,7 @@ def _tensor_by_complexification(w: TorusRep, v: TorusRep) -> TorusRep:
             if comb.get(tuple(-x for x in m), 0) != k:
                 raise InputError("complex multiset is not symmetric")
             folded[m] = k
-    return TorusRep.make(rank, trivial, folded)
+    return TorusRep(rank, trivial, folded)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +387,7 @@ def _suite_codim_ideal(star_impl: StarImpl):
                 if h.codim >= 2:
                     break
             terms.append((h, rng.randint(-3, 3) or 1))
-        y = EulerElement.make(r, terms)
+        y = EulerElement(r, terms)
         prod = star_impl(x, y)
         ok = all(h.codim >= 2 for h, _ in prod.terms)
         return f"x={x}; y={y}", ok
@@ -539,13 +529,13 @@ def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
     for _ in range(rng.randint(1, 3)):
         h = _rand_subgroup(rng, r, proper=True)
         a_terms.append((extend_by_full_torus(h, l), rng.choice([-3, -2, -1, 1, 2, 3])))
-    a = EulerElement.make(r + l, a_terms)
+    a = EulerElement(r + l, a_terms)
     sign = rng.choice([1, -1])
     b_terms = [(subgroup_canonical(r + l, [_rand_weight(rng, r + l)]), sign * rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
     m = tuple(rng.randint(-4, 4) for _ in range(r))
     n = _rand_weight(rng, l)
     b_terms.append((subgroup_canonical(r + l, [m + n]), sign * rng.randint(1, 3)))
-    b = EulerElement.make(r + l, b_terms)
+    b = EulerElement(r + l, b_terms)
     if a.is_zero:
         return "degenerate A", True
     ok = not star(a, b).is_zero

@@ -27,6 +27,7 @@ from .spectra import (
     ProblemSpec,
     ValidationReport,
     flat_torus_spectrum,
+    raise_structural_errors,
     sphere_spectrum,
     validate,
 )
@@ -86,7 +87,7 @@ def _parse_rep(doc: dict, rank: int, where: str) -> TorusRep:
         weights.append((m, mult))
     trivial = _expect_int(doc.get("trivial_mult", 0), f"{where}.trivial_mult")
     try:
-        return TorusRep.make(rank, trivial, weights)
+        return TorusRep(rank, trivial, weights)
     except InputError as exc:
         raise InputError(f"{where}: {exc}", code="SCHEMA")
 
@@ -105,7 +106,7 @@ def _parse_degree(value: Any, r: int, where: str, code_if_zero: str) -> EulerEle
             terms.append((subgroup_canonical(r, rows), coeff))
         except InputError as exc:
             raise InputError(f"{where}[{i}]: {exc}", code="SCHEMA")
-    element = EulerElement.make(r, terms)
+    element = EulerElement(r, terms)
     if element.is_zero:
         raise InputError(f"{where}: degree is the zero element", code=code_if_zero)
     return element
@@ -184,8 +185,6 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
 # or r + l, and the shipped and benchmarked problems have r + l <= 3.
 MAX_TORUS_RANK = 64
 
-_ERROR_CODES = ("DIM_MISMATCH", "B6_TRIVIAL", "CUTOFF_INSUFFICIENT", "SCHEMA")
-
 
 def parse_problem_dict(doc: Any) -> ProblemSpec:
     if not isinstance(doc, dict):
@@ -236,11 +235,7 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
     except InputError as exc:
         raise InputError(str(exc), code="SCHEMA")
 
-    report = validate(spec)
-    if report.structural_errors:
-        first = report.structural_errors[0]
-        code = next((c for c in _ERROR_CODES if first.startswith(c)), "SCHEMA")
-        raise InputError("; ".join(report.structural_errors), code=code)
+    raise_structural_errors(validate(spec))
     return spec
 
 

@@ -169,7 +169,7 @@ def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
             entries.append(
                 LaplaceEigenData(
                     beta=Fraction(0),
-                    eigenspace=TorusRep.make(d, 1),
+                    eigenspace=TorusRep(d, 1),
                     irreducible_nontrivial=False,
                     highest_weight=(0,) * d,
                 )
@@ -179,7 +179,7 @@ def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
             entries.append(
                 LaplaceEigenData(
                     beta=Fraction(beta),
-                    eigenspace=TorusRep.make(d, 0, weights),
+                    eigenspace=TorusRep(d, 0, weights),
                     irreducible_nontrivial=single,
                     highest_weight=next(iter(weights)) if single else None,
                 )
@@ -260,7 +260,7 @@ def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
         entries.append(
             LaplaceEigenData(
                 beta=Fraction(k * (k + n - 2)),
-                eigenspace=TorusRep.make(l, trivial, folded),
+                eigenspace=TorusRep(l, trivial, folded),
                 irreducible_nontrivial=k >= 1,
                 highest_weight=highest,
             )
@@ -343,3 +343,15 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         e_witnesses=tuple(witnesses) if e_holds else None,
         structural_errors=tuple(errors),
     )
+
+
+# the codes a structural error message may start with; any other is SCHEMA
+_ERROR_CODES = ("DIM_MISMATCH", "B6_TRIVIAL", "CUTOFF_INSUFFICIENT")
+
+
+def raise_structural_errors(report: ValidationReport) -> None:
+    """Raise one InputError for all structural errors, with the code of the first."""
+    if report.structural_errors:
+        first = report.structural_errors[0]
+        code = next((c for c in _ERROR_CODES if first.startswith(c)), "SCHEMA")
+        raise InputError("; ".join(report.structural_errors), code=code)

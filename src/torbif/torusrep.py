@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import InputError
 from .intlat import Vector
@@ -30,24 +30,26 @@ def canonical_weight(m: Sequence[int]) -> Vector:
 
 @dataclass(frozen=True)
 class TorusRep:
-    ambient_rank: int
-    trivial_mult: int
-    weights: tuple[tuple[Vector, int], ...]
+    """A representation of T^r, stored as the canonical map of the module docstring.
 
-    @staticmethod
-    def make(
-        ambient_rank: int,
-        trivial_mult: int = 0,
-        weights: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]] = (),
-    ) -> "TorusRep":
-        if trivial_mult < 0:
+    The constructor takes weights as a mapping or as (weight, multiplicity)
+    pairs in any order and sign, and merges and sorts them, so two
+    representations are equal iff they are equivalent.
+    """
+
+    ambient_rank: int
+    trivial_mult: int = 0
+    weights: tuple[tuple[Vector, int], ...] = ()
+
+    def __post_init__(self):
+        if self.trivial_mult < 0:
             raise InputError("trivial multiplicity must be nonnegative")
-        items = weights.items() if isinstance(weights, Mapping) else weights
+        items = self.weights.items() if isinstance(self.weights, Mapping) else self.weights
         acc: dict[Vector, int] = {}
         for m, k in items:
             m = tuple(int(e) for e in m)
-            if len(m) != ambient_rank:
-                raise InputError(f"weight of length {len(m)} in rank {ambient_rank}")
+            if len(m) != self.ambient_rank:
+                raise InputError(f"weight of length {len(m)} in rank {self.ambient_rank}")
             if not any(m):
                 raise InputError("zero weight: use trivial_mult for trivial blocks")
             cm = canonical_weight(m)
@@ -55,31 +57,27 @@ class TorusRep:
         for m, k in acc.items():
             if k < 0:
                 raise InputError(f"negative multiplicity at weight {m}")
-        cleaned = tuple(sorted((m, k) for m, k in acc.items() if k))
-        return TorusRep(ambient_rank, trivial_mult, cleaned)
+        object.__setattr__(self, "weights", tuple(sorted((m, k) for m, k in acc.items() if k)))
 
     @staticmethod
     def zero(r: int) -> "TorusRep":
-        return TorusRep(r, 0, ())
+        return TorusRep(r)
 
     @staticmethod
     def trivial(r: int, k: int) -> "TorusRep":
-        return TorusRep.make(r, k)
+        return TorusRep(r, k)
 
     @staticmethod
     def rotation(k: int, m: Sequence[int]) -> "TorusRep":
         """k copies of the planar rotation block of weight m; trivial if m = 0."""
         m = tuple(int(e) for e in m)
         if not any(m):
-            return TorusRep.make(len(m), k)
-        return TorusRep.make(len(m), 0, [(m, k)])
+            return TorusRep(len(m), k)
+        return TorusRep(len(m), 0, [(m, k)])
 
     @property
     def dim(self) -> int:
         return self.trivial_mult + 2 * sum(k for _, k in self.weights)
-
-    def weight_dict(self) -> dict[Vector, int]:
-        return dict(self.weights)
 
     def multiplicity(self, m: Sequence[int]) -> int:
         """Multiplicity of the weight; the zero weight reads trivial_mult."""
@@ -104,10 +102,7 @@ class TorusRep:
 def direct_sum(v: TorusRep, w: TorusRep) -> TorusRep:
     if v.ambient_rank != w.ambient_rank:
         raise InputError("direct sum needs equal ambient ranks")
-    acc = v.weight_dict()
-    for m, k in w.weights:
-        acc[m] = acc.get(m, 0) + k
-    return TorusRep.make(v.ambient_rank, v.trivial_mult + w.trivial_mult, acc)
+    return TorusRep(v.ambient_rank, v.trivial_mult + w.trivial_mult, v.weights + w.weights)
 
 
 def tensor(w: TorusRep, v: TorusRep) -> TorusRep:
@@ -118,23 +113,12 @@ def tensor(w: TorusRep, v: TorusRep) -> TorusRep:
     into the pair (m, n) and (m, -n), each with the product multiplicity.
     """
     r, l = w.ambient_rank, v.ambient_rank
-    acc: dict[Vector, int] = {}
-
-    def add(m: Vector, k: int) -> None:
-        cm = canonical_weight(m)
-        acc[cm] = acc.get(cm, 0) + k
-
-    for m, lm in w.weights:
-        if v.trivial_mult:
-            add(m + (0,) * l, lm * v.trivial_mult)
-    for n, kn in v.weights:
-        if w.trivial_mult:
-            add((0,) * r + n, w.trivial_mult * kn)
+    blocks = [(m + (0,) * l, lm * v.trivial_mult) for m, lm in w.weights]
+    blocks += [((0,) * r + n, w.trivial_mult * kn) for n, kn in v.weights]
     for m, lm in w.weights:
         for n, kn in v.weights:
-            add(m + n, kn * lm)
-            add(m + tuple(-x for x in n), kn * lm)
-    return TorusRep.make(r + l, w.trivial_mult * v.trivial_mult, acc)
+            blocks += [(m + n, kn * lm), (m + tuple(-x for x in n), kn * lm)]
+    return TorusRep(r + l, w.trivial_mult * v.trivial_mult, blocks)
 
 
 def character(v: TorusRep, q: Sequence[Fraction | int]) -> float:

@@ -80,7 +80,7 @@ def test_candidates_negative_eigenvalue():
 
 def test_kernel_first_level(circle_spec):
     v = kernel_rep(circle_spec, 1)
-    assert v == TorusRep.make(2, 0, {(1, 1): 1, (1, -1): 1})
+    assert v == TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
     assert v.dim == 4
 
 
@@ -430,7 +430,7 @@ def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circ
     assert plucker_generator(h1) == plucker_generator(h2) == {(3, 3): 4}
     assert circle_spec.r + circle_spec.l == 2
     honest = bif_index(circle_spec, 1)
-    corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement.make(2, [(h1, 1), (h2, -1)]))
+    corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement(2, [(h1, 1), (h2, -1)]))
     assert bif_index(circle_spec, 1) != honest
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from torbif.eulerring import (
     plucker_star,
     star,
 )
-from torbif.intlat import IntMatrix, subgroup_canonical, subgroup_intersect
+from torbif.intlat import IntMatrix, TorusSubgroup, subgroup_canonical, subgroup_intersect
 from torbif.oracle import star_dimension_flipped
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict
 from torbif.torusrep import TorusRep, direct_sum
@@ -38,14 +39,32 @@ def element_strategy(rank: int, max_terms: int = 4):
     )
     coeff = st.integers(-5, 5).filter(bool)
     return st.lists(st.tuples(subgroup, coeff), min_size=0, max_size=max_terms).map(
-        lambda terms: EulerElement.make(rank, terms)
+        lambda terms: EulerElement(rank, terms)
     )
 
 
 def rep_strategy(rank: int):
     weight = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).filter(any)
     pairs = st.lists(st.tuples(weight.map(tuple), st.integers(1, 2)), max_size=3)
-    return st.builds(lambda t, ws: TorusRep.make(rank, t, ws), st.integers(0, 2), pairs)
+    return st.builds(lambda t, ws: TorusRep(rank, t, ws), st.integers(0, 2), pairs)
+
+
+# --- construction ------------------------------------------------------------------
+
+
+def test_constructor_canonicalises_terms():
+    unit, h1 = TorusSubgroup.full_torus(2), subgroup_canonical(2, [(1, 0)])
+    h2 = subgroup_canonical(2, [(1, 1), (0, 2)])
+    x = EulerElement(2, [(h2, 1), (h1, 2), (unit, 0), (h2, -1), (h1, 1), (unit, 4)])
+    assert x.terms == ((unit, 4), (h1, 3))
+    assert x == EulerElement(2, {h1: 3, unit: 4}) == EulerElement(2, list(reversed(x.terms)))
+    with pytest.raises(InputError):
+        EulerElement(3, [(h1, 1)])
+
+
+def test_element_survives_a_pickle_round_trip():
+    x = gen(3, (1, 2, 0)) - 2 * gen(3, (0, 1, 1), (2, 0, 0)) + EulerElement.unit(3)
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 # --- linear combinations -------------------------------------------------------
@@ -104,7 +123,7 @@ def literal_star(a, b):
             hi = subgroup_intersect(ha, hb)
             if ha.dim + hb.dim == r + hi.dim:
                 acc[hi] = acc.get(hi, 0) + ca * cb
-    return EulerElement.make(r, acc)
+    return EulerElement(r, acc)
 
 
 def random_element(rng, r):
@@ -113,7 +132,7 @@ def random_element(rng, r):
     for _ in range(rng.randint(0, 4)):
         chars = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, r))]
         terms.append((subgroup_canonical(r, chars), rng.choice([-3, -2, -1, 1, 2, 3])))
-    return EulerElement.make(r, terms)
+    return EulerElement(r, terms)
 
 
 def test_star_matches_literal_rule_on_random_pairs():
@@ -122,9 +141,6 @@ def test_star_matches_literal_rule_on_random_pairs():
     for trial in range(400):
         r = 1 + trial % 4
         a, b = random_element(rng, r), random_element(rng, r)
-        if trial % 2:
-            # unsorted terms: the public constructor does not sort
-            b = EulerElement(r, tuple(reversed(b.terms)))
         codims = [(ha.codim, hb.codim) for ha, _ in a.terms for hb, _ in b.terms]
         unit_pairs += sum(1 for ka, kb in codims if ka == 0 or kb == 0)
         deep_pairs += sum(1 for ka, kb in codims if ka + kb > r)
@@ -227,7 +243,7 @@ def test_deg_doubled_rotation():
 
 
 def test_deg_mirror_pair_in_rank_two():
-    v = TorusRep.make(2, 0, {(1, 1): 1, (1, -1): 1})
+    v = TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
     order_two = gen(2, (1, 1), (1, -1))
     expected = EulerElement.unit(2) - gen(2, (1, 1)) - gen(2, (1, -1)) + order_two
     assert deg_minus_id(v) == expected
@@ -250,7 +266,7 @@ def test_deg_takes_the_product_rule():
         calls.append((a, b))
         return star(a, b)
 
-    v = TorusRep.make(2, 1, {(1, 0): 2, (0, 1): 1})
+    v = TorusRep(2, 1, {(1, 0): 2, (0, 1): 1})
     assert deg_minus_id(v, counted) == deg_minus_id(v)
     assert len(calls) == 2  # one product per distinct weight
 
@@ -272,7 +288,7 @@ def test_codim_part():
     x = EulerElement.unit(1) - 2 * gen(1, (1,))
     assert codim_part(x, 0) == EulerElement.unit(1)
     assert codim_part(x, 1) == -2 * gen(1, (1,))
-    v = TorusRep.make(2, 0, {(1, 1): 1, (1, -1): 1})
+    v = TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
     assert codim_part(deg_minus_id(v), 2) == gen(2, (1, 1), (1, -1))
 
 
@@ -378,7 +394,7 @@ def test_plucker_image_is_multiplicative():
         r = 1 + trial % 4
         a, b = random_element(rng, r), random_element(rng, r)
         if trial % 3 == 0:  # doubled characters: non-primitive annihilators
-            a = EulerElement.make(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.annihilator.basis]), c)
+            a = EulerElement(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.annihilator.basis]), c)
                                       for h, c in a.terms])
         for h, _ in a.terms + b.terms:
             coords = {abs(p) for (i, j), p in plucker_generator(h).items() if i == j}
@@ -393,7 +409,7 @@ def random_rep(rng, r):
         m = [rng.randint(-3, 3) for _ in range(r)]
         if any(m):
             weights.append((m, rng.randint(1, 3)))
-    return TorusRep.make(r, rng.randint(0, 3), weights)
+    return TorusRep(r, rng.randint(0, 3), weights)
 
 
 def test_plucker_degree_closed_form():

@@ -1,13 +1,19 @@
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
+import threading
+import time
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torbif.intlat as intlat
 from torbif.errors import InputError
 from torbif.intlat import (
     IntMatrix,
@@ -391,14 +397,55 @@ def test_intern_table_holds_subgroups_weakly():
     assert key not in _INTERNED
 
 
-def test_directly_built_subgroup_equals_interned_one():
-    interned = subgroup_canonical(2, [(1, 2)])
-    direct = TorusSubgroup(2, Lattice(2, [(2, 4), (1, 2)]))
-    assert direct is not interned
-    assert direct == interned and hash(direct) == hash(interned)
-    assert {interned: 1}[direct] == 1
-    assert direct.codim == 1 and direct.sort_key == interned.sort_key == (1, ((1, 2),))
-    assert direct != subgroup_canonical(2, [(1, -2)])
+def test_direct_construction_gives_no_second_instance():
+    h = subgroup_canonical(2, [(1, 2)])
+    with pytest.raises(TypeError):
+        TorusSubgroup(2, Lattice(2, [(2, 4), (1, 2)]))
+    with pytest.raises(TypeError):
+        TorusSubgroup()
+    assert _INTERNED[2, ((1, 2),)] is h
+    # equality and hashing are by identity
+    assert "__eq__" not in vars(TorusSubgroup) and "__hash__" not in vars(TorusSubgroup)
+
+
+def test_copies_and_pickles_are_the_interned_subgroup():
+    h = subgroup_canonical(3, [(6, 4, 2)])
+    assert copy.copy(h) is h
+    assert copy.deepcopy(h) is h
+    assert pickle.loads(pickle.dumps(h)) is h
+    assert copy.deepcopy({h: [h]}) == {h: [h]}
+    # a pickle outlives its subgroup and is interned again when loaded
+    data = pickle.dumps(subgroup_canonical(3, [(89, 97, 101)]))
+    gc.collect()
+    assert pickle.loads(data) is subgroup_canonical(3, [(89, 97, 101)])
+
+
+class _YieldingTable(weakref.WeakValueDictionary):
+    """An intern table that lets the other threads run between a look-up and its answer."""
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        time.sleep(0.001)
+        return found
+
+
+def test_threads_building_the_same_new_subgroups_get_one_object(monkeypatch):
+    monkeypatch.setattr(intlat, "_INTERNED", _YieldingTable())
+    count = 8
+    fresh = [[(1000 + i, 7, 3), (0, 11, 5)] for i in range(20)]
+    barrier = threading.Barrier(count)
+    built: list[list[TorusSubgroup]] = [[] for _ in range(count)]
+
+    def build(slot):
+        barrier.wait()
+        built[slot] = [subgroup_canonical(3, chars) for chars in fresh]
+
+    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(len({id(h) for h in column}) == 1 for column in zip(*built))
 
 
 # --- randomized structure properties --------------------------------------------------

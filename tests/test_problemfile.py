@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from importlib import resources
 
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torbif.bifurcation import analyze_levels
 from torbif.errors import InputError, RefusalError
 from torbif.eulerring import EulerElement
+from torbif.oracle import circle_quartic_spec
 from torbif.problemfile import (
     build_report,
     parse_problem,
@@ -81,6 +85,16 @@ def test_dim_mismatch_code():
     with pytest.raises(InputError) as err:
         parse_problem_dict(doc)
     assert err.value.code == "DIM_MISMATCH"
+
+
+def test_sweep_and_parser_raise_the_same_structural_code():
+    spec = dataclasses.replace(circle_quartic_spec(9), p=3)
+    with pytest.raises(InputError) as swept:
+        analyze_levels(spec)
+    with pytest.raises(InputError) as parsed:
+        parse_problem_dict(serialize_problem(spec))
+    assert swept.value.code == parsed.value.code == "DIM_MISMATCH"
+    assert str(swept.value) == str(parsed.value)
 
 
 def test_b6_trivial_code():
@@ -202,6 +216,14 @@ def test_parse_serialize_roundtrip(circle_spec, sphere_spec):
     for spec in (circle_spec, sphere_spec):
         again = parse_problem_dict(serialize_problem(spec))
         assert again == spec
+
+
+def test_pickle_roundtrip(circle_spec, sphere_spec):
+    # unpickled subgroups are the interned ones, so the elements inside compare equal
+    for spec in (circle_spec, sphere_spec):
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec
+        assert [h for h, _ in again.origin_degree_neg.terms] == [h for h, _ in spec.origin_degree_neg.terms]
 
 
 # --- reports ------------------------------------------------------------------------------

@@ -135,11 +135,9 @@ def test_index_equals_the_from_scratch_route(doc):
         if lam == 0:
             expected = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
         else:
-            far, near = (outcome.negative_above, outcome.negative_below) if lam > 0 else (
-                outcome.negative_below, outcome.negative_above)
             lifted = lift(spec.origin_degree_pos if lam > 0 else spec.origin_degree_neg, spec.l)
-            expected = star(lifted, deg_minus_id(far, star) - deg_minus_id(near, star))
-            expected = expected if lam > 0 else -expected
+            above, below = (deg_minus_id(v, star) for v in (outcome.negative_above, outcome.negative_below))
+            expected = star(lifted, above - below)
         assert outcome.index == expected, lam
 
 

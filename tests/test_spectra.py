@@ -44,9 +44,9 @@ def test_flat_torus_plane():
     entries = flat_torus_spectrum(2, 2)
     by_beta = {int(e.beta): e for e in entries}
     assert set(by_beta) == {0, 1, 2}
-    assert by_beta[1].eigenspace == TorusRep.make(2, 0, {(1, 0): 1, (0, 1): 1})
+    assert by_beta[1].eigenspace == TorusRep(2, 0, {(1, 0): 1, (0, 1): 1})
     assert by_beta[1].eigenspace.dim == 4
-    assert by_beta[2].eigenspace == TorusRep.make(2, 0, {(1, 1): 1, (1, -1): 1})
+    assert by_beta[2].eigenspace == TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
     assert not by_beta[1].irreducible_nontrivial
 
 
@@ -74,17 +74,17 @@ def test_flat_torus_dimension_count(d, cutoff):
 def test_sphere_two_sphere_levels():
     entries = sphere_spectrum(3, 2)
     assert [e.beta for e in entries] == [0, 2, 6]
-    assert entries[1].eigenspace == TorusRep.make(1, 1, {(1,): 1})
+    assert entries[1].eigenspace == TorusRep(1, 1, {(1,): 1})
     assert entries[1].eigenspace.dim == 3
     assert entries[1].highest_weight == (1,)
-    assert entries[2].eigenspace == TorusRep.make(1, 1, {(1,): 1, (2,): 1})
+    assert entries[2].eigenspace == TorusRep(1, 1, {(1,): 1, (2,): 1})
     assert entries[2].eigenspace.dim == 5
 
 
 def test_sphere_three_sphere_first_level():
     entries = sphere_spectrum(4, 1)
     assert entries[1].beta == 3
-    assert entries[1].eigenspace == TorusRep.make(2, 0, {(1, 0): 1, (0, 1): 1})
+    assert entries[1].eigenspace == TorusRep(2, 0, {(1, 0): 1, (0, 1): 1})
     assert entries[1].eigenspace.dim == 4
 
 

@@ -14,7 +14,7 @@ def rep_strategy(rank: int, max_weights: int = 3):
         st.tuples(weight.map(tuple), st.integers(1, 2)), min_size=0, max_size=max_weights
     )
     return st.builds(
-        lambda triv, ws: TorusRep.make(rank, triv, ws), st.integers(0, 2), pairs
+        lambda triv, ws: TorusRep(rank, triv, ws), st.integers(0, 2), pairs
     )
 
 
@@ -43,20 +43,28 @@ def complexified_tensor(w: TorusRep, v: TorusRep) -> TorusRep:
         if canonical_weight(m) == m:
             assert comb[tuple(-x for x in m)] == k
             folded[m] = k
-    return TorusRep.make(rank, trivial, folded)
+    return TorusRep(rank, trivial, folded)
 
 
 # --- construction ----------------------------------------------------------
 
 
+def test_constructor_canonicalises_weights():
+    v = TorusRep(2, 1, [((-1, 2), 1), ((0, 3), 0), ((1, -2), 2), ((0, -1), 1)])
+    assert v.weights == (((0, 1), 1), ((1, -2), 3))
+    assert v == TorusRep(2, 1, {(1, -2): 3, (0, 1): 1}) == TorusRep(2, 1, list(reversed(v.weights)))
+    with pytest.raises(InputError):
+        TorusRep(2, 0, [((1, 0, 0), 1)])
+
+
 def test_zero_weight_rejected():
     with pytest.raises(InputError):
-        TorusRep.make(2, 0, [((0, 0), 1)])
+        TorusRep(2, 0, [((0, 0), 1)])
 
 
 def test_negative_multiplicity_rejected():
     with pytest.raises(InputError):
-        TorusRep.make(1, 0, [((1,), -1)])
+        TorusRep(1, 0, [((1,), -1)])
 
 
 def test_rotation_of_zero_weight_is_trivial():
@@ -64,7 +72,7 @@ def test_rotation_of_zero_weight_is_trivial():
 
 
 def test_dim():
-    v = TorusRep.make(2, 1, {(1, 0): 2})
+    v = TorusRep(2, 1, {(1, 0): 2})
     assert v.dim == 5
 
 
@@ -77,7 +85,7 @@ def test_direct_sum_merges_multiplicities():
 
 def test_direct_sum_with_trivial():
     v = direct_sum(TorusRep.trivial(1, 1), TorusRep.rotation(1, [1]))
-    assert v.trivial_mult == 1 and v.weight_dict() == {(1,): 1}
+    assert v.trivial_mult == 1 and dict(v.weights) == {(1,): 1}
 
 
 def test_direct_sum_sign_canonicalization():
@@ -90,17 +98,17 @@ def test_direct_sum_sign_canonicalization():
 
 def test_tensor_splits_into_mirror_pair():
     t = tensor(TorusRep.rotation(1, [1]), TorusRep.rotation(1, [1]))
-    assert t == TorusRep.make(2, 0, {(1, 1): 1, (1, -1): 1})
+    assert t == TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
 
 
 def test_tensor_with_trivial_factor():
     t = tensor(TorusRep.trivial(1, 1), TorusRep.rotation(1, [3]))
-    assert t == TorusRep.make(2, 0, {(0, 3): 1})
+    assert t == TorusRep(2, 0, {(0, 3): 1})
 
 
 def test_tensor_bilinear_multiplicities():
     t = tensor(TorusRep.rotation(2, [1]), TorusRep.rotation(3, [2]))
-    assert t == TorusRep.make(2, 0, {(1, 2): 6, (1, -2): 6})
+    assert t == TorusRep(2, 0, {(1, 2): 6, (1, -2): 6})
     assert t.dim == 24  # 4 * 6
 
 
