@@ -4,7 +4,9 @@ The symbolic pipeline runs entirely over arbitrary-precision integers and
 rationals: integer lattices and torus subgroups (``intlat``), torus
 representations as weight multisets (``torusrep``), the Euler ring of a
 torus (``eulerring``), spectral problem data (``spectra``), and the
-bifurcation analysis itself (``bifurcation``).  ``corroborate`` checks the
+bifurcation analysis (``bifurcation``), whose one entry point is
+``analyze_levels`` -> ``LevelSweep``, beside ``candidate_levels``,
+``kernel_rep`` and ``hessian_spectrum``.  ``corroborate`` checks the
 predictions numerically on a closed-form circle model, ``oracle`` houses
 the randomized verification suites, and ``cli``/``problemfile`` expose the
 JSON and command-line surfaces.
@@ -16,19 +18,13 @@ from .bifurcation import (
     LevelSweep,
     UnboundednessCertificate,
     Verdict,
-    analyze_level,
     analyze_levels,
-    bif_index,
     candidate_levels,
     hessian_spectrum,
     kernel_rep,
-    negative_rep,
-    sum_indices,
-    unboundedness_certificate,
-    verdict,
 )
 from .errors import ConsistencyError, CutoffError, InputError, RefusalError, TorbifError
-from .eulerring import EulerElement, codim_part, deg_minus_id, lift, linear_combine, star
+from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
     IntMatrix,
     Lattice,
@@ -73,9 +69,7 @@ __all__ = [
     "UnboundednessCertificate",
     "ValidationReport",
     "Verdict",
-    "analyze_level",
     "analyze_levels",
-    "bif_index",
     "candidate_levels",
     "character",
     "codim_generators",
@@ -88,16 +82,11 @@ __all__ = [
     "hessian_spectrum",
     "kernel_rep",
     "lift",
-    "linear_combine",
-    "negative_rep",
     "snf",
     "sphere_spectrum",
     "star",
     "subgroup_canonical",
     "subgroup_intersect",
-    "sum_indices",
     "tensor",
-    "unboundedness_certificate",
     "validate",
-    "verdict",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal
+from typing import Iterable
 
 from .errors import ConsistencyError, CutoffError, InputError, TorbifError
 from .eulerring import (
@@ -70,6 +70,15 @@ class UnboundednessCertificate:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome record for one level.
+
+    ``global_bifurcation`` is exactly nonvanishing of the index; the reason
+    tags additionally record which sufficient hypotheses hold (a kernel
+    weight with nonzero domain part, or odd kernel dimension, each on top of
+    N1 or N2).  Symmetry breaking is N2 at a nonzero level.  When neither N1
+    nor N2 is certified the verdict degrades to the local-or-global alternative.
+    """
+
     lambda0: Fraction
     global_bifurcation: bool
     reasons: tuple[str, ...]
@@ -82,6 +91,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class LevelAnalysis:
+    """One level's kernel, index and verdict, and the negative spaces just below and above it.
+
+    For a positive level these accumulate the kernels at candidates in
+    (0, lambda0), including lambda0 itself on the upper side; mirrored for
+    negative levels; both are zero at level 0 (crossing widths are symbolic,
+    so no other candidate ever sits inside the gap).
+    """
+
     lambda0: Fraction
     kernel: TorusRep
     negative_below: TorusRep
@@ -102,7 +119,10 @@ class LevelSweep:
         """The analyses in request order; raises the first level's error instead."""
         for _, outcome in self.records:
             if isinstance(outcome, TorbifError):
-                raise outcome
+                try:
+                    raise outcome
+                finally:  # the traceback holds this frame: cut its path back to the error
+                    self = outcome = None
         return [outcome for _, outcome in self.records]
 
 
@@ -153,42 +173,6 @@ def kernel_rep(spec: ProblemSpec, lambda0: Fraction | int | str) -> TorusRep:
     return out
 
 
-def _walk(spec: ProblemSpec, stop: Fraction) -> Iterator[tuple[Fraction, TorusRep, TorusRep, TorusRep]]:
-    """Yield (level, kernel, near side, far side) out to ``stop``, nearest first.
-
-    The levels are the candidates strictly between 0 and ``stop``, then ``stop``; the
-    sides are the negative spaces toward 0 and away from it: below and above a
-    positive level, above and below a negative one.
-    """
-    inside = sorted((t for t in _pairs(spec) if 0 < t / stop < 1), key=abs)
-    near = TorusRep.zero(spec.r + spec.l)
-    for t in inside + [stop]:
-        kernel = kernel_rep(spec, t)
-        far = direct_sum(near, kernel)
-        yield t, kernel, near, far
-        near = far
-
-
-def negative_rep(
-    spec: ProblemSpec, lambda0: Fraction | int | str, side: Literal["below", "above"]
-) -> TorusRep:
-    """Negative eigenspace of the Hessian just below or above the level.
-
-    For a positive level the space accumulates the kernels at candidates
-    in (0, lambda0), including lambda0 itself on the upper side; mirrored
-    for negative levels; zero at level 0 (crossing widths are symbolic, so
-    no other candidate ever sits inside the gap).
-    """
-    if side not in ("below", "above"):
-        raise InputError("side must be 'below' or 'above'")
-    lam0 = Fraction(lambda0)
-    _check_cutoff(spec, lam0)
-    if lam0 == 0:
-        return TorusRep.zero(spec.r + spec.l)
-    *_, (_, _, near, far) = _walk(spec, lam0)
-    return far if (side == "above") == (lam0 > 0) else near
-
-
 def hessian_spectrum(
     spec: ProblemSpec, lam: Fraction | int | str
 ) -> tuple[HessianEigenvalue, ...]:
@@ -212,9 +196,10 @@ def analyze_levels(
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
     The spec is validated once.  Walking outward from 0 on each side, each
-    kernel is built once and added to the negative space, and the degree of
-    -Id on the negative space is carried as a running product: at every
-    walked level deg(far) = deg(near) * deg(kernel).  At a requested level,
+    kernel is built once and added to the negative space toward 0 (near),
+    giving the one away from it (far), and the degree of -Id on the negative
+    space is carried as a running product: at every walked level
+    deg(far) = deg(near) * deg(kernel).  At a requested level,
     with the near and far sides named below and above, the index is
     lift(F) * (deg(above) - deg(below)).  It is checked without the star
     product: its Plücker-square image (see :mod:`~torbif.eulerring`) must
@@ -230,21 +215,20 @@ def analyze_levels(
     """
     report = validate(spec)
     raise_structural_errors(report)
+    pairs = _pairs(spec)
     cands = tuple(
-        CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in pairs)))
-        for lam, pairs in sorted(_pairs(spec).items())
+        CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in witnesses)))
+        for lam, witnesses in sorted(pairs.items())
     )
-    known = {c.lambda0 for c in cands}
-    wanted = sorted(known) if levels is None else [Fraction(x) for x in levels]
+    wanted = sorted(pairs) if levels is None else [Fraction(x) for x in levels]
     out: dict[Fraction, LevelAnalysis | TorbifError] = {}
     for lam in wanted:
         try:
             _check_cutoff(spec, lam)
-            if lam != 0 and lam not in known:
+            if lam != 0 and lam not in pairs:
                 raise InputError(f"{lam} is not a candidate level")
         except TorbifError as exc:
-            # a stored traceback would hold this frame, whose `out` holds the
-            # error: a cycle that keeps the whole sweep alive until gc runs
+            # stored without a traceback: it would hold this frame, whose `out` holds the error
             out[lam] = exc.with_traceback(None)
     todo = set(wanted) - set(out)
     n = spec.r + spec.l
@@ -256,8 +240,10 @@ def analyze_levels(
         lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
         phi_lifted = plucker_image(lifted) if n <= PLUCKER_MAX_RANK else None
         between: dict[Fraction, TorusRep] = {}
-        d_far, p_far = EulerElement.unit(n), PLUCKER_ONE  # degree of the zero space, and its image
-        for t, kernel, near, far in _walk(spec, stop):
+        near, d_far, p_far = zero, EulerElement.unit(n), PLUCKER_ONE  # the zero space, its degree and image
+        for t in sorted((t for t in pairs if 0 < t / stop < 1), key=abs) + [stop]:
+            kernel = kernel_rep(spec, t)
+            far = direct_sum(near, kernel)
             d_near, p_near = d_far, p_far
             d_far = star(d_near, deg_minus_id(kernel, star))
             if phi_lifted is not None:
@@ -277,36 +263,12 @@ def analyze_levels(
                 except ConsistencyError as exc:
                     out[t] = exc.with_traceback(None)
             between[t] = kernel
+            near = far
     return LevelSweep(report, cands, tuple((lam, out[lam]) for lam in wanted))
 
 
-def analyze_level(spec: ProblemSpec, lambda0: Fraction | int | str) -> LevelAnalysis:
-    """Full per-level record: kernel, side spaces, index, verdict."""
-    return analyze_levels(spec, [lambda0]).analyses()[0]
-
-
-def bif_index(spec: ProblemSpec, lambda0: Fraction | int | str) -> EulerElement:
-    """Bifurcation index at a candidate level, in U(T^(r+l)).
-
-    Lifted origin degree times the difference of the degrees of -Id on the
-    negative spaces above and below the level, checked against its
-    Plücker-square image (see :func:`analyze_levels`).
-    """
-    return analyze_level(spec, lambda0).index
-
-
-def sum_indices(spec: ProblemSpec, levels: Iterable[Fraction | int | str]) -> EulerElement:
-    """Ring sum of bifurcation indices over a set of levels."""
-    analyses = analyze_levels(spec, levels).analyses()
-    return sum((a.index for a in analyses), EulerElement.zero(spec.r + spec.l))
-
-
-def _domain_part_nonzero(spec: ProblemSpec, rep: TorusRep) -> bool:
-    return any(any(w[spec.r :]) for w, _ in rep.weights)
-
-
 def _uniqueness_scan(spec: ProblemSpec) -> str | None:
-    """Check declared highest weights are weights of their own level, new there."""
+    """Check each declared highest weight is a weight of its own eigenvalue beta, new there."""
     for le in spec.laplace_spectrum:
         if le.beta <= 0:
             continue
@@ -327,22 +289,6 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
     return None
 
 
-def unboundedness_certificate(
-    spec: ProblemSpec, lambda0: Fraction | int | str
-) -> tuple[UnboundednessCertificate | None, str | None]:
-    """Certificate that the continuum at the level is unbounded, or a reason.
-
-    Hypotheses checked: (E) with markers, irreducibility flags and fresh
-    highest weights for every positive Laplace eigenvalue, and a nonzero
-    unit coefficient in the origin degree on the relevant side.  The
-    certified coefficient at the combined-character subgroup is verified
-    against the expected closed form, and the weight is scanned out of
-    every kernel strictly between 0 and the level.
-    """
-    v = verdict(spec, lambda0)
-    return v.unbounded, v.unbounded_reason
-
-
 def _unboundedness(
     spec: ProblemSpec,
     report: ValidationReport,
@@ -353,6 +299,15 @@ def _unboundedness(
     index: EulerElement,
     between: dict[Fraction, TorusRep],
 ) -> tuple[UnboundednessCertificate | None, str | None]:
+    """Certificate that the continuum at the level is unbounded, or a reason.
+
+    Hypotheses checked: (E) with markers, irreducibility flags and fresh
+    highest weights for every positive Laplace eigenvalue, and a nonzero
+    unit coefficient in the origin degree on the relevant side.  The
+    certified coefficient at the combined-character subgroup is verified
+    against the expected closed form, and the weight is scanned out of
+    every kernel strictly between 0 and the level.
+    """
     if not report.e_holds:
         return None, "(E) fails: markers missing or not unique"
     scan_reason = _uniqueness_scan(spec)
@@ -412,19 +367,6 @@ def _unboundedness(
     )
 
 
-def verdict(spec: ProblemSpec, lambda0: Fraction | int | str) -> Verdict:
-    """Outcome record for one level.
-
-    ``global_bifurcation`` is exactly nonvanishing of the index; the
-    reason tags additionally record which sufficient hypotheses hold
-    (a kernel weight with nonzero domain part, or odd kernel dimension,
-    each on top of N1 or N2).  Symmetry breaking is N2 at a nonzero
-    level.  When neither N1 nor N2 is certified the verdict degrades to
-    the local-or-global alternative.
-    """
-    return analyze_level(spec, lambda0).verdict
-
-
 def _record(
     spec: ProblemSpec,
     report: ValidationReport,
@@ -438,7 +380,7 @@ def _record(
     """The level's analysis from the sweep's kernel, negative spaces and index."""
     cert, reason = _unboundedness(spec, report, lam0, kernel, below, above, index, between)
     certified = report.n1 or report.n2
-    domain_action = _domain_part_nonzero(spec, kernel)
+    domain_action = any(any(w[spec.r :]) for w, _ in kernel.weights)
     odd = kernel.dim % 2 == 1
 
     glob = not index.is_zero

@@ -115,20 +115,6 @@ class EulerElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def linear_combine(scalars: Sequence[int], elements: Sequence[EulerElement]) -> EulerElement:
-    if len(scalars) != len(elements):
-        raise InputError("scalar and element counts differ")
-    if not elements:
-        raise InputError("empty combination has no ambient rank")
-    r = elements[0].ambient_rank
-    acc: list[tuple[TorusSubgroup, int]] = []
-    for s, e in zip(scalars, elements):
-        if e.ambient_rank != r:
-            raise InputError("mixed ambient ranks in combination")
-        acc.extend((h, s * c) for h, c in e.terms)
-    return EulerElement(r, acc)
-
-
 def star(a: EulerElement, b: EulerElement) -> EulerElement:
     """Ring product; bilinear extension of the generator rule.
 

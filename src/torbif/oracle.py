@@ -609,12 +609,12 @@ def _fixture_checks_verdict(records: Sequence[FixtureRecord]) -> list[tuple[str,
             checks.append((f"{name}@{a.lambda0}", not a.index.is_zero))
     # constructed degenerate-origin cases: unit coefficient zero
     odd_case = degenerate_origin_spec(odd_kernel=True)
-    checks.append(("degenerate-odd@2", not bif.bif_index(odd_case, 2).is_zero))
+    checks.append(("degenerate-odd@2", not bif.analyze_levels(odd_case, [2]).analyses()[0].index.is_zero))
     even_case = degenerate_origin_spec(odd_kernel=False)
-    checks.append(("degenerate-even@1", not bif.bif_index(even_case, 1).is_zero))
+    checks.append(("degenerate-even@1", not bif.analyze_levels(even_case, [1]).analyses()[0].index.is_zero))
     # unit-coefficient route on the standard fixture
     base = parse_problem(_FIXTURES / "circle_quartic.json")
-    checks.append(("unit-route@1", not bif.bif_index(base, 1).is_zero))
+    checks.append(("unit-route@1", not bif.analyze_levels(base, [1]).analyses()[0].index.is_zero))
     return checks
 
 

@@ -376,7 +376,10 @@ def build_report(
         if isinstance(outcome, CutoffError):
             records.append({"lambda0": format_rational(lam), "refused": str(outcome)})
         elif isinstance(outcome, TorbifError):
-            raise outcome
+            try:
+                raise outcome
+            finally:  # the traceback holds this frame: cut its path back to the error
+                sweep = outcome = None
         else:
             records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
     return {"validation": _validation_doc(sweep.validation), "levels": records}

@@ -10,16 +10,7 @@ from math import comb
 
 import numpy as np
 
-from torbif.bifurcation import (
-    REASON_ODD,
-    bif_index,
-    candidate_levels,
-    kernel_rep,
-    negative_rep,
-    sum_indices,
-    unboundedness_certificate,
-    verdict,
-)
+from torbif.bifurcation import REASON_ODD, analyze_levels, candidate_levels, kernel_rep
 from torbif.corroborate import exact_branch_state, newton_branch, residual, stability_scan
 from torbif.eulerring import EulerElement, deg_minus_id, lift, star
 from torbif.intlat import subgroup_canonical
@@ -59,29 +50,30 @@ def test_criterion_4_circle_quartic_end_to_end(circle_spec, circle_deep_spec):
     assert [c.lambda0 for c in candidate_levels(circle_spec)] == [0, 1, 4, 9]
 
     # index at the first level, term for term
+    analyses = analyze_levels(circle_spec, [1, 4]).analyses()
     pair = subgroup_canonical(2, [(1, 1), (1, -1)])
     expected = (
         EulerElement.generator(pair)
         - EulerElement.generator(subgroup_canonical(2, [(1, 1)]))
         - EulerElement.generator(subgroup_canonical(2, [(1, -1)]))
     )
-    assert bif_index(circle_spec, 1) == expected
+    assert analyses[0].index == expected
 
     # coefficient -1 at the combined character for k = 1..5 (deep spectrum)
-    for k in range(1, 6):
-        idx = bif_index(circle_deep_spec, k * k)
-        assert idx.coefficient(subgroup_canonical(2, [(1, k)])) == -1
+    deep = analyze_levels(circle_deep_spec, [1, 4, 9, 16, 25]).analyses()
+    for k, a in enumerate(deep, start=1):
+        assert a.index.coefficient(subgroup_canonical(2, [(1, k)])) == -1
 
     # verdicts and certificates at every squared level
-    for k in range(1, 6):
-        v = verdict(circle_deep_spec, k * k)
+    for k, a in enumerate(deep, start=1):
+        v = a.verdict
         assert v.global_bifurcation and v.symmetry_breaking
-        cert, reason = unboundedness_certificate(circle_deep_spec, k * k)
+        cert, reason = v.unbounded, v.unbounded_reason
         assert reason is None and cert is not None
         assert cert.subgroup == subgroup_canonical(2, [(1, k)])
 
     # the summed indices over {1, 4} keep the level-one coefficient
-    total = sum_indices(circle_spec, [1, 4])
+    total = sum((a.index for a in analyses), EulerElement.zero(2))
     assert total.coefficient(subgroup_canonical(2, [(1, 1)])) == -1
     _announce(4, "circle model end to end: levels, index terms, verdicts, certificates")
 
@@ -91,25 +83,24 @@ def test_criterion_5_two_route_index_equality(circle_spec, sphere_spec):
         total_rank = spec.r + spec.l
         positives = [c.lambda0 for c in candidate_levels(spec) if c.lambda0 > 0]
         assert positives
-        for lam in positives:
-            difference_form = bif_index(spec, lam)
+        for a in analyze_levels(spec, positives).analyses():
             product_form = star(
                 star(
                     lift(spec.origin_degree_pos, spec.l),
-                    deg_minus_id(negative_rep(spec, lam, "below")),
+                    deg_minus_id(a.negative_below),
                 ),
-                deg_minus_id(kernel_rep(spec, lam)) - EulerElement.unit(total_rank),
+                deg_minus_id(kernel_rep(spec, a.lambda0)) - EulerElement.unit(total_rank),
             )
-            assert difference_form == product_form
+            assert a.index == product_form
     _announce(5, "difference and product index routes agree at all positive levels")
 
 
 def test_criterion_6_sphere_fixture(sphere_spec):
-    for k in range(1, 5):
-        lam = k * (k + 1)
-        v_dim = kernel_rep(sphere_spec, lam).dim
+    levels = [k * (k + 1) for k in range(1, 5)]
+    for k, a in enumerate(analyze_levels(sphere_spec, levels).analyses(), start=1):
+        v_dim = kernel_rep(sphere_spec, a.lambda0).dim
         assert v_dim == 2 * k + 1 and v_dim % 2 == 1
-        v = verdict(sphere_spec, lam)
+        v = a.verdict
         assert v.global_bifurcation and REASON_ODD in v.reasons
     for n in (3, 4, 5):
         for k, entry in enumerate(sphere_spectrum(n, 6)):

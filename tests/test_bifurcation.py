@@ -11,18 +11,12 @@ from torbif.bifurcation import (
     REASON_INDEX,
     REASON_ODD,
     LevelAnalysis,
-    analyze_level,
     analyze_levels,
-    bif_index,
     candidate_levels,
     hessian_spectrum,
     kernel_rep,
-    negative_rep,
-    sum_indices,
-    unboundedness_certificate,
-    verdict,
 )
-from torbif.errors import ConsistencyError, CutoffError, InputError
+from torbif.errors import ConsistencyError, CutoffError, InputError, TorbifError
 from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_generator, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
@@ -95,31 +89,32 @@ def test_kernel_sphere_odd(sphere_spec):
 
 
 def test_negative_spaces(circle_spec):
-    assert negative_rep(circle_spec, 1, "below").dim == 0
-    w = negative_rep(circle_spec, 4, "below")
+    first, second = analyze_levels(circle_spec, [1, 4]).analyses()
+    assert first.negative_below.dim == 0
+    w = second.negative_below
     assert w == kernel_rep(circle_spec, 1) and w.dim == 4
-    wa = negative_rep(circle_spec, 4, "above")
+    wa = second.negative_above
     assert wa == direct_sum(w, kernel_rep(circle_spec, 4)) and wa.dim == 8
 
 
 def test_negative_space_mirrored_for_negative_levels():
     spec = circle_inverted_spec(4)
-    below = negative_rep(spec, -4, "below")
-    above = negative_rep(spec, -4, "above")
-    assert below == direct_sum(above, kernel_rep(spec, -4))
-    assert above == kernel_rep(spec, -1)
+    [a] = analyze_levels(spec, [-4]).analyses()
+    assert a.negative_below == direct_sum(a.negative_above, kernel_rep(spec, -4))
+    assert a.negative_above == kernel_rep(spec, -1)
 
 
 def test_negative_space_zero_level(circle_spec):
-    assert negative_rep(circle_spec, 0, "below").dim == 0
-    assert negative_rep(circle_spec, 0, "above").dim == 0
+    [a] = analyze_levels(circle_spec, [0]).analyses()
+    assert a.negative_below.dim == 0
+    assert a.negative_above.dim == 0
 
 
 def test_cutoff_refusal(circle_spec):
     with pytest.raises(CutoffError):
         kernel_rep(circle_spec, 16)
     with pytest.raises(CutoffError):
-        bif_index(circle_spec, 16)
+        analyze_levels(circle_spec, [16]).analyses()
 
 
 # --- Hessian spectrum ----------------------------------------------------------------
@@ -148,69 +143,69 @@ def test_hessian_kernel_consistency(circle_spec):
 
 
 def test_index_first_level_exact_terms(circle_spec):
-    idx = bif_index(circle_spec, 1)
+    [a] = analyze_levels(circle_spec, [1]).analyses()
     expected = -gen(2, (1, 1)) - gen(2, (1, -1)) + gen(2, (1, 1), (1, -1))
-    assert idx == expected
+    assert a.index == expected
 
 
 def test_index_second_level_coefficient(circle_spec):
-    idx = bif_index(circle_spec, 4)
-    assert idx.coefficient(subgroup_canonical(2, [(1, 2)])) == -1
+    [a] = analyze_levels(circle_spec, [4]).analyses()
+    assert a.index.coefficient(subgroup_canonical(2, [(1, 2)])) == -1
 
 
 def test_index_zero_level_difference_of_lifts(circle_spec):
     # degrees I and I - chi(point) on the two sides of zero
-    assert bif_index(circle_spec, 0) == gen(2, (1, 0))
+    [a] = analyze_levels(circle_spec, [0]).analyses()
+    assert a.index == gen(2, (1, 0))
 
 
 def test_index_requires_candidate(circle_spec):
     with pytest.raises(InputError):
-        bif_index(circle_spec, Fraction(1, 2))
+        analyze_levels(circle_spec, [Fraction(1, 2)]).analyses()
 
 
 def test_index_two_routes_agree(circle_spec, sphere_spec, circle_deep_spec):
     for spec in (circle_spec, sphere_spec, circle_deep_spec):
         total = spec.r + spec.l
-        for cand in candidate_levels(spec):
-            if cand.lambda0 <= 0:
-                continue
-            index = bif_index(spec, cand.lambda0)
+        positives = [c.lambda0 for c in candidate_levels(spec) if c.lambda0 > 0]
+        for a in analyze_levels(spec, positives).analyses():
             explicit = star(
                 star(
                     lift(spec.origin_degree_pos, spec.l),
-                    deg_minus_id(negative_rep(spec, cand.lambda0, "below")),
+                    deg_minus_id(a.negative_below),
                 ),
-                deg_minus_id(kernel_rep(spec, cand.lambda0)) - EulerElement.unit(total),
+                deg_minus_id(kernel_rep(spec, a.lambda0)) - EulerElement.unit(total),
             )
-            assert index == explicit
+            assert a.index == explicit
 
 
 def test_index_negative_levels():
     spec = circle_inverted_spec(9)
-    idx = bif_index(spec, -1)
-    assert not idx.is_zero
-    assert idx.coefficient(subgroup_canonical(2, [(1, 1)])) == 1
+    [a] = analyze_levels(spec, [-1]).analyses()
+    assert not a.index.is_zero
+    assert a.index.coefficient(subgroup_canonical(2, [(1, 1)])) == 1
 
 
 def test_sum_indices(circle_spec):
-    assert sum_indices(circle_spec, [1]) == bif_index(circle_spec, 1)
-    total = sum_indices(circle_spec, [1, 4])
+    zero = EulerElement.zero(2)
+    analyses = analyze_levels(circle_spec, [1, 4]).analyses()
+    assert sum((a.index for a in analyze_levels(circle_spec, [1]).analyses()), zero) == analyses[0].index
+    total = sum((a.index for a in analyses), zero)
     assert total.coefficient(subgroup_canonical(2, [(1, 1)])) == -1
     assert total.coefficient(subgroup_canonical(2, [(1, 2)])) == -1
-    assert sum_indices(circle_spec, []) == EulerElement.zero(2)
 
 
 def test_degenerate_origin_indices():
     # zero unit coefficient in the origin degree; odd and even kernels
-    assert not bif_index(degenerate_origin_spec(odd_kernel=True), 2).is_zero
-    assert not bif_index(degenerate_origin_spec(odd_kernel=False), 1).is_zero
+    assert not analyze_levels(degenerate_origin_spec(odd_kernel=True), [2]).analyses()[0].index.is_zero
+    assert not analyze_levels(degenerate_origin_spec(odd_kernel=False), [1]).analyses()[0].index.is_zero
 
 
 # --- verdicts ------------------------------------------------------------------------
 
 
 def test_verdict_circle_level_one(circle_spec):
-    v = verdict(circle_spec, 1)
+    v = analyze_levels(circle_spec, [1]).analyses()[0].verdict
     assert v.global_bifurcation
     assert REASON_INDEX in v.reasons and REASON_DOMAIN in v.reasons
     assert v.symmetry_breaking
@@ -218,7 +213,7 @@ def test_verdict_circle_level_one(circle_spec):
 
 
 def test_verdict_sphere_odd_route(sphere_spec):
-    v = verdict(sphere_spec, 2)
+    v = analyze_levels(sphere_spec, [2]).analyses()[0].verdict
     assert v.global_bifurcation and REASON_ODD in v.reasons
     assert v.symmetry_breaking
 
@@ -256,13 +251,13 @@ def test_verdict_alternative_when_uncertified():
     )
     report = validate(stripped)
     assert not report.n1 and not report.n2
-    v = verdict(stripped, 1)
+    v = analyze_levels(stripped, [1]).analyses()[0].verdict
     assert v.alternative == "local-or-global"
     assert not v.symmetry_breaking
 
 
 def test_verdict_zero_level(circle_spec):
-    v = verdict(circle_spec, 0)
+    v = analyze_levels(circle_spec, [0]).analyses()[0].verdict
     assert v.global_bifurcation  # the lifted degrees differ
     assert not v.symmetry_breaking
     assert v.zero_level_parity == "p-even"
@@ -272,7 +267,8 @@ def test_verdict_zero_level(circle_spec):
 
 
 def test_certificate_circle_level_four(circle_spec):
-    cert, reason = unboundedness_certificate(circle_spec, 4)
+    v = analyze_levels(circle_spec, [4]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert reason is None and cert is not None
     assert cert.subgroup == subgroup_canonical(2, [(1, 2)])
     assert cert.coefficient == -1 and cert.multiplicity == 1
@@ -281,7 +277,8 @@ def test_certificate_circle_level_four(circle_spec):
 
 def test_certificate_negative_level():
     spec = circle_inverted_spec(9)
-    cert, reason = unboundedness_certificate(spec, -4)
+    v = analyze_levels(spec, [-4]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert reason is None and cert is not None
     assert cert.subgroup == subgroup_canonical(2, [(1, 2)])
     assert cert.coefficient == 1
@@ -300,13 +297,15 @@ def test_certificate_denied_without_markers(circle_spec):
         origin_degree_pos=circle_spec.origin_degree_pos,
         origin_degree_neg=circle_spec.origin_degree_neg,
     )
-    cert, reason = unboundedness_certificate(stripped, 4)
+    v = analyze_levels(stripped, [4]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert cert is None and "(E)" in reason
 
 
 def test_certificate_denied_zero_unit_coefficient():
     spec = degenerate_origin_spec(odd_kernel=False)
-    cert, reason = unboundedness_certificate(spec, 1)
+    v = analyze_levels(spec, [1]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert cert is None and "unit coefficient" in reason
 
 
@@ -316,8 +315,8 @@ def test_certificate_denied_for_a_highest_weight_outside_its_eigenspace(circle_s
         dataclasses.replace(le, highest_weight=(3,)) if le.beta == 1 else le for le in circle_spec.laplace_spectrum
     )
     spec = dataclasses.replace(circle_spec, laplace_spectrum=laplace)
-    for level in (1, 4, 9):
-        cert, reason = unboundedness_certificate(spec, level)
+    for a in analyze_levels(spec, [1, 4, 9]).analyses():
+        cert, reason = a.verdict.unbounded, a.verdict.unbounded_reason
         assert cert is None and reason == "highest weight (3,) at beta 1 is not a weight of its eigenspace"
 
 
@@ -329,17 +328,20 @@ def test_certificate_denied_for_a_highest_weight_that_is_not_new(circle_spec):
         if le.beta == 4 else le
         for le in circle_spec.laplace_spectrum
     )
-    cert, reason = unboundedness_certificate(dataclasses.replace(circle_spec, laplace_spectrum=laplace), 4)
+    v = analyze_levels(dataclasses.replace(circle_spec, laplace_spectrum=laplace), [4]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert cert is None and reason == "highest weight (1,) at beta 4 already occurs at beta 1"
 
 
 def test_certificate_zero_level(sphere_spec):
-    cert, reason = unboundedness_certificate(sphere_spec, 0)
+    v = analyze_levels(sphere_spec, [0]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert reason is None and cert is not None and cert.kind == "zero-level"
 
 
 def test_certificate_zero_level_denied_for_even_p(circle_spec):
-    cert, reason = unboundedness_certificate(circle_spec, 0)
+    v = analyze_levels(circle_spec, [0]).analyses()[0].verdict
+    cert, reason = v.unbounded, v.unbounded_reason
     assert cert is None and reason == "p is even"
 
 
@@ -347,9 +349,8 @@ def test_certificate_zero_level_denied_for_even_p(circle_spec):
 
 
 def test_analyze_level_consistency(circle_spec):
-    a = analyze_level(circle_spec, 4)
+    [a] = analyze_levels(circle_spec, [4]).analyses()
     assert a.negative_above == direct_sum(a.negative_below, a.kernel)
-    assert a.index == bif_index(circle_spec, 4)
     assert a.verdict.global_bifurcation
 
 
@@ -363,7 +364,7 @@ def test_sweep_records_match_single_levels(name, request):
     records = analyze_levels(spec).records
     assert [lam for lam, _ in records] == [c.lambda0 for c in candidate_levels(spec)]
     for lam, outcome in records:
-        assert outcome == analyze_level(spec, lam)
+        assert outcome == analyze_levels(spec, [lam]).records[0][1]
 
 
 def test_sweep_keeps_request_order_duplicates_and_errors(circle_spec):
@@ -375,7 +376,12 @@ def test_sweep_keeps_request_order_duplicates_and_errors(circle_spec):
 
 
 def test_sweep_errors_leave_no_reference_cycles(circle_spec):
-    # a stored error with its traceback would keep the whole sweep alive until gc runs
+    # a stored error with its traceback would keep the whole sweep alive until gc runs,
+    # and so would a raised one whose traceback holds a frame that holds the sweep
+    raising = [
+        lambda: analyze_levels(circle_spec, [16]).analyses(),
+        lambda: build_report(circle_spec, [Fraction(1, 2)]),
+    ]
     gc.collect()
     gc.disable()
     try:
@@ -383,6 +389,15 @@ def test_sweep_errors_leave_no_reference_cycles(circle_spec):
         assert [type(outcome) for _, outcome in records] == [LevelAnalysis, InputError, CutoffError]
         del records
         assert gc.collect() == 0
+        for call in raising:
+            # not pytest.raises: its ExceptionInfo makes a cycle through this frame
+            try:
+                call()
+            except TorbifError:
+                pass
+            else:
+                pytest.fail("no error raised")
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -398,7 +413,7 @@ def test_negative_level_route_mismatch_is_a_defect(monkeypatch):
 
     monkeypatch.setattr(bifurcation, "deg_minus_id", corrupted)
     with pytest.raises(ConsistencyError, match="level -4"):
-        bif_index(spec, -4)
+        analyze_levels(spec, [-4]).analyses()
 
 
 def corrupt_kernel_degree(monkeypatch, spec, level, error=None):
@@ -419,7 +434,7 @@ def test_first_level_kernel_corruption_is_a_defect(monkeypatch, circle_spec):
     # at the first level deg(far) is deg(kernel): only the image check sees it
     corrupt_kernel_degree(monkeypatch, circle_spec, 1)
     with pytest.raises(ConsistencyError, match="level 1"):
-        bif_index(circle_spec, 1)
+        analyze_levels(circle_spec, [1]).analyses()
 
 
 def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circle_spec):
@@ -429,9 +444,10 @@ def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circ
     h1, h2 = subgroup_canonical(2, [(2, 0), (0, 1)]), subgroup_canonical(2, [(1, 0), (0, 2)])
     assert plucker_generator(h1) == plucker_generator(h2) == {(3, 3): 4}
     assert circle_spec.r + circle_spec.l == 2
-    honest = bif_index(circle_spec, 1)
+    [honest] = analyze_levels(circle_spec, [1]).analyses()
     corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement(2, [(h1, 1), (h2, -1)]))
-    assert bif_index(circle_spec, 1) != honest
+    [corrupted] = analyze_levels(circle_spec, [1]).analyses()
+    assert corrupted.index != honest.index
 
 
 def high_rank_doc(l):
@@ -492,4 +508,4 @@ def test_high_rank_kernel_corruption_is_a_defect(monkeypatch, rank, level):
     spec = high_rank_spec(monkeypatch, rank)
     corrupt_kernel_degree(monkeypatch, spec, level)
     with pytest.raises(ConsistencyError, match=f"level {level}"):
-        bif_index(spec, level)
+        analyze_levels(spec, [level]).analyses()

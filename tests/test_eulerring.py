@@ -15,7 +15,6 @@ from torbif.eulerring import (
     codim_part,
     deg_minus_id,
     lift,
-    linear_combine,
     plucker_degree,
     plucker_generator,
     plucker_image,
@@ -72,23 +71,28 @@ def test_element_survives_a_pickle_round_trip():
 
 def test_linear_combine_cancellation():
     unit = EulerElement.unit(2)
-    assert linear_combine([1, -1], [unit, unit]) == EulerElement.zero(2)
+    assert unit + -1 * unit == EulerElement.zero(2)
+    assert EulerElement(2, [*unit.terms, *(-1 * unit).terms]) == EulerElement.zero(2)
 
 
 def test_linear_combine_merges():
     x = gen(2, (1, 0))
-    assert linear_combine([2, 3], [x, x]) == 5 * x
+    assert 2 * x + 3 * x == 5 * x
+    assert EulerElement(2, [*(2 * x).terms, *(3 * x).terms]) == 5 * x
 
 
 def test_zero_coefficients_dropped():
-    combined = linear_combine([1, 0], [EulerElement.unit(2), gen(2, (1, 1))])
+    combined = 1 * EulerElement.unit(2) + 0 * gen(2, (1, 1))
     assert combined == EulerElement.unit(2)
     assert len(combined.terms) == 1
+    assert EulerElement(2, [*EulerElement.unit(2).terms, (subgroup_canonical(2, [(1, 1)]), 0)]).terms == combined.terms
 
 
 def test_rank_mismatch_raises():
     with pytest.raises(InputError):
-        linear_combine([1, 1], [EulerElement.unit(1), EulerElement.unit(2)])
+        EulerElement.unit(1) + EulerElement.unit(2)
+    with pytest.raises(InputError):
+        EulerElement(2, EulerElement.unit(1).terms)
     with pytest.raises(InputError):
         star(EulerElement.unit(1), EulerElement.unit(2))
 
