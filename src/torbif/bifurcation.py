@@ -15,6 +15,7 @@ the defining difference of degrees depends on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -33,7 +34,7 @@ from .eulerring import (
     star,
 )
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
-from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, raise_structural_errors, validate
+from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
 from .torusrep import TorusRep, canonical_weight, direct_sum, tensor
 
 REASON_INDEX = "index-nonzero"
@@ -119,10 +120,7 @@ class LevelSweep:
         """The analyses in request order; raises the first level's error instead."""
         for _, outcome in self.records:
             if isinstance(outcome, TorbifError):
-                try:
-                    raise outcome
-                finally:  # the traceback holds this frame: cut its path back to the error
-                    self = outcome = None
+                raise copy.copy(outcome)  # the stored error keeps no traceback
         return [outcome for _, outcome in self.records]
 
 
@@ -214,7 +212,6 @@ def analyze_levels(
     candidate.
     """
     report = validate(spec)
-    raise_structural_errors(report)
     pairs = _pairs(spec)
     cands = tuple(
         CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in witnesses)))

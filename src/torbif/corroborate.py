@@ -43,9 +43,6 @@ class CircleModel:
     lam: float
     coeffs: np.ndarray
 
-    def copy(self) -> "CircleModel":
-        return CircleModel(self.n_modes, self.lam, self.coeffs.copy())
-
 
 def _grid(n_modes: int) -> np.ndarray:
     # 4(N+1) points: cubic products of degree <= 3N alias only onto modes > N
@@ -125,7 +122,6 @@ def energy(model: CircleModel) -> float:
 def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
     """Inner product under which ``residual`` is the gradient of ``energy``."""
     w = _mode_weights(n_modes) * np.pi
-    w = w.copy()
     w[0] = 2.0 * np.pi
     return float(np.sum(x * y * w))
 

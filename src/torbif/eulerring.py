@@ -241,12 +241,6 @@ def _annihilator_wedge(h: TorusSubgroup) -> dict[int, int]:
     return w
 
 
-def plucker_generator(h: TorusSubgroup) -> PluckerImage:
-    """Phi(chi(H)) = w_H (x) w_H; the full torus maps to 1."""
-    w = _annihilator_wedge(h)
-    return {(i, j): p * q for i, p in w.items() for j, q in w.items()}
-
-
 def plucker_image(x: EulerElement) -> PluckerImage:
     """Phi(x) = sum of c * w_H (x) w_H over the terms c chi(H) of x."""
     acc: dict[tuple[int, int], int] = {}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
 
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 
 Vector = tuple[int, ...]
 
@@ -119,33 +119,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    if m.rows != m.cols:
-        raise InputError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ConsistencyError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [e * inv for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
-    flat = []
-    for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ConsistencyError("matrix is not unimodular")
-            flat.append(int(v))
-    return IntMatrix(n, n, tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -413,19 +386,14 @@ def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
 def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
     """Exactly codim(h) characters whose kernels intersect to ``h``.
 
-    Uses the Smith form D = P R Q of the annihilator basis R: the j-th
-    character is the j-th invariant factor times the j-th row of Q^-1,
-    which spans the same lattice as R.
+    Uses the Smith form D = P R Q of the annihilator basis R: the rows of
+    P R = D Q^-1 are the invariant factors times the rows of the unimodular
+    Q^-1, and they span the same lattice as R.
     """
     if h.is_full:
         return ()
     rmat = IntMatrix.from_rows(h.annihilator.basis, h.ambient_rank)
-    dec = snf(rmat)
-    qinv = inverse_unimodular(dec.Q)
-    out = []
-    for j, dj in enumerate(dec.invariant_factors):
-        out.append(tuple(dj * qinv[j, c] for c in range(h.ambient_rank)))
-    return tuple(out)
+    return (snf(rmat).P @ rmat).to_rows()
 
 
 def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:

@@ -124,11 +124,6 @@ class ValidationReport:
     n2_method: str | None
     e_holds: bool
     e_witnesses: tuple[tuple[Fraction, Vector], ...] | None
-    structural_errors: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.structural_errors
 
 
 def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
@@ -280,36 +275,39 @@ def sphere_harmonic_dim(n: int, k: int) -> int:
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Check the structural and hypothesis-level properties of a spec.
 
-    Never raises: structural problems are reported as messages.  The
-    hypothesis flags are: N1 (origin nondegenerate, no zero matrix
-    eigenvalue), N2 (no fixed vectors in positive Laplace eigenspaces,
-    certified either by irreducibility flags or the stronger
-    torus-fixed-point-free criterion), and (E) (each matrix eigenvalue
-    owns a marker weight occurring in its eigenspace and in no other).
+    Structural problems raise one InputError that lists every one of them,
+    with the code of the first (DIM_MISMATCH, SCHEMA, CUTOFF_INSUFFICIENT
+    or B6_TRIVIAL).  The hypothesis flags are: N1 (origin nondegenerate, no
+    zero matrix eigenvalue), N2 (no fixed vectors in positive Laplace
+    eigenspaces, certified either by irreducibility flags or the stronger
+    torus-fixed-point-free criterion), and (E) (each matrix eigenvalue owns
+    a marker weight occurring in its eigenspace and in no other).
     """
-    errors: list[str] = []
+    errors: list[tuple[str, str]] = []
     total = sum(e.eigenspace.dim for e in spec.matrix_spectrum)
     if total != spec.p:
-        errors.append(f"DIM_MISMATCH: matrix eigenspace dimensions sum to {total}, expected p={spec.p}")
+        errors.append(("DIM_MISMATCH", f"matrix eigenspace dimensions sum to {total}, expected p={spec.p}"))
     if not spec.matrix_spectrum:
-        errors.append("SCHEMA: empty matrix spectrum")
+        errors.append(("SCHEMA", "empty matrix spectrum"))
     if not spec.laplace_spectrum:
-        errors.append("SCHEMA: empty Laplace spectrum")
+        errors.append(("SCHEMA", "empty Laplace spectrum"))
     alphas = [e.alpha for e in spec.matrix_spectrum]
     if len(set(alphas)) != len(alphas):
-        errors.append("SCHEMA: repeated matrix eigenvalue")
+        errors.append(("SCHEMA", "repeated matrix eigenvalue"))
     betas = [e.beta for e in spec.laplace_spectrum]
     if len(set(betas)) != len(betas):
-        errors.append("SCHEMA: repeated Laplace eigenvalue")
+        errors.append(("SCHEMA", "repeated Laplace eigenvalue"))
     for b in betas:
         if b > spec.beta_cutoff:
-            errors.append(f"CUTOFF_INSUFFICIENT: eigenvalue {b} exceeds declared cutoff {spec.beta_cutoff}")
+            errors.append(("CUTOFF_INSUFFICIENT", f"eigenvalue {b} exceeds declared cutoff {spec.beta_cutoff}"))
     if spec.origin_degree_pos.is_zero:
-        errors.append("B6_TRIVIAL: origin degree for positive levels is zero")
+        errors.append(("B6_TRIVIAL", "origin degree for positive levels is zero"))
     if spec.origin_degree_neg.is_zero:
-        errors.append("B6_TRIVIAL: origin degree for negative levels is zero")
+        errors.append(("B6_TRIVIAL", "origin degree for negative levels is zero"))
+    if errors:
+        raise InputError("; ".join(f"{code}: {message}" for code, message in errors), code=errors[0][0])
 
-    n1 = all(a != 0 for a in alphas) and bool(alphas)
+    n1 = all(a != 0 for a in alphas)
 
     positive = [e for e in spec.laplace_spectrum if e.beta > 0]
     if not positive:
@@ -321,7 +319,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     else:
         n2, n2_method = False, None
 
-    e_holds = bool(spec.matrix_spectrum)
+    e_holds = True
     witnesses: list[tuple[Fraction, Vector]] = []
     for e in spec.matrix_spectrum:
         if e.marker_weight is None or not e.eigenspace.occurs(e.marker_weight):
@@ -341,17 +339,4 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         n2_method=n2_method,
         e_holds=e_holds,
         e_witnesses=tuple(witnesses) if e_holds else None,
-        structural_errors=tuple(errors),
     )
-
-
-# the codes a structural error message may start with; any other is SCHEMA
-_ERROR_CODES = ("DIM_MISMATCH", "B6_TRIVIAL", "CUTOFF_INSUFFICIENT")
-
-
-def raise_structural_errors(report: ValidationReport) -> None:
-    """Raise one InputError for all structural errors, with the code of the first."""
-    if report.structural_errors:
-        first = report.structural_errors[0]
-        code = next((c for c in _ERROR_CODES if first.startswith(c)), "SCHEMA")
-        raise InputError("; ".join(report.structural_errors), code=code)

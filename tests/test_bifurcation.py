@@ -17,7 +17,7 @@ from torbif.bifurcation import (
     kernel_rep,
 )
 from torbif.errors import ConsistencyError, CutoffError, InputError, TorbifError
-from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_generator, star
+from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_image, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
 from torbif.problemfile import build_report, parse_problem_dict, report_to_json
@@ -398,6 +398,17 @@ def test_sweep_errors_leave_no_reference_cycles(circle_spec):
             else:
                 pytest.fail("no error raised")
             assert gc.collect() == 0
+        # the raised error is a copy, so the stored record gains no traceback
+        sweep = analyze_levels(circle_spec, [16])
+        try:
+            sweep.analyses()
+        except CutoffError as exc:
+            assert exc is not sweep.records[0][1] and str(exc) == str(sweep.records[0][1])
+        else:
+            pytest.fail("no error raised")
+        assert sweep.records[0][1].__traceback__ is None
+        del sweep
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -442,7 +453,7 @@ def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circ
     # the order-2 subgroups Z/2 x 1 and 1 x Z/2 of T^2 have the same image,
     # so a kernel degree off by their difference is not caught
     h1, h2 = subgroup_canonical(2, [(2, 0), (0, 1)]), subgroup_canonical(2, [(1, 0), (0, 2)])
-    assert plucker_generator(h1) == plucker_generator(h2) == {(3, 3): 4}
+    assert plucker_image(EulerElement.generator(h1)) == plucker_image(EulerElement.generator(h2)) == {(3, 3): 4}
     assert circle_spec.r + circle_spec.l == 2
     [honest] = analyze_levels(circle_spec, [1]).analyses()
     corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement(2, [(h1, 1), (h2, -1)]))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pickle
@@ -16,14 +17,13 @@ from torbif.eulerring import (
     deg_minus_id,
     lift,
     plucker_degree,
-    plucker_generator,
     plucker_image,
     plucker_star,
     star,
 )
 from torbif.intlat import IntMatrix, TorusSubgroup, subgroup_canonical, subgroup_intersect
 from torbif.oracle import star_dimension_flipped
-from torbif.problemfile import build_report, parse_problem, parse_problem_dict
+from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.torusrep import TorusRep, direct_sum
 
 
@@ -200,6 +200,18 @@ def p3_problem(cutoff):
     }
 
 
+@pytest.mark.parametrize(
+    ("cutoff", "digest"),
+    [
+        (5, "7ee47975f5b8538b0c28b6f4b9d1ce7ec7ba38f74ae4048d22fa209def9decb6"),
+        (9, "509eacd5b9f6b1bc2cda48ae7d01e92707961601d95440feee4b073770bce51f"),
+    ],
+)
+def test_p3_report_bytes_pinned(cutoff, digest):
+    text = report_to_json(build_report(parse_problem_dict(p3_problem(cutoff))))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(("cutoff", "count"), [(5, 2036), (9, 6426)])
 def test_p3_report_meets_each_pair_once(cutoff, count, meets):
     # the running degrees never meet a pair twice, so a meet memo would save nothing here
@@ -359,13 +371,13 @@ def test_deg_multiplicative(v, w):
 
 
 def test_plucker_generator_examples():
-    assert plucker_generator(subgroup_canonical(3, [])) == PLUCKER_ONE
+    assert plucker_image(EulerElement.generator(subgroup_canonical(3, []))) == PLUCKER_ONE
     with pytest.raises(TypeError):
         PLUCKER_ONE[0, 0] = 2  # shared by every sweep, so read-only
     # disconnected: the kernel of (2, 0) has annihilator 2Z x 0, so w = 2 e_0
-    assert plucker_generator(subgroup_canonical(2, [(2, 0)])) == {(1, 1): 4}
+    assert plucker_image(EulerElement.generator(subgroup_canonical(2, [(2, 0)]))) == {(1, 1): 4}
     # (1, 1) and (1, -1) span an index-2 lattice: w = 2 e_01 up to sign
-    assert plucker_generator(subgroup_canonical(2, [(1, 1), (1, -1)])) == {(3, 3): 4}
+    assert plucker_image(EulerElement.generator(subgroup_canonical(2, [(1, 1), (1, -1)]))) == {(3, 3): 4}
 
 
 def test_plucker_coordinates_are_the_minors():
@@ -379,7 +391,7 @@ def test_plucker_coordinates_are_the_minors():
             p = IntMatrix.from_rows([[row[c] for c in cols] for row in basis], len(cols)).det()
             if p:
                 minors[sum(1 << c for c in cols)] = p
-        assert plucker_generator(h) == {(i, j): p * q for i, p in minors.items() for j, q in minors.items()}
+        assert plucker_image(EulerElement.generator(h)) == {(i, j): p * q for i, p in minors.items() for j, q in minors.items()}
 
 
 def test_plucker_rank_three_algebra_has_twenty_coordinates():
@@ -401,7 +413,7 @@ def test_plucker_image_is_multiplicative():
             a = EulerElement(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.annihilator.basis]), c)
                                       for h, c in a.terms])
         for h, _ in a.terms + b.terms:
-            coords = {abs(p) for (i, j), p in plucker_generator(h).items() if i == j}
+            coords = {abs(p) for (i, j), p in plucker_image(EulerElement.generator(h)).items() if i == j}
             disconnected += math.gcd(*coords) > 1  # p_I^2 on the diagonal
         assert plucker_image(star(a, b)) == plucker_star(plucker_image(a), plucker_image(b)), (a, b)
     assert disconnected >= 100

@@ -24,7 +24,6 @@ from torbif.intlat import (
     contains,
     extend_by_full_torus,
     hermite_basis,
-    inverse_unimodular,
     snf,
     subgroup_canonical,
     subgroup_intersect,
@@ -164,11 +163,6 @@ def test_snf_matches_sympy_invariant_factors():
         theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         expected = tuple(abs(int(f)) for f in theirs if f != 0)
         assert snf(IntMatrix.from_rows(rows)).invariant_factors == expected, rows
-
-
-def test_inverse_unimodular_roundtrip():
-    m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    assert (m @ inverse_unimodular(m)) == IntMatrix.identity(2)
 
 
 # --- Hermite form and lattices --------------------------------------------------
@@ -345,6 +339,21 @@ def test_codim_generators_trivial_subgroup():
 
 def test_codim_generators_full_torus_empty():
     assert codim_generators(TorusSubgroup.full_torus(3)) == ()
+
+
+def test_codim_generators_smith_structure():
+    # row j is the j-th invariant factor times a primitive row of Q^-1; a
+    # Hermite basis has the right count and span but not these gcds
+    rng = random.Random(12)
+    for _ in range(300):
+        r = rng.randint(1, 5)
+        chars = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rng.randint(1, r + 1))]
+        h = subgroup_canonical(r, chars)
+        gens = codim_generators(h)
+        assert len(gens) == h.codim
+        assert subgroup_canonical(r, gens) is h
+        factors = snf(IntMatrix.from_rows(h.annihilator.basis, r)).invariant_factors
+        assert [math.gcd(*row) for row in gens] == list(factors), chars
 
 
 # --- membership --------------------------------------------------------------------

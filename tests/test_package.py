@@ -20,3 +20,35 @@ def test_public_names_resolve_once():
 def test_sources_parse_as_python_3_10(path):
     # pyproject declares requires-python >= 3.10
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    annotations = [
+        n.annotation if isinstance(n, (ast.arg, ast.AnnAssign)) else n.returns
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    # a quoted annotation names its types inside a string
+    quoted = [
+        ast.parse(a.value, mode="eval") for a in annotations if isinstance(a, ast.Constant) and isinstance(a.value, str)
+    ]
+    used = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in (ROOT / "src" / "torbif").glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_modules_use_every_import(path):
+    # no linter runs here; a deletion that strands an import should still fail
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

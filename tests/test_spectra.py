@@ -135,7 +135,6 @@ def make_spec(**overrides):
 
 def test_validate_circle_fixture(circle_spec):
     report = validate(circle_spec)
-    assert report.ok
     assert report.n1 and report.n2 and report.e_holds
     assert report.e_witnesses == ((Fraction(1), (1,)),)
 
@@ -161,20 +160,23 @@ def test_validate_duplicate_marker_fails_e():
 
 def test_validate_dim_mismatch_reported():
     spec = make_spec(p=3)
-    report = validate(spec)
-    assert any(e.startswith("DIM_MISMATCH") for e in report.structural_errors)
+    with pytest.raises(InputError) as info:
+        validate(spec)
+    assert info.value.code == "DIM_MISMATCH"
 
 
 def test_validate_trivial_degree_reported():
     spec = make_spec(origin_degree_pos=EulerElement.zero(1))
-    report = validate(spec)
-    assert any(e.startswith("B6_TRIVIAL") for e in report.structural_errors)
+    with pytest.raises(InputError) as info:
+        validate(spec)
+    assert info.value.code == "B6_TRIVIAL"
 
 
 def test_validate_beta_above_cutoff_reported():
     spec = make_spec(beta_cutoff=Fraction(5))
-    report = validate(spec)
-    assert any(e.startswith("CUTOFF_INSUFFICIENT") for e in report.structural_errors)
+    with pytest.raises(InputError) as info:
+        validate(spec)
+    assert info.value.code == "CUTOFF_INSUFFICIENT"
 
 
 def test_validate_n2_methods(sphere_spec):
