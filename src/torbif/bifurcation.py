@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -140,14 +141,33 @@ def _check_cutoff(spec: ProblemSpec, lam: Fraction) -> None:
         )
 
 
-def _pairs(spec: ProblemSpec) -> dict[Fraction, list[tuple[MatrixEigenData, LaplaceEigenData]]]:
+_Witnesses = list[tuple[MatrixEigenData, LaplaceEigenData]]
+
+
+def _pairs(spec: ProblemSpec) -> dict[Fraction, _Witnesses]:
     """Matrix and Laplace eigendata grouped by their quotient beta/alpha."""
-    acc: dict[Fraction, list[tuple[MatrixEigenData, LaplaceEigenData]]] = {}
+    acc: dict[Fraction, _Witnesses] = {}
     for me in spec.matrix_spectrum:
         if me.alpha != 0:
             for le in spec.laplace_spectrum:
                 acc.setdefault(le.beta / me.alpha, []).append((me, le))
     return acc
+
+
+@dataclass(frozen=True)
+class _SweepFacts:
+    """What every level of one sweep reads from the spec, each worked out at most once."""
+
+    spec: ProblemSpec
+    report: ValidationReport
+    pairs: dict[Fraction, _Witnesses]
+
+    @cached_property
+    def certificate_obstacle(self) -> str | None:
+        """Why no level can carry a highest-weight certificate, or None."""
+        if not self.report.e_holds:
+            return "(E) fails: markers missing or not unique"
+        return _uniqueness_scan(self.spec)
 
 
 def candidate_levels(spec: ProblemSpec) -> tuple[CandidateLevel, ...]:
@@ -164,8 +184,13 @@ def kernel_rep(spec: ProblemSpec, lambda0: Fraction | int | str) -> TorusRep:
     """
     lam0 = Fraction(lambda0)
     _check_cutoff(spec, lam0)
-    out = TorusRep.zero(spec.r + spec.l)
-    for me, le in _pairs(spec).get(lam0, []):
+    return _kernel(spec.r + spec.l, _pairs(spec).get(lam0, []))
+
+
+def _kernel(n: int, witnesses: _Witnesses) -> TorusRep:
+    """Direct sum of the tensor blocks of a level's witness pairs with positive beta."""
+    out = TorusRep.zero(n)
+    for me, le in witnesses:
         if le.beta != 0:
             out = direct_sum(out, tensor(me.eigenspace, le.eigenspace))
     return out
@@ -193,11 +218,12 @@ def analyze_levels(
 ) -> LevelSweep:
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
-    The spec is validated once.  Walking outward from 0 on each side, each
-    kernel is built once and added to the negative space toward 0 (near),
-    giving the one away from it (far), and the degree of -Id on the negative
-    space is carried as a running product: at every walked level
-    deg(far) = deg(near) * deg(kernel).  At a requested level,
+    The spec is validated once, its eigendata are grouped by level once,
+    and its highest weights are scanned at most once.  Walking outward from
+    0 on each side, each kernel is built once and added to the negative
+    space toward 0 (near), giving the one away from it (far), and the degree
+    of -Id on the negative space is carried as a running product: at every
+    walked level deg(far) = deg(near) * deg(kernel).  At a requested level,
     with the near and far sides named below and above, the index is
     lift(F) * (deg(above) - deg(below)).  It is checked without the star
     product: its Plücker-square image (see :mod:`~torbif.eulerring`) must
@@ -228,18 +254,19 @@ def analyze_levels(
             # stored without a traceback: it would hold this frame, whose `out` holds the error
             out[lam] = exc.with_traceback(None)
     todo = set(wanted) - set(out)
+    facts = _SweepFacts(spec, report, pairs)
     n = spec.r + spec.l
     zero = TorusRep.zero(n)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
         index = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
-        out[Fraction(0)] = _record(spec, report, Fraction(0), zero, zero, zero, index, {})
+        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, index, {})
     for stop in {max(todo | {0}), min(todo | {0})} - {0}:
         lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
         phi_lifted = plucker_image(lifted) if n <= PLUCKER_MAX_RANK else None
         between: dict[Fraction, TorusRep] = {}
         near, d_far, p_far = zero, EulerElement.unit(n), PLUCKER_ONE  # the zero space, its degree and image
         for t in sorted((t for t in pairs if 0 < t / stop < 1), key=abs) + [stop]:
-            kernel = kernel_rep(spec, t)
+            kernel = _kernel(n, pairs[t])  # |t| <= |stop|, which passed the cutoff check
             far = direct_sum(near, kernel)
             d_near, p_near = d_far, p_far
             d_far = star(d_near, deg_minus_id(kernel, star))
@@ -256,7 +283,7 @@ def analyze_levels(
                         agree = plucker_image(index) == plucker_star(phi_lifted, plucker_sub(p_above, p_below))
                     if not agree:
                         raise ConsistencyError(f"index routes disagree at level {t}")
-                    out[t] = _record(spec, report, t, kernel, below, above, index, between)
+                    out[t] = _record(facts, t, kernel, below, above, index, between)
                 except ConsistencyError as exc:
                     out[t] = exc.with_traceback(None)
             between[t] = kernel
@@ -287,8 +314,7 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
 
 
 def _unboundedness(
-    spec: ProblemSpec,
-    report: ValidationReport,
+    facts: _SweepFacts,
     lam0: Fraction,
     kernel: TorusRep,
     below: TorusRep,
@@ -305,11 +331,9 @@ def _unboundedness(
     against the expected closed form, and the weight is scanned out of
     every kernel strictly between 0 and the level.
     """
-    if not report.e_holds:
-        return None, "(E) fails: markers missing or not unique"
-    scan_reason = _uniqueness_scan(spec)
-    if scan_reason is not None:
-        return None, scan_reason
+    if facts.certificate_obstacle is not None:
+        return None, facts.certificate_obstacle
+    spec, report = facts.spec, facts.report
 
     if lam0 == 0:
         if not report.n1:
@@ -325,7 +349,7 @@ def _unboundedness(
     if n0 == 0:
         return None, "unit coefficient of the origin degree vanishes"
 
-    me, le = min(_pairs(spec)[lam0], key=lambda p: p[1].beta)
+    me, le = min(facts.pairs[lam0], key=lambda p: p[1].beta)
     mu = me.marker_weight
     nu = le.highest_weight
     assert mu is not None and nu is not None
@@ -365,8 +389,7 @@ def _unboundedness(
 
 
 def _record(
-    spec: ProblemSpec,
-    report: ValidationReport,
+    facts: _SweepFacts,
     lam0: Fraction,
     kernel: TorusRep,
     below: TorusRep,
@@ -375,7 +398,8 @@ def _record(
     between: dict[Fraction, TorusRep],
 ) -> LevelAnalysis:
     """The level's analysis from the sweep's kernel, negative spaces and index."""
-    cert, reason = _unboundedness(spec, report, lam0, kernel, below, above, index, between)
+    cert, reason = _unboundedness(facts, lam0, kernel, below, above, index, between)
+    spec, report = facts.spec, facts.report
     certified = report.n1 or report.n2
     domain_action = any(any(w[spec.r :]) for w, _ in kernel.weights)
     odd = kernel.dim % 2 == 1

@@ -17,18 +17,24 @@ The Plücker-square image Phi maps the ring into the commutative algebra
 sum_c Lambda^c(Q^r) (x) Lambda^c(Q^r), which has C(2r, r) coordinates,
 without any meet: Phi(chi(H)) is w_H (x) w_H, where w_H is the wedge of
 the annihilator basis rows B, with Plücker coordinates det(B[:, I]).  It
-is a ring homomorphism.  The rows of
-a transversal pair together form a basis of the lattice sum, so the wedge
-of the meet is +-w_H ^ w_H' and the sign cancels in the square; the rows
-of any other pair are dependent, and the wedge is 0.  The image of a
-degree has the closed form (-1)^k0 prod_m (1 - k_m m (x) m).  Phi is not
-injective: +-w_H records only the rational span of the annihilator and
-its covolume, so for instance the order-2 subgroups Z/2 x 1 and 1 x Z/2
-of T^2 have the same image, and Phi cannot tell their difference from 0.
+is a ring homomorphism.  The rows of a transversal pair together form a
+basis of the lattice sum, so the wedge of the meet is +-w_H ^ w_H' and the
+sign cancels in the square; the rows of any other pair are dependent, and
+the wedge is 0.  The image of a degree has the closed form
+(-1)^k0 prod_m (1 - k_m m (x) m).  Phi is not injective: +-w_H records
+only the rational span of the annihilator and its covolume, so for
+instance the order-2 subgroups Z/2 x 1 and 1 x Z/2 of T^2 have the same
+image, and Phi cannot tell their difference from 0.
+
+Most terms of a large index are finite subgroups (codim H = r).  Their
+Hermite basis B is square and upper triangular with positive pivots, so
+w_H has the one coordinate det B, which is the product of the pivots, sign
+included; it is read off the diagonal with no row-by-row wedge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 from types import MappingProxyType
@@ -234,9 +240,17 @@ def _wedge(w: dict[int, int], m: Sequence[int]) -> dict[int, int]:
 
 
 def _annihilator_wedge(h: TorusSubgroup) -> dict[int, int]:
-    """w_H = b_1 ^ ... ^ b_c over the annihilator basis rows: the minors det(B[:, I])."""
+    """w_H = b_1 ^ ... ^ b_c over the annihilator basis rows: the minors det(B[:, I]).
+
+    A finite subgroup's basis is square and upper triangular with positive
+    pivots, so its one coordinate, det B, is the product of the pivots.
+    """
+    basis = h.annihilator.basis
+    r = h.ambient_rank
+    if len(basis) == r:
+        return {(1 << r) - 1: math.prod(row[i] for i, row in enumerate(basis))}
     w = {0: 1}
-    for row in h.annihilator.basis:
+    for row in basis:
         w = _wedge(w, row)
     return w
 

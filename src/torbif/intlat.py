@@ -6,14 +6,22 @@ subgroups of a torus encoded by their annihilator character lattice.
 
 Subgroups have no public constructor: ``subgroup_canonical``,
 ``subgroup_intersect``, ``extend_by_full_torus`` and
-``TorusSubgroup.full_torus`` intern their results, and copying or unpickling
-a subgroup interns it again.  While a subgroup is alive, an equal one built
-by any of these is the same object, so subgroups compare and hash by
-identity and each instance computes its codimension and sort key once.  The
-intern table holds its values weakly and lives as long as the process.  One
-lock covers the table's look-up and insert, so two threads that build the
-same new subgroup at once get the same object; the Hermite basis that keys
-the table is computed outside the lock.
+``TorusSubgroup.full_torus`` canonicalise the annihilator and intern the
+result, and copying or unpickling a subgroup interns it again.  While a
+subgroup is alive, an equal one built by any of these is the same object, so
+subgroups compare and hash by identity and each instance computes its
+codimension and sort key once.
+
+Each constructor hands the intern table a basis that is already in Hermite
+form: ``subgroup_canonical`` from ``hermite_basis``; a meet from the
+elimination core run on the two stored canonical bases together, with no
+input checks; the zero-padded extension and the full torus as they are.  The
+table is keyed by that basis, so a subgroup that is alive costs one look-up,
+and its ``Lattice`` is assembled once, for a new subgroup only, around the
+basis it was keyed by.  The table holds its values weakly and lives as long
+as the process.  One lock covers the look-up and insert, so two threads that
+build the same new subgroup at once get the same object; the Hermite basis
+is computed outside the lock.
 """
 
 from __future__ import annotations
@@ -239,13 +247,23 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
     dropped, so two iterables span the same lattice iff the results are
     identical.
     """
-    mat: list[list[int]] = []
+    mat: list[Sequence[int]] = []
     for row in rows:
         row = [int(e) for e in row]
         if len(row) != ambient:
             raise InputError(f"vector of length {len(row)} in ambient rank {ambient}")
         if any(row):
             mat.append(row)
+    return _hermite(ambient, mat)
+
+
+def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
+    """The elimination behind :func:`hermite_basis`, on rows of ``ambient`` ints.
+
+    ``mat`` is the caller's list and is consumed.  Its rows are never changed
+    in place, only replaced in ``mat``, so they may be the tuples of other
+    canonical bases; zero rows are allowed.
+    """
     m = len(mat)
     nr = 0
     for c in range(ambient):
@@ -284,7 +302,7 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
             if q:
                 mat[i] = [e - q * s for e, s in zip(mat[i], top)]
         nr += 1
-    return tuple(tuple(r) for r in mat[:nr])
+    return tuple(map(tuple, mat[:nr]))
 
 
 @dataclass(frozen=True)
@@ -293,7 +311,8 @@ class Lattice:
 
     The constructor accepts any spanning vectors and stores the canonical
     Hermite basis of their span, so two lattices are equal iff they span
-    the same sublattice.
+    the same sublattice.  A subgroup's annihilator is not built through it:
+    the intern table assembles it around a basis that is canonical already.
     """
 
     ambient_rank: int
@@ -301,10 +320,6 @@ class Lattice:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", hermite_basis(self.ambient_rank, self.basis))
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -330,7 +345,7 @@ class TorusSubgroup:
         )
 
     def __reduce__(self):
-        return _interned, (self.ambient_rank, self.annihilator.basis)
+        return subgroup_canonical, (self.ambient_rank, self.annihilator.basis)
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
@@ -356,31 +371,40 @@ _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 
 
-def _interned(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
-    """The one live subgroup of T^r cut out by ``characters``."""
-    lattice = Lattice(r, characters)
-    key = (r, lattice.basis)
+def _interned(r: int, basis: tuple[Vector, ...]) -> TorusSubgroup:
+    """The one live subgroup of T^r whose annihilator has the Hermite basis ``basis``.
+
+    Callers pass a basis that is canonical already (the invariant
+    ``hermite_basis(r, basis) == basis``), so a new subgroup's lattice is
+    assembled around it without running the elimination again.
+    """
+    key = (r, basis)
     with _INTERN_LOCK:
         h = _INTERNED.get(key)
         if h is None:
+            lattice = object.__new__(Lattice)
+            lattice.__dict__.update(ambient_rank=r, basis=basis)
             h = object.__new__(TorusSubgroup)
-            h.__dict__.update(
-                ambient_rank=r, annihilator=lattice, codim=lattice.rank, sort_key=(lattice.rank, lattice.basis)
-            )
+            h.__dict__.update(ambient_rank=r, annihilator=lattice, codim=len(basis), sort_key=(len(basis), basis))
             _INTERNED[key] = h
     return h
 
 
 def subgroup_canonical(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
     """Subgroup cut out by the given characters, canonically encoded."""
-    return _interned(r, characters)
+    return _interned(r, hermite_basis(r, characters))
 
 
 def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
-    """Intersection; the annihilator of the result is the lattice sum."""
+    """Intersection; the annihilator of the result is the lattice sum.
+
+    Both stored bases are canonical rows of ints, so they go to the
+    elimination as they are, without the input checks of ``hermite_basis``.
+    """
     if h.ambient_rank != h2.ambient_rank:
         raise InputError("cannot intersect subgroups of different tori")
-    return _interned(h.ambient_rank, h.annihilator.basis + h2.annihilator.basis)
+    r = h.ambient_rank
+    return _interned(r, _hermite(r, [*h.annihilator.basis, *h2.annihilator.basis]))
 
 
 def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
@@ -411,5 +435,6 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     """``h x T^l`` inside ``T^(r+l)``; annihilator characters zero-padded."""
     if l < 0:
         raise InputError("extension rank must be nonnegative")
+    # zero columns after the last keep a Hermite basis canonical
     padded = tuple(row + (0,) * l for row in h.annihilator.basis)
     return _interned(h.ambient_rank + l, padded)

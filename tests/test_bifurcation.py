@@ -20,7 +20,7 @@ from torbif.errors import ConsistencyError, CutoffError, InputError, TorbifError
 from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_image, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
-from torbif.problemfile import build_report, parse_problem_dict, report_to_json
+from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.spectra import MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
 
@@ -411,6 +411,18 @@ def test_sweep_errors_leave_no_reference_cycles(circle_spec):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_sweep_groups_eigendata_and_scans_highest_weights_once(monkeypatch, sphere_fixture_path):
+    calls = {"_pairs": 0, "_uniqueness_scan": 0}
+    for name in calls:
+        def counted(spec, name=name, fn=getattr(bifurcation, name)):
+            calls[name] += 1
+            return fn(spec)
+
+        monkeypatch.setattr(bifurcation, name, counted)
+    report = build_report(parse_problem(sphere_fixture_path))
+    assert len(report["levels"]) == 5 and calls == {"_pairs": 1, "_uniqueness_scan": 1}
 
 
 def test_negative_level_route_mismatch_is_a_defect(monkeypatch):

@@ -13,6 +13,8 @@ from torbif.errors import ConsistencyError, InputError
 from torbif.eulerring import (
     PLUCKER_ONE,
     EulerElement,
+    _annihilator_wedge,
+    _wedge,
     codim_part,
     deg_minus_id,
     lift,
@@ -205,6 +207,8 @@ def p3_problem(cutoff):
     [
         (5, "7ee47975f5b8538b0c28b6f4b9d1ce7ec7ba38f74ae4048d22fa209def9decb6"),
         (9, "509eacd5b9f6b1bc2cda48ae7d01e92707961601d95440feee4b073770bce51f"),
+        # its largest running degree has 7,065 terms: most of a report's meets
+        (15, "1a8035e9a7986e539b0f3ee8e74edafbd8cf678c9f3f262da52b36c1b13d70fd"),
     ],
 )
 def test_p3_report_bytes_pinned(cutoff, digest):
@@ -417,6 +421,41 @@ def test_plucker_image_is_multiplicative():
             disconnected += math.gcd(*coords) > 1  # p_I^2 on the diagonal
         assert plucker_image(star(a, b)) == plucker_star(plucker_image(a), plucker_image(b)), (a, b)
     assert disconnected >= 100
+
+
+def test_finite_subgroup_wedge_is_the_pivot_product():
+    rng = random.Random(20261019)
+    finite = set()
+    for trial in range(300):
+        r = 1 + trial % 7
+        h = subgroup_canonical(r, [[rng.randint(-5, 5) for _ in range(r)] for _ in range(r + rng.randint(0, 1))])
+        if h.codim != r:
+            continue
+        finite.add(r)
+        basis = h.annihilator.basis
+        by_rows = {0: 1}
+        for row in basis:
+            by_rows = _wedge(by_rows, row)
+        assert _annihilator_wedge(h) == by_rows == {(1 << r) - 1: IntMatrix.from_rows(basis).det()}, h
+    assert finite == set(range(1, 8))
+
+
+def test_corrupted_finite_term_of_an_index_is_a_defect(monkeypatch):
+    spec = parse_problem_dict(p3_problem(5))
+    n = spec.r + spec.l
+    level, index = next((lam, a.index) for lam, a in bifurcation.analyze_levels(spec).records
+                        if lam and isinstance(a, bifurcation.LevelAnalysis)
+                        and any(h.codim == n for h, _ in a.index.terms))
+    finite = next(h for h, _ in index.terms if h.codim == n)
+    honest = bifurcation.star
+
+    def corrupted(a, b):
+        out = honest(a, b)
+        return out + EulerElement.generator(finite) if out == index else out
+
+    monkeypatch.setattr(bifurcation, "star", corrupted)
+    with pytest.raises(ConsistencyError, match=f"index routes disagree at level {level}"):
+        bifurcation.analyze_levels(spec, [level]).analyses()
 
 
 def random_rep(rng, r):

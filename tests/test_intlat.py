@@ -307,6 +307,66 @@ def test_intersect_dimension_lemma_instance():
     assert meet.dim == 1  # l + dim H - 1 = 1 + 1 - 1
 
 
+def random_subgroup(rng: random.Random, r: int, big: bool) -> TorusSubgroup:
+    """Cut out by 0 to r random characters, so of codimension 0 to r; ``big`` adds entries above 2**64."""
+    chars = []
+    for _ in range(rng.randint(0, r)):
+        m = [rng.randint(-6, 6) for _ in range(r)]
+        if big:
+            m[rng.randrange(r)] += rng.choice((-1, 1)) * rng.randint(2**64, 2**70)
+        chars.append(m)
+    return subgroup_canonical(r, chars)
+
+
+def assert_hermite_of(r, basis, rows):
+    """``basis`` is in Hermite form and spans the lattice of ``rows``, checked without the elimination."""
+    pivots = []
+    for b in basis:
+        c = next(j for j, e in enumerate(b) if e)
+        assert b[c] > 0, basis
+        pivots.append(c)
+    assert pivots == sorted(set(pivots)), basis
+    for i, c in enumerate(pivots):
+        assert all(0 <= above[c] < basis[i][c] for above in basis[:i]), basis
+    assert all(in_span(basis, row) for row in rows), (rows, basis)
+    assert len(basis) == rank_by_gauss(rows)
+    if basis:  # same rank and same gcd of maximal minors: the spans are equal
+        assert math.prod(snf(IntMatrix.from_rows(basis, r)).invariant_factors) == math.prod(
+            snf(IntMatrix.from_rows(rows, r)).invariant_factors
+        )
+
+
+def test_meet_core_matches_hermite_basis_on_random_pairs():
+    # a meet hands the two stored bases to the elimination without the input checks
+    rng = random.Random(20261019)
+    counts = {"big": 0, "transversal": 0, "other": 0}
+    for trial in range(400):
+        r = 1 + trial % 5
+        big = rng.random() < 0.2
+        h, k = random_subgroup(rng, r, big), random_subgroup(rng, r, big)
+        rows = h.annihilator.basis + k.annihilator.basis
+        meet = subgroup_intersect(h, k)
+        assert meet.annihilator.basis == hermite_basis(r, rows), (h, k)
+        assert meet is subgroup_canonical(r, rows)
+        assert_hermite_of(r, meet.annihilator.basis, rows)
+        counts["big"] += any(abs(e) > 2**64 for row in rows for e in row)
+        counts["transversal" if meet.codim == h.codim + k.codim else "other"] += 1
+    assert counts["big"] >= 60 and counts["transversal"] >= 100 and counts["other"] >= 100, counts
+
+
+def test_every_subgroup_of_a_benchmark_cycle_is_interned_canonical(monkeypatch, bench_workloads):
+    # the intern table assembles a new subgroup's lattice around the basis it is
+    # handed, with no second elimination: every constructor must hand it a Hermite basis
+    handed = set()
+    interned = intlat._interned
+    monkeypatch.setattr(intlat, "_interned", lambda r, basis: handed.add((r, basis)) or interned(r, basis))
+    for op in bench_workloads.cycle("report", 1, 0):
+        bench_workloads.render_report(op["problem"])
+    assert len(handed) >= 500 and {len(basis) for _, basis in handed} >= {0, 1, 2, 3}
+    for r, basis in handed:
+        assert hermite_basis(r, basis) == basis, (r, basis)
+
+
 def test_intersect_rank_mismatch():
     with pytest.raises(InputError):
         subgroup_intersect(subgroup_canonical(1, [(1,)]), subgroup_canonical(2, [(1, 0)]))

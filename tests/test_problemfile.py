@@ -1,10 +1,8 @@
 import copy
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import pickle
-import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -258,19 +256,14 @@ def test_report_bytes_pinned(path, digest, request):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_benchmark_reports_match_golden(monkeypatch):
+def test_benchmark_reports_match_golden(bench_workloads):
     # the seven reports of benchmark seed 1, cycle 0: flat T^2 and S^3 with refusals
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    loader = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
-    workloads = importlib.util.module_from_spec(loader)
-    monkeypatch.setitem(sys.modules, loader.name, workloads)  # its dataclass looks itself up there
-    loader.loader.exec_module(workloads)
-    golden = json.loads((bench / "golden.json").read_text())
-    ops = workloads.cycle("report", 1, 0)
+    golden = json.loads((Path(bench_workloads.__file__).parent / "golden.json").read_text())
+    ops = bench_workloads.cycle("report", 1, 0)
     assert len(ops) == 7 and any(op["expect"]["refused"] for op in ops)
     for op in ops:
         assert op["key"] in golden
-        result = workloads.run_op(op, golden)
+        result = bench_workloads.run_op(op, golden)
         assert result.ok, result.detail
 
 
