@@ -15,13 +15,12 @@ the defining difference of degrees depends on.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ConsistencyError, CutoffError, InputError, TorbifError
+from .errors import ConsistencyError, CutoffError, InputError
 from .eulerring import (
     PLUCKER_MAX_RANK,
     PLUCKER_ONE,
@@ -111,17 +110,20 @@ class LevelAnalysis:
 
 @dataclass(frozen=True)
 class LevelSweep:
-    """Outcome of :func:`analyze_levels`, with one record per requested level."""
+    """Outcome of :func:`analyze_levels`, with one record per requested level.
+
+    A record is the level's analysis, or the message of its cutoff refusal.
+    """
 
     validation: ValidationReport
     candidates: tuple[CandidateLevel, ...]
-    records: tuple[tuple[Fraction, LevelAnalysis | TorbifError], ...]  # analysis or its error
+    records: tuple[tuple[Fraction, LevelAnalysis | str], ...]
 
     def analyses(self) -> list[LevelAnalysis]:
-        """The analyses in request order; raises the first level's error instead."""
+        """The analyses in request order; raises ``CutoffError`` for the first refused level instead."""
         for _, outcome in self.records:
-            if isinstance(outcome, TorbifError):
-                raise copy.copy(outcome)  # the stored error keeps no traceback
+            if isinstance(outcome, str):
+                raise CutoffError(outcome)
         return [outcome for _, outcome in self.records]
 
 
@@ -189,7 +191,7 @@ def kernel_rep(spec: ProblemSpec, lambda0: Fraction | int | str) -> TorusRep:
 
 def _kernel(n: int, witnesses: _Witnesses) -> TorusRep:
     """Direct sum of the tensor blocks of a level's witness pairs with positive beta."""
-    out = TorusRep.zero(n)
+    out = TorusRep(n)
     for me, le in witnesses:
         if le.beta != 0:
             out = direct_sum(out, tensor(me.eigenspace, le.eigenspace))
@@ -207,7 +209,7 @@ def hessian_spectrum(
         for le in spec.laplace_spectrum:
             value = (le.beta - lam * me.alpha) / (1 + le.beta)
             block = tensor(me.eigenspace, le.eigenspace)
-            acc[value] = direct_sum(acc.get(value, TorusRep.zero(spec.r + spec.l)), block)
+            acc[value] = direct_sum(acc.get(value, TorusRep(spec.r + spec.l)), block)
     return tuple(
         HessianEigenvalue(v, rep.dim, rep) for v, rep in sorted(acc.items())
     )
@@ -233,9 +235,13 @@ def analyze_levels(
     span and covolume passes this check.
     Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
     deg(far) computed from scratch.  Every ring product is ``star`` looked
-    up in this module at call time, so a rebound ``star`` sees each one.  A
-    level past the cutoff is refused before it is checked for being a
-    candidate.
+    up in this module at call time, so a rebound ``star`` sees each one.
+
+    Each requested level gets a record: its analysis, or the message of its
+    cutoff refusal.  A level past the cutoff is refused before it is checked
+    for being a candidate; a nonzero level that is not a candidate raises
+    ``InputError`` before any walk, and a failed index or certificate check
+    raises ``ConsistencyError`` where it is found.
     """
     report = validate(spec)
     pairs = _pairs(spec)
@@ -244,26 +250,26 @@ def analyze_levels(
         for lam, witnesses in sorted(pairs.items())
     )
     wanted = sorted(pairs) if levels is None else [Fraction(x) for x in levels]
-    out: dict[Fraction, LevelAnalysis | TorbifError] = {}
+    out: dict[Fraction, LevelAnalysis | str] = {}
     for lam in wanted:
         try:
             _check_cutoff(spec, lam)
-            if lam != 0 and lam not in pairs:
-                raise InputError(f"{lam} is not a candidate level")
-        except TorbifError as exc:
-            # stored without a traceback: it would hold this frame, whose `out` holds the error
-            out[lam] = exc.with_traceback(None)
+        except CutoffError as exc:
+            out[lam] = str(exc)
+            continue
+        if lam != 0 and lam not in pairs:
+            raise InputError(f"{lam} is not a candidate level")
     todo = set(wanted) - set(out)
     facts = _SweepFacts(spec, report, pairs)
     n = spec.r + spec.l
-    zero = TorusRep.zero(n)
+    zero = TorusRep(n)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
         index = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
-        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, index, {})
-    for stop in {max(todo | {0}), min(todo | {0})} - {0}:
+        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, index)
+    # positive side first: a fixed order, so the level a defect names does not depend on set order
+    for stop in sorted({max(todo | {0}), min(todo | {0})} - {0}, reverse=True):
         lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
         phi_lifted = plucker_image(lifted) if n <= PLUCKER_MAX_RANK else None
-        between: dict[Fraction, TorusRep] = {}
         near, d_far, p_far = zero, EulerElement.unit(n), PLUCKER_ONE  # the zero space, its degree and image
         for t in sorted((t for t in pairs if 0 < t / stop < 1), key=abs) + [stop]:
             kernel = _kernel(n, pairs[t])  # |t| <= |stop|, which passed the cutoff check
@@ -276,17 +282,13 @@ def analyze_levels(
                 sides = [(near, d_near, p_near), (far, d_far, p_far)]
                 (below, d_below, p_below), (above, d_above, p_above) = sides if t > 0 else sides[::-1]
                 index = star(lifted, d_above - d_below)
-                try:
-                    if phi_lifted is None:
-                        agree = d_far == deg_minus_id(far, star)
-                    else:
-                        agree = plucker_image(index) == plucker_star(phi_lifted, plucker_sub(p_above, p_below))
-                    if not agree:
-                        raise ConsistencyError(f"index routes disagree at level {t}")
-                    out[t] = _record(facts, t, kernel, below, above, index, between)
-                except ConsistencyError as exc:
-                    out[t] = exc.with_traceback(None)
-            between[t] = kernel
+                if phi_lifted is None:
+                    agree = d_far == deg_minus_id(far, star)
+                else:
+                    agree = plucker_image(index) == plucker_star(phi_lifted, plucker_sub(p_above, p_below))
+                if not agree:
+                    raise ConsistencyError(f"index routes disagree at level {t}")
+                out[t] = _record(facts, t, kernel, below, above, index)
             near = far
     return LevelSweep(report, cands, tuple((lam, out[lam]) for lam in wanted))
 
@@ -320,7 +322,6 @@ def _unboundedness(
     below: TorusRep,
     above: TorusRep,
     index: EulerElement,
-    between: dict[Fraction, TorusRep],
 ) -> tuple[UnboundednessCertificate | None, str | None]:
     """Certificate that the continuum at the level is unbounded, or a reason.
 
@@ -329,7 +330,8 @@ def _unboundedness(
     unit coefficient in the origin degree on the relevant side.  The
     certified coefficient at the combined-character subgroup is verified
     against the expected closed form, and the weight is scanned out of
-    every kernel strictly between 0 and the level.
+    every kernel strictly between 0 and the level: their direct sum is the
+    negative space on the side of the level toward 0.
     """
     if facts.certificate_obstacle is not None:
         return None, facts.certificate_obstacle
@@ -369,12 +371,9 @@ def _unboundedness(
             f"certificate coefficient at {h_star} is {coeff}, expected {expected}"
         )
 
-    excluded = tuple(sorted(between))
-    for lam in excluded:
-        if between[lam].occurs(combined) or between[lam].occurs(mirrored):
-            raise ConsistencyError(
-                f"weight {combined} leaks into the kernel at intermediate level {lam}"
-            )
+    near = below if lam0 > 0 else above
+    if near.occurs(combined) or near.occurs(mirrored):
+        raise ConsistencyError(f"weight {combined} leaks into a kernel strictly between 0 and level {lam0}")
     return (
         UnboundednessCertificate(
             kind="highest-weight",
@@ -382,7 +381,7 @@ def _unboundedness(
             coefficient=coeff,
             multiplicity=mult,
             witness=(me.alpha, le.beta, mu, nu),
-            excluded_levels=excluded,
+            excluded_levels=tuple(sorted(t for t in facts.pairs if 0 < t / lam0 < 1)),
         ),
         None,
     )
@@ -395,10 +394,9 @@ def _record(
     below: TorusRep,
     above: TorusRep,
     index: EulerElement,
-    between: dict[Fraction, TorusRep],
 ) -> LevelAnalysis:
     """The level's analysis from the sweep's kernel, negative spaces and index."""
-    cert, reason = _unboundedness(facts, lam0, kernel, below, above, index, between)
+    cert, reason = _unboundedness(facts, lam0, kernel, below, above, index)
     spec, report = facts.spec, facts.report
     certified = report.n1 or report.n2
     domain_action = any(any(w[spec.r :]) for w, _ in kernel.weights)

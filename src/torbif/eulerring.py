@@ -67,10 +67,6 @@ class EulerElement:
         object.__setattr__(self, "terms", cleaned)
 
     @staticmethod
-    def zero(r: int) -> "EulerElement":
-        return EulerElement(r)
-
-    @staticmethod
     def unit(r: int) -> "EulerElement":
         return EulerElement(r, [(TorusSubgroup.full_torus(r), 1)])
 

@@ -11,7 +11,6 @@ deterministically.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from fractions import Fraction
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .bifurcation import LevelAnalysis, Verdict, analyze_levels
-from .errors import CutoffError, InputError, RefusalError, TorbifError
+from .errors import InputError, RefusalError
 from .eulerring import EulerElement
 from .intlat import TorusSubgroup, subgroup_canonical
 from .spectra import (
@@ -366,18 +365,17 @@ def build_report(
 
     All levels are analysed in one sorted sweep and recorded in level
     order.  A level whose cutoff guard refuses is recorded in place as
-    ``{"lambda0", "refused"}``; any other error of the first failing level
-    propagates.
+    ``{"lambda0", "refused"}`` with the refusal message; a level that is not
+    a candidate raises ``InputError``, and a failed index or certificate
+    check raises ``ConsistencyError``.
     """
     wanted = None if levels is None else sorted(Fraction(x) for x in levels)
     sweep = analyze_levels(spec, wanted)
     witness_map = {c.lambda0: c.witnesses for c in sweep.candidates}
     records = []
     for lam, outcome in sweep.records:
-        if isinstance(outcome, CutoffError):
-            records.append({"lambda0": format_rational(lam), "refused": str(outcome)})
-        elif isinstance(outcome, TorbifError):
-            raise copy.copy(outcome)  # the stored error keeps no traceback
+        if isinstance(outcome, str):
+            records.append({"lambda0": format_rational(lam), "refused": outcome})
         else:
             records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
     return {"validation": _validation_doc(sweep.validation), "levels": records}

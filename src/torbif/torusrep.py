@@ -60,14 +60,6 @@ class TorusRep:
         object.__setattr__(self, "weights", tuple(sorted((m, k) for m, k in acc.items() if k)))
 
     @staticmethod
-    def zero(r: int) -> "TorusRep":
-        return TorusRep(r)
-
-    @staticmethod
-    def trivial(r: int, k: int) -> "TorusRep":
-        return TorusRep(r, k)
-
-    @staticmethod
     def rotation(k: int, m: Sequence[int]) -> "TorusRep":
         """k copies of the planar rotation block of weight m; trivial if m = 0."""
         m = tuple(int(e) for e in m)

@@ -73,7 +73,7 @@ def test_criterion_4_circle_quartic_end_to_end(circle_spec, circle_deep_spec):
         assert cert.subgroup == subgroup_canonical(2, [(1, k)])
 
     # the summed indices over {1, 4} keep the level-one coefficient
-    total = sum((a.index for a in analyses), EulerElement.zero(2))
+    total = sum((a.index for a in analyses), EulerElement(2))
     assert total.coefficient(subgroup_canonical(2, [(1, 1)])) == -1
     _announce(4, "circle model end to end: levels, index terms, verdicts, certificates")
 

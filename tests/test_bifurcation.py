@@ -16,10 +16,10 @@ from torbif.bifurcation import (
     hessian_spectrum,
     kernel_rep,
 )
-from torbif.errors import ConsistencyError, CutoffError, InputError, TorbifError
+from torbif.errors import ConsistencyError, CutoffError, InputError
 from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_image, star
 from torbif.intlat import subgroup_canonical
-from torbif.oracle import circle_inverted_spec, degenerate_origin_spec
+from torbif.oracle import circle_inverted_spec, circle_quartic_spec, degenerate_origin_spec
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.spectra import MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
@@ -50,7 +50,7 @@ def test_candidates_two_eigenvalues():
             MatrixEigenData(Fraction(2), TorusRep.rotation(1, [2]), (2,)),
         ),
         laplace_spectrum=(
-            LaplaceEigenData(Fraction(0), TorusRep.trivial(1, 1)),
+            LaplaceEigenData(Fraction(0), TorusRep(1, 1)),
             LaplaceEigenData(Fraction(2), TorusRep.rotation(1, [1]), True, (1,)),
         ),
         beta_cutoff=Fraction(2),
@@ -187,7 +187,7 @@ def test_index_negative_levels():
 
 
 def test_sum_indices(circle_spec):
-    zero = EulerElement.zero(2)
+    zero = EulerElement(2)
     analyses = analyze_levels(circle_spec, [1, 4]).analyses()
     assert sum((a.index for a in analyze_levels(circle_spec, [1]).analyses()), zero) == analyses[0].index
     total = sum((a.index for a in analyses), zero)
@@ -224,7 +224,7 @@ def test_verdict_alternative_when_uncertified():
         l=1,
         p=3,
         matrix_spectrum=(
-            MatrixEigenData(Fraction(0), TorusRep.trivial(1, 1), (0,)),
+            MatrixEigenData(Fraction(0), TorusRep(1, 1), (0,)),
             MatrixEigenData(Fraction(1), TorusRep.rotation(1, [1]), (1,)),
         ),
         laplace_spectrum=flat_torus_spectrum(1, 4),
@@ -242,7 +242,7 @@ def test_verdict_alternative_when_uncertified():
         p=3,
         matrix_spectrum=spec.matrix_spectrum,
         laplace_spectrum=tuple(
-            LaplaceEigenData(e.beta, direct_sum(e.eigenspace, TorusRep.trivial(1, 1)) if e.beta > 0 else e.eigenspace, False, None)
+            LaplaceEigenData(e.beta, direct_sum(e.eigenspace, TorusRep(1, 1)) if e.beta > 0 else e.eigenspace, False, None)
             for e in spec.laplace_spectrum
         ),
         beta_cutoff=Fraction(4),
@@ -282,6 +282,32 @@ def test_certificate_negative_level():
     assert reason is None and cert is not None
     assert cert.subgroup == subgroup_canonical(2, [(1, 2)])
     assert cert.coefficient == 1
+
+
+@pytest.mark.parametrize(
+    "spec, level, excluded",
+    [
+        (circle_quartic_spec(9), 9, (1, 4)),
+        (circle_inverted_spec(9), -9, (-4, -1)),
+        (circle_inverted_spec(9), -4, (-1,)),
+    ],
+)
+def test_certificate_excludes_every_candidate_between_zero_and_the_level(spec, level, excluded):
+    cert = analyze_levels(spec, [level]).analyses()[0].verdict.unbounded
+    assert cert is not None and cert.excluded_levels == excluded
+
+
+def test_certificate_weight_leaking_into_an_intermediate_kernel_is_a_defect(monkeypatch):
+    # with the uniqueness scan switched off, the beta = 4 highest weight [2] also
+    # sits at beta = 1, so the combined weight (1, 2) is in the level-1 kernel
+    spec = circle_quartic_spec(9)
+    laplace = tuple(
+        dataclasses.replace(le, eigenspace=direct_sum(le.eigenspace, TorusRep.rotation(1, [2]))) if le.beta == 1 else le
+        for le in spec.laplace_spectrum
+    )
+    monkeypatch.setattr(bifurcation, "_uniqueness_scan", lambda spec: None)
+    with pytest.raises(ConsistencyError, match=r"weight \(1, 2\) leaks"):
+        analyze_levels(dataclasses.replace(spec, laplace_spectrum=laplace), [4])
 
 
 def test_certificate_denied_without_markers(circle_spec):
@@ -368,47 +394,44 @@ def test_sweep_records_match_single_levels(name, request):
 
 
 def test_sweep_keeps_request_order_duplicates_and_errors(circle_spec):
-    records = analyze_levels(circle_spec, [4, 1, 4, Fraction(1, 2), 16]).records
-    assert [lam for lam, _ in records] == [4, 1, 4, Fraction(1, 2), 16]
+    records = analyze_levels(circle_spec, [4, 1, 4, 16]).records
+    assert [lam for lam, _ in records] == [4, 1, 4, 16]
     kinds = [type(outcome) for _, outcome in records]
-    assert kinds == [LevelAnalysis, LevelAnalysis, LevelAnalysis, InputError, CutoffError]
+    assert kinds == [LevelAnalysis, LevelAnalysis, LevelAnalysis, str]
     assert records[0][1] == records[2][1]
+    assert records[3][1] == "analysis at level 16 needs Laplace data up to 16, declared cutoff is 9"
+    # the cutoff is checked first, so a refused non-candidate is a refusal, an admitted one an error
+    assert analyze_levels(circle_spec, [Fraction(33, 2)]).records[0][1].startswith("analysis at level 33/2")
+    with pytest.raises(InputError, match="1/2 is not a candidate level"):
+        analyze_levels(circle_spec, [4, Fraction(1, 2), 16])
 
 
-def test_sweep_errors_leave_no_reference_cycles(circle_spec):
-    # a stored error with its traceback would keep the whole sweep alive until gc runs,
-    # and so would a raised one whose traceback holds a frame that holds the sweep
+def test_sweep_errors_leave_no_reference_cycles(circle_spec, monkeypatch):
+    # a raised error whose traceback holds a frame that holds the sweep would
+    # keep it alive until gc runs
+    corrupt_kernel_degree(monkeypatch, circle_spec, 9)
     raising = [
-        lambda: analyze_levels(circle_spec, [16]).analyses(),
-        lambda: build_report(circle_spec, [Fraction(1, 2)]),
+        (CutoffError, lambda: analyze_levels(circle_spec, [16]).analyses()),
+        (InputError, lambda: analyze_levels(circle_spec, [1, Fraction(1, 2)])),
+        (InputError, lambda: build_report(circle_spec, [Fraction(1, 2)])),
+        (ConsistencyError, lambda: analyze_levels(circle_spec, [1, 9])),
     ]
     gc.collect()
     gc.disable()
     try:
-        records = analyze_levels(circle_spec, [1, Fraction(1, 2), 16]).records
-        assert [type(outcome) for _, outcome in records] == [LevelAnalysis, InputError, CutoffError]
+        records = analyze_levels(circle_spec, [1, 16]).records
+        assert [type(outcome) for _, outcome in records] == [LevelAnalysis, str]
         del records
         assert gc.collect() == 0
-        for call in raising:
+        for expected, call in raising:
             # not pytest.raises: its ExceptionInfo makes a cycle through this frame
             try:
                 call()
-            except TorbifError:
+            except expected:
                 pass
             else:
                 pytest.fail("no error raised")
             assert gc.collect() == 0
-        # the raised error is a copy, so the stored record gains no traceback
-        sweep = analyze_levels(circle_spec, [16])
-        try:
-            sweep.analyses()
-        except CutoffError as exc:
-            assert exc is not sweep.records[0][1] and str(exc) == str(sweep.records[0][1])
-        else:
-            pytest.fail("no error raised")
-        assert sweep.records[0][1].__traceback__ is None
-        del sweep
-        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from torbif import cli
 from torbif.errors import ConsistencyError, CutoffError, InputError
+from torbif.oracle import SELFTEST_MAX_TRIALS
 
 
 @pytest.fixture()
@@ -264,6 +265,15 @@ def test_selftest_output_is_pinned(runner):
         hashlib.sha256(result.output.encode()).hexdigest()
         == "bda029f2bba218dab873aeb8136608169f6996a20f479c83cbef22f7a7ebb844"
     )
+
+
+@pytest.mark.parametrize("trials", [SELFTEST_MAX_TRIALS + 1, 1_000_000_000])
+def test_oversized_selftest_is_refused(runner, trials):
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["selftest", "--trials", str(trials)])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3
+    assert result.output == f"refused: {trials} trials are over the limit {SELFTEST_MAX_TRIALS}; lower the trial count\n"
 
 
 def test_dispatch_exit_codes():

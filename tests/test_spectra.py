@@ -31,7 +31,7 @@ def harmonic_dim_by_sym_difference(n: int, k: int) -> int:
 def test_flat_torus_circle():
     entries = flat_torus_spectrum(1, 4)
     assert [e.beta for e in entries] == [0, 1, 4]
-    assert entries[0].eigenspace == TorusRep.trivial(1, 1)
+    assert entries[0].eigenspace == TorusRep(1, 1)
     for e in entries[1:]:
         k = isqrt(int(e.beta))
         assert e.eigenspace == TorusRep.rotation(1, [k])
@@ -166,7 +166,7 @@ def test_validate_dim_mismatch_reported():
 
 
 def test_validate_trivial_degree_reported():
-    spec = make_spec(origin_degree_pos=EulerElement.zero(1))
+    spec = make_spec(origin_degree_pos=EulerElement(1))
     with pytest.raises(InputError) as info:
         validate(spec)
     assert info.value.code == "B6_TRIVIAL"
@@ -203,7 +203,7 @@ def test_validate_n2_methods(sphere_spec):
 
 def test_negative_beta_rejected():
     with pytest.raises(InputError):
-        LaplaceEigenData(Fraction(-1), TorusRep.trivial(1, 1))
+        LaplaceEigenData(Fraction(-1), TorusRep(1, 1))
 
 
 def test_marker_length_checked():

@@ -68,7 +68,7 @@ def test_negative_multiplicity_rejected():
 
 
 def test_rotation_of_zero_weight_is_trivial():
-    assert TorusRep.rotation(3, (0, 0)) == TorusRep.trivial(2, 3)
+    assert TorusRep.rotation(3, (0, 0)) == TorusRep(2, 3)
 
 
 def test_dim():
@@ -84,7 +84,7 @@ def test_direct_sum_merges_multiplicities():
 
 
 def test_direct_sum_with_trivial():
-    v = direct_sum(TorusRep.trivial(1, 1), TorusRep.rotation(1, [1]))
+    v = direct_sum(TorusRep(1, 1), TorusRep.rotation(1, [1]))
     assert v.trivial_mult == 1 and dict(v.weights) == {(1,): 1}
 
 
@@ -102,7 +102,7 @@ def test_tensor_splits_into_mirror_pair():
 
 
 def test_tensor_with_trivial_factor():
-    t = tensor(TorusRep.trivial(1, 1), TorusRep.rotation(1, [3]))
+    t = tensor(TorusRep(1, 1), TorusRep.rotation(1, [3]))
     assert t == TorusRep(2, 0, {(0, 3): 1})
 
 
@@ -124,7 +124,7 @@ def test_character_halfturn():
 
 
 def test_character_of_trivial_block():
-    assert character(TorusRep.trivial(1, 1), (Fraction(3, 7),)) == pytest.approx(1.0)
+    assert character(TorusRep(1, 1), (Fraction(3, 7),)) == pytest.approx(1.0)
 
 
 # --- properties ------------------------------------------------------------------
