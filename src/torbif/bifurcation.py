@@ -134,12 +134,24 @@ class HessianEigenvalue:
     rep: TorusRep
 
 
+# Messages show a rational in full up to this many bits (numerator plus
+# denominator, about 77 digits), and only its size past it: str() of an int of
+# over 4,300 digits raises ValueError, and a longer message helps no reader.
+_MESSAGE_MAX_BITS = 256
+
+
+def _shown(x: Fraction) -> str:
+    """``str(x)``, or ``x``'s size in bits when it is over ``_MESSAGE_MAX_BITS``."""
+    bits = x.numerator.bit_length() + x.denominator.bit_length()
+    return str(x) if bits <= _MESSAGE_MAX_BITS else f"<rational of {bits} bits>"
+
+
 def _check_cutoff(spec: ProblemSpec, lam: Fraction) -> None:
     needed = abs(lam) * spec.max_abs_alpha()
     if needed > spec.beta_cutoff:
         raise CutoffError(
-            f"analysis at level {lam} needs Laplace data up to {needed}, "
-            f"declared cutoff is {spec.beta_cutoff}"
+            f"analysis at level {_shown(lam)} needs Laplace data up to {_shown(needed)}, "
+            f"declared cutoff is {_shown(spec.beta_cutoff)}"
         )
 
 
@@ -258,7 +270,7 @@ def analyze_levels(
             out[lam] = str(exc)
             continue
         if lam != 0 and lam not in pairs:
-            raise InputError(f"{lam} is not a candidate level")
+            raise InputError(f"{_shown(lam)} is not a candidate level")
     todo = set(wanted) - set(out)
     facts = _SweepFacts(spec, report, pairs)
     n = spec.r + spec.l

@@ -13,16 +13,23 @@ while the deflated residual keeps the quadratic convergence and removes
 the trivial root altogether.  The angular degeneracy along the group
 orbit is pinned by freezing the sine coefficient of mode k of the first
 component.
+
+numpy is imported inside each function that builds an array, not at module
+top, so the exact-algebra commands, which build none, never pay for loading
+it; ``stability_scan`` and ``newton_branch`` import it after their input
+checks, so a bad or oversized request is rejected without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError, RefusalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RESIDUAL_TOL = 1e-12
 CROSSING_TOL = 1e-6
@@ -45,12 +52,14 @@ class CircleModel:
 
 
 def _grid(n_modes: int) -> np.ndarray:
+    import numpy as np
     # 4(N+1) points: cubic products of degree <= 3N alias only onto modes > N
     m = 4 * (n_modes + 1)
     return 2.0 * np.pi * np.arange(m) / m
 
 
 def _tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     theta = _grid(n_modes)
     k = np.arange(1, n_modes + 1)[:, None]
     return np.cos(k * theta), np.sin(k * theta)
@@ -68,6 +77,7 @@ def synthesize(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
 
 def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Fourier coefficients (modes 0..N) from grid values, batched like ``synthesize``."""
+    import numpy as np
     m = values.shape[-1]
     cos_t, sin_t = _tables(n_modes)
     out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
@@ -78,6 +88,7 @@ def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _mode_weights(n_modes: int) -> np.ndarray:
+    import numpy as np
     w = np.empty(2 * n_modes + 1)
     w[0] = 1.0
     k = np.arange(1, n_modes + 1)
@@ -88,6 +99,7 @@ def _mode_weights(n_modes: int) -> np.ndarray:
 
 def _linear(coeffs: np.ndarray, lam: float) -> np.ndarray:
     """Linear part (k^2 - lam) * c_k of the discretized equation, before normalization."""
+    import numpy as np
     k = np.arange(1, coeffs.shape[-1] // 2 + 1)
     lin = np.empty_like(coeffs)
     lin[..., 0] = -lam * coeffs[..., 0]
@@ -106,6 +118,7 @@ def residual(model: CircleModel) -> np.ndarray:
 
 def energy(model: CircleModel) -> float:
     """Discretized energy whose normalized gradient is ``residual``."""
+    import numpy as np
     n = model.n_modes
     u = synthesize(model.coeffs, n)
     du = np.empty_like(model.coeffs)
@@ -121,6 +134,7 @@ def energy(model: CircleModel) -> float:
 
 def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
     """Inner product under which ``residual`` is the gradient of ``energy``."""
+    import numpy as np
     w = _mode_weights(n_modes) * np.pi
     w[0] = 2.0 * np.pi
     return float(np.sum(x * y * w))
@@ -128,6 +142,7 @@ def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
 
 def _jacobian(model: CircleModel) -> np.ndarray:
     """Derivative of ``residual`` in the flattened coefficients, all columns at once."""
+    import numpy as np
     n = model.n_modes
     size = 2 * (2 * n + 1)
     u = synthesize(model.coeffs, n)
@@ -141,6 +156,7 @@ def _jacobian(model: CircleModel) -> np.ndarray:
 
 def trivial_branch_eigenvalues(n_modes: int, lam: float) -> np.ndarray:
     """Diagonal linearization eigenvalues (k^2 - lam)/(1 + k^2), k = 0..N."""
+    import numpy as np
     k = np.arange(n_modes + 1, dtype=float)
     return (k * k - lam) / (1.0 + k * k)
 
@@ -153,6 +169,7 @@ def _check_modes(n_modes: int) -> None:
 
 
 def _negative_count(n_modes: int, lam: float) -> int:
+    import numpy as np
     eigs = trivial_branch_eigenvalues(n_modes, lam)
     mult = np.full(n_modes + 1, 4)
     mult[0] = 2
@@ -184,6 +201,7 @@ def stability_scan(
         raise RefusalError(
             f"mode cutoff {n_modes} cannot resolve crossings up to {lam_hi}; need >= {needed}"
         )
+    import numpy as np
 
     # one count per grid point and per bisection midpoint; each interval on the
     # explicit stack carries the counts at its ends (a wide interval can take
@@ -207,6 +225,7 @@ def stability_scan(
 
 
 def initial_guess(k: int, n_modes: int, amplitude: float = 0.1) -> np.ndarray:
+    import numpy as np
     coeffs = np.zeros((2, 2 * n_modes + 1))
     coeffs[0, 2 * k - 1] = amplitude  # cos(k*theta) in the first component
     coeffs[1, 2 * k] = amplitude  # sin(k*theta) in the second
@@ -223,6 +242,7 @@ def exact_branch_state(k: int, lam: float, n_modes: int) -> CircleModel:
 
 def rotate_state(model: CircleModel, phi: float, psi: float) -> CircleModel:
     """Act by the plane rotation phi and the domain shift psi."""
+    import numpy as np
     n = model.n_modes
     c = model.coeffs
     shifted = np.empty_like(c)
@@ -237,6 +257,7 @@ def rotate_state(model: CircleModel, phi: float, psi: float) -> CircleModel:
 
 def amplitude(model: CircleModel) -> float:
     """Root-mean-square field amplitude; equals c on the pure branch."""
+    import numpy as np
     c = model.coeffs
     total = float(np.sum(c[:, 0] ** 2) + 0.5 * np.sum(c[:, 1:] ** 2))
     return math.sqrt(total)
@@ -272,6 +293,7 @@ def newton_branch(
     if n < k + 2:
         raise RefusalError(f"mode cutoff {n} too small for mode {k}; need >= {k + 2}")
     _check_modes(n)
+    import numpy as np
 
     model = CircleModel(n, float(lam), initial_guess(k, n))
     pin = 2 * k  # flat index of the sine coefficient of mode k, component 0

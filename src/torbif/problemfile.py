@@ -51,8 +51,11 @@ def parse_rational(value: Any, where: str) -> Fraction:
             raise InputError(f"{where}: bad rational {value[:40]!r} (expected num or num/den)", code="SCHEMA")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: bad rational {value!r} ({exc})", code="SCHEMA")
+        # fixed reasons: both exceptions' own texts can repeat the input in full
+        except ZeroDivisionError:
+            raise InputError(f"{where}: bad rational {value[:40]!r} (zero denominator)", code="SCHEMA")
+        except ValueError:  # the pattern matched, so only int()'s digit limit is left
+            raise InputError(f"{where}: bad rational {value[:40]!r} (too many digits)", code="SCHEMA")
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}", code="SCHEMA")
 
 

@@ -117,6 +117,24 @@ def test_cutoff_refusal(circle_spec):
         analyze_levels(circle_spec, [16]).analyses()
 
 
+def test_huge_levels_give_bounded_messages():
+    # str() of a 5,001-digit integer raises ValueError; the messages give the size instead
+    spec = circle_quartic_spec(9)
+    sweep = analyze_levels(spec, [10**5000])
+    [(_, message)] = sweep.records
+    assert message == (
+        "analysis at level <rational of 16611 bits> needs Laplace data up to "
+        "<rational of 16611 bits>, declared cutoff is 9"
+    )
+    with pytest.raises(CutoffError, match="16611 bits"):
+        sweep.analyses()
+    with pytest.raises(InputError, match=r"^<rational of 16611 bits> is not a candidate level$"):
+        analyze_levels(spec, [Fraction(1, 10**5000)])
+    assert analyze_levels(spec, [16]).records[0][1] == (
+        "analysis at level 16 needs Laplace data up to 16, declared cutoff is 9"
+    )
+
+
 # --- Hessian spectrum ----------------------------------------------------------------
 
 

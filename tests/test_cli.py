@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -155,6 +159,16 @@ def test_exponent_level_is_refused_without_expanding(runner, circle_fixture_path
     assert "error[SCHEMA]: --level: bad rational" in result.output
 
 
+@pytest.mark.parametrize("level", ["1" * 5001, "1" * 4000 + "/0"], ids=["digit-limit", "zero-denominator"])
+def test_overlong_level_is_refused_with_a_short_message(runner, circle_fixture_path, level):
+    # Fraction() fails past int()'s 4,300-digit limit, or on a zero denominator, with a
+    # text that can repeat the input; the message echoes only its first 40 characters
+    result = runner.invoke(cli.main, ["analyze", str(circle_fixture_path), "--level", level])
+    assert result.exit_code == 2
+    assert result.output.startswith("error[SCHEMA]: --level: bad rational '" + "1" * 40 + "'")
+    assert len(result.output) < 200
+
+
 @pytest.mark.parametrize(
     "data",
     [b'{"r": ' + b"1" * 5000 + b"}", b"[" * 200_000, b"\xff\xfe{"],
@@ -179,6 +193,34 @@ def test_highest_weight_outside_its_eigenspace_declines_the_certificate(runner, 
     assert seconds < 1.0
     assert result.exit_code == 0
     assert "no certificate (highest weight (3,) at beta 1 is not a weight of its eigenspace)" in result.output
+
+
+STARTUP_CHILD = """\
+import json, sys
+from importlib import resources
+import torbif.cli
+for name in ("circle_quartic.json", "sphere_p1.json"):
+    path = str(resources.files("torbif") / "fixtures" / name)
+    try:
+        torbif.cli.main(["report", path, "--format", "json"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("torbif."))))
+"""
+
+
+def test_reports_run_without_loading_numpy():
+    # a fresh interpreter: the exact-algebra commands must not pay for numpy, while
+    # every layer module stays importable by name (the benchmark tracer looks them up)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "numpy" not in loaded
+    layers = ("intlat", "torusrep", "eulerring", "spectra", "bifurcation", "problemfile", "corroborate", "oracle", "cli")
+    assert {f"torbif.{layer}" for layer in layers} <= loaded
 
 
 def test_scan_command(runner):
@@ -212,10 +254,8 @@ def test_non_finite_galerkin_input_is_an_input_error(runner, args):
 
 @pytest.fixture()
 def no_galerkin_arrays(monkeypatch):
-    # a refusal must come before the first array is built
-    import torbif.corroborate as corroborate
-
-    monkeypatch.setattr(corroborate, "np", None)
+    # a refusal must come before numpy is loaded: importing it now fails
+    monkeypatch.setitem(sys.modules, "numpy", None)
 
 
 @pytest.mark.parametrize(
