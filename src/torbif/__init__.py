@@ -27,7 +27,6 @@ from .errors import ConsistencyError, CutoffError, InputError, RefusalError, Tor
 from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
     IntMatrix,
-    Lattice,
     SmithDecomposition,
     TorusSubgroup,
     codim_generators,
@@ -56,7 +55,6 @@ __all__ = [
     "InputError",
     "IntMatrix",
     "LaplaceEigenData",
-    "Lattice",
     "LevelAnalysis",
     "LevelSweep",
     "MatrixEigenData",

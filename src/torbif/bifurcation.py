@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import ConsistencyError, CutoffError, InputError
+from .errors import ConsistencyError, CutoffError, InputError, shown
 from .eulerring import (
     PLUCKER_MAX_RANK,
     PLUCKER_ONE,
@@ -34,7 +34,7 @@ from .eulerring import (
     star,
 )
 from .intlat import TorusSubgroup, Vector, subgroup_canonical
-from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, ValidationReport, validate
+from .spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec
 from .torusrep import TorusRep, canonical_weight, direct_sum, tensor
 
 REASON_INDEX = "index-nonzero"
@@ -115,7 +115,6 @@ class LevelSweep:
     A record is the level's analysis, or the message of its cutoff refusal.
     """
 
-    validation: ValidationReport
     candidates: tuple[CandidateLevel, ...]
     records: tuple[tuple[Fraction, LevelAnalysis | str], ...]
 
@@ -134,24 +133,12 @@ class HessianEigenvalue:
     rep: TorusRep
 
 
-# Messages show a rational in full up to this many bits (numerator plus
-# denominator, about 77 digits), and only its size past it: str() of an int of
-# over 4,300 digits raises ValueError, and a longer message helps no reader.
-_MESSAGE_MAX_BITS = 256
-
-
-def _shown(x: Fraction) -> str:
-    """``str(x)``, or ``x``'s size in bits when it is over ``_MESSAGE_MAX_BITS``."""
-    bits = x.numerator.bit_length() + x.denominator.bit_length()
-    return str(x) if bits <= _MESSAGE_MAX_BITS else f"<rational of {bits} bits>"
-
-
 def _check_cutoff(spec: ProblemSpec, lam: Fraction) -> None:
     needed = abs(lam) * spec.max_abs_alpha()
     if needed > spec.beta_cutoff:
         raise CutoffError(
-            f"analysis at level {_shown(lam)} needs Laplace data up to {_shown(needed)}, "
-            f"declared cutoff is {_shown(spec.beta_cutoff)}"
+            f"analysis at level {shown(lam)} needs Laplace data up to {shown(needed)}, "
+            f"declared cutoff is {shown(spec.beta_cutoff)}"
         )
 
 
@@ -173,13 +160,12 @@ class _SweepFacts:
     """What every level of one sweep reads from the spec, each worked out at most once."""
 
     spec: ProblemSpec
-    report: ValidationReport
     pairs: dict[Fraction, _Witnesses]
 
     @cached_property
     def certificate_obstacle(self) -> str | None:
         """Why no level can carry a highest-weight certificate, or None."""
-        if not self.report.e_holds:
+        if not self.spec.validation.e_holds:
             return "(E) fails: markers missing or not unique"
         return _uniqueness_scan(self.spec)
 
@@ -232,8 +218,8 @@ def analyze_levels(
 ) -> LevelSweep:
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
-    The spec is validated once, its eigendata are grouped by level once,
-    and its highest weights are scanned at most once.  Walking outward from
+    The spec carries its validation; its eigendata are grouped by level
+    once, and its highest weights are scanned at most once.  Walking outward from
     0 on each side, each kernel is built once and added to the negative
     space toward 0 (near), giving the one away from it (far), and the degree
     of -Id on the negative space is carried as a running product: at every
@@ -243,8 +229,11 @@ def analyze_levels(
     product: its Plücker-square image (see :mod:`~torbif.eulerring`) must
     equal Phi(lift(F)) * (P(above) - P(below)), where P is the image of the
     degree carried alongside by the closed form from the weights.  Phi is
-    not injective, so an error that only swaps subgroups of equal rational
-    span and covolume passes this check.
+    not injective, so an error whose image is 0 passes this check: not only
+    a swap of subgroups of equal rational span and covolume, but any
+    combination whose squared wedges cancel across spans, such as
+    chi(H_(1,1)) + chi(H_(1,-1)) - 2 chi(H_(1,0)) - 2 chi(H_(0,1)) in
+    U(T^2), where H_m is the kernel of the character m.
     Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
     deg(far) computed from scratch.  Every ring product is ``star`` looked
     up in this module at call time, so a rebound ``star`` sees each one.
@@ -255,7 +244,6 @@ def analyze_levels(
     ``InputError`` before any walk, and a failed index or certificate check
     raises ``ConsistencyError`` where it is found.
     """
-    report = validate(spec)
     pairs = _pairs(spec)
     cands = tuple(
         CandidateLevel(lam, tuple(sorted((me.alpha, le.beta) for me, le in witnesses)))
@@ -270,9 +258,9 @@ def analyze_levels(
             out[lam] = str(exc)
             continue
         if lam != 0 and lam not in pairs:
-            raise InputError(f"{_shown(lam)} is not a candidate level")
+            raise InputError(f"{shown(lam)} is not a candidate level")
     todo = set(wanted) - set(out)
-    facts = _SweepFacts(spec, report, pairs)
+    facts = _SweepFacts(spec, pairs)
     n = spec.r + spec.l
     zero = TorusRep(n)
     if 0 in todo:  # both negative spaces are zero, with degree the unit
@@ -302,7 +290,7 @@ def analyze_levels(
                     raise ConsistencyError(f"index routes disagree at level {t}")
                 out[t] = _record(facts, t, kernel, below, above, index)
             near = far
-    return LevelSweep(report, cands, tuple((lam, out[lam]) for lam in wanted))
+    return LevelSweep(cands, tuple((lam, out[lam]) for lam in wanted))
 
 
 def _uniqueness_scan(spec: ProblemSpec) -> str | None:
@@ -311,18 +299,18 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
         if le.beta <= 0:
             continue
         if not le.irreducible_nontrivial:
-            return f"eigenspace at {le.beta} not certified irreducible"
+            return f"eigenspace at {shown(le.beta)} not certified irreducible"
         if le.highest_weight is None:
-            return f"no highest weight declared at {le.beta}"
+            return f"no highest weight declared at {shown(le.beta)}"
         if not any(le.highest_weight):
-            return f"zero highest weight at {le.beta}"
+            return f"zero highest weight at {shown(le.beta)}"
         if not le.eigenspace.occurs(le.highest_weight):
-            return f"highest weight {le.highest_weight} at beta {le.beta} is not a weight of its eigenspace"
+            return f"highest weight {le.highest_weight} at beta {shown(le.beta)} is not a weight of its eigenspace"
         for lower in spec.laplace_spectrum:
             if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
                 return (
-                    f"highest weight {le.highest_weight} at beta {le.beta} "
-                    f"already occurs at beta {lower.beta}"
+                    f"highest weight {le.highest_weight} at beta {shown(le.beta)} "
+                    f"already occurs at beta {shown(lower.beta)}"
                 )
     return None
 
@@ -347,10 +335,10 @@ def _unboundedness(
     """
     if facts.certificate_obstacle is not None:
         return None, facts.certificate_obstacle
-    spec, report = facts.spec, facts.report
+    spec = facts.spec
 
     if lam0 == 0:
-        if not report.n1:
+        if not spec.validation.n1:
             return None, "origin degenerate (N1 fails)"
         if spec.p % 2 == 0:
             return None, "p is even"
@@ -409,7 +397,7 @@ def _record(
 ) -> LevelAnalysis:
     """The level's analysis from the sweep's kernel, negative spaces and index."""
     cert, reason = _unboundedness(facts, lam0, kernel, below, above, index)
-    spec, report = facts.spec, facts.report
+    spec, report = facts.spec, facts.spec.validation
     certified = report.n1 or report.n2
     domain_action = any(any(w[spec.r :]) for w, _ in kernel.weights)
     odd = kernel.dim % 2 == 1

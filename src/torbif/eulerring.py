@@ -21,10 +21,13 @@ is a ring homomorphism.  The rows of a transversal pair together form a
 basis of the lattice sum, so the wedge of the meet is +-w_H ^ w_H' and the
 sign cancels in the square; the rows of any other pair are dependent, and
 the wedge is 0.  The image of a degree has the closed form
-(-1)^k0 prod_m (1 - k_m m (x) m).  Phi is not injective: +-w_H records
+(-1)^k0 prod_m (1 - k_m m (x) m).  Phi is not injective.  +-w_H records
 only the rational span of the annihilator and its covolume, so for
 instance the order-2 subgroups Z/2 x 1 and 1 x Z/2 of T^2 have the same
-image, and Phi cannot tell their difference from 0.
+image.  And the squares w_H (x) w_H are linearly dependent across spans
+too: with H_m the kernel of the character m, the element
+chi(H_(1,1)) + chi(H_(1,-1)) - 2 chi(H_(1,0)) - 2 chi(H_(0,1)) of U(T^2)
+is nonzero, and its image is 0.
 
 Most terms of a large index are finite subgroups (codim H = r).  Their
 Hermite basis B is square and upper triangular with positive pivots, so

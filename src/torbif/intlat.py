@@ -1,8 +1,7 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Hermite and Smith normal forms, integer lattices (whose one constructor
-stores the row-style Hermite basis of the span it is given), and closed
-subgroups of a torus encoded by their annihilator character lattice.
+Hermite and Smith normal forms, and closed subgroups of a torus encoded by
+their annihilator character lattice, stored by its row-style Hermite basis.
 
 Subgroups have no public constructor: ``subgroup_canonical``,
 ``subgroup_intersect``, ``extend_by_full_torus`` and
@@ -307,19 +306,14 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Integer sublattice of Z^r spanned by ``basis``.
+    """Integer sublattice of Z^r with the canonical Hermite basis ``basis``.
 
-    The constructor accepts any spanning vectors and stores the canonical
-    Hermite basis of their span, so two lattices are equal iff they span
-    the same sublattice.  A subgroup's annihilator is not built through it:
-    the intern table assembles it around a basis that is canonical already.
+    Built only by the intern table, around a basis that is canonical
+    already, so two lattices are equal iff they span the same sublattice.
     """
 
     ambient_rank: int
     basis: tuple[Vector, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", hermite_basis(self.ambient_rank, self.basis))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -382,10 +376,8 @@ def _interned(r: int, basis: tuple[Vector, ...]) -> TorusSubgroup:
     with _INTERN_LOCK:
         h = _INTERNED.get(key)
         if h is None:
-            lattice = object.__new__(Lattice)
-            lattice.__dict__.update(ambient_rank=r, basis=basis)
             h = object.__new__(TorusSubgroup)
-            h.__dict__.update(ambient_rank=r, annihilator=lattice, codim=len(basis), sort_key=(len(basis), basis))
+            h.__dict__.update(ambient_rank=r, annihilator=Lattice(r, basis), codim=len(basis), sort_key=(len(basis), basis))
             _INTERNED[key] = h
     return h
 

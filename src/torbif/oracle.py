@@ -35,7 +35,6 @@ from .problemfile import parse_problem
 from .spectra import (
     MatrixEigenData,
     ProblemSpec,
-    ValidationReport,
     flat_torus_spectrum,
     sphere_spectrum,
 )
@@ -246,19 +245,18 @@ def degenerate_origin_spec(odd_kernel: bool) -> ProblemSpec:
 _FIXTURES = Path(__file__).parent / "fixtures"
 
 
-FixtureRecord = tuple[str, ProblemSpec, ValidationReport, bif.LevelAnalysis]
+FixtureRecord = tuple[str, ProblemSpec, bif.LevelAnalysis]
 
 
 def _fixture_levels() -> list[FixtureRecord]:
-    """(fixture, spec, validation, analysis) at every candidate level, one sweep per fixture."""
+    """(fixture, spec, analysis) at every candidate level, one sweep per fixture."""
     records = []
     for name, spec in (
         ("circle", circle_quartic_spec(25)),
         ("circle-inverted", circle_inverted_spec(9)),
         ("sphere", parse_problem(_FIXTURES / "sphere_p1.json")),
     ):
-        sweep = bif.analyze_levels(spec)
-        records.extend((name, spec, sweep.validation, a) for a in sweep.analyses())
+        records.extend((name, spec, a) for a in bif.analyze_levels(spec).analyses())
     return records
 
 
@@ -548,7 +546,7 @@ def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
 
 def _fixture_checks_kernel(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, _, a in records:
+    for name, spec, a in records:
         expected = 0
         base = 0  # zero eigenvalues contributed by beta = 0 blocks
         for me in spec.matrix_spectrum:
@@ -573,7 +571,7 @@ def _fixture_checks_two_routes(records: Sequence[FixtureRecord]) -> list[tuple[s
     mirror image -lift(F_neg) * deg(above) * (deg(kernel) - I).
     """
     checks = []
-    for name, spec, _, a in records:
+    for name, spec, a in records:
         lam = a.lambda0
         if lam == 0:
             continue
@@ -591,7 +589,7 @@ def _fixture_checks_two_routes(records: Sequence[FixtureRecord]) -> list[tuple[s
 
 def _fixture_checks_accumulation(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, _, _, a in records:
+    for name, _, a in records:
         if a.lambda0 > 0:
             ok = a.negative_above == direct_sum(a.negative_below, a.kernel)
         elif a.lambda0 < 0:
@@ -604,12 +602,12 @@ def _fixture_checks_accumulation(records: Sequence[FixtureRecord]) -> list[tuple
 
 def _fixture_checks_verdict(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, report, a in records:
+    for name, spec, a in records:
         if a.lambda0 == 0:
             continue
         domain = any(any(w[spec.r :]) for w, _ in a.kernel.weights)
         odd = a.kernel.dim % 2 == 1
-        if (report.n1 or report.n2) and (domain or odd):
+        if (spec.validation.n1 or spec.validation.n2) and (domain or odd):
             checks.append((f"{name}@{a.lambda0}", not a.index.is_zero))
     # constructed degenerate-origin cases: unit coefficient zero
     odd_case = degenerate_origin_spec(odd_kernel=True)
@@ -624,7 +622,7 @@ def _fixture_checks_verdict(records: Sequence[FixtureRecord]) -> list[tuple[str,
 
 def _fixture_checks_exclusion(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     checks = []
-    for name, spec, _, a in records:
+    for name, spec, a in records:
         if a.lambda0 == 0:
             continue
         cert = a.verdict.unbounded
@@ -641,8 +639,8 @@ def _fixture_checks_exclusion(records: Sequence[FixtureRecord]) -> list[tuple[st
 
 def _fixture_checks_symmetry(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
     return [
-        (f"{name}@{a.lambda0}", a.verdict.symmetry_breaking == (report.n2 and a.lambda0 != 0))
-        for name, _, report, a in records
+        (f"{name}@{a.lambda0}", a.verdict.symmetry_breaking == (spec.validation.n2 and a.lambda0 != 0))
+        for name, spec, a in records
     ]
 
 

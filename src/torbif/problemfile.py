@@ -3,7 +3,9 @@
 Parsing is total: every violation maps to an InputError with a located
 message and a distinct code (MALFORMED_JSON, SCHEMA, DIM_MISMATCH,
 B6_TRIVIAL, CUTOFF_INSUFFICIENT); a problem too large to analyse in
-bounded time is refused with a RefusalError before the work starts.
+bounded time is refused with a RefusalError before the work starts.  The
+parser checks the document; the ``ProblemSpec`` it ends by building
+raises the structural errors itself and carries its validation.
 Exact rationals travel as strings "num/den" or integers; floating point
 is rejected in the symbolic pipeline.  Reports serialize losslessly and
 deterministically.
@@ -28,7 +30,6 @@ from .spectra import (
     ValidationReport,
     flat_torus_spectrum,
     sphere_spectrum,
-    validate,
 )
 from .torusrep import TorusRep
 
@@ -223,26 +224,20 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
     deg_pos = _parse_degree(doc.get("degF_pos"), r, "degF_pos", "B6_TRIVIAL")
     deg_neg = _parse_degree(doc.get("degF_neg"), r, "degF_neg", "B6_TRIVIAL")
 
-    try:
-        spec = ProblemSpec(
-            r=r,
-            l=l,
-            p=p,
-            matrix_spectrum=tuple(matrix),
-            laplace_spectrum=laplace,
-            beta_cutoff=cutoff,
-            origin_degree_pos=deg_pos,
-            origin_degree_neg=deg_neg,
-        )
-    except InputError as exc:
-        raise InputError(str(exc), code="SCHEMA")
-
-    validate(spec)
-    return spec
+    return ProblemSpec(
+        r=r,
+        l=l,
+        p=p,
+        matrix_spectrum=tuple(matrix),
+        laplace_spectrum=laplace,
+        beta_cutoff=cutoff,
+        origin_degree_pos=deg_pos,
+        origin_degree_neg=deg_neg,
+    )
 
 
 def parse_problem(path: str | Path) -> ProblemSpec:
-    """Load and validate a problem file; raises InputError with a code."""
+    """Load a problem file into a spec, which carries its validation; raises InputError with a code."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -271,35 +266,6 @@ def _subgroup_doc(h: TorusSubgroup) -> list[list[int]]:
 
 def _element_doc(x: EulerElement) -> list[dict]:
     return [{"characters": _subgroup_doc(h), "coeff": c} for h, c in x.terms]
-
-
-def serialize_problem(spec: ProblemSpec) -> dict:
-    """Inverse of :func:`parse_problem_dict` on valid specs."""
-    return {
-        "r": spec.r,
-        "l": spec.l,
-        "p": spec.p,
-        "matrix_spectrum": [
-            {
-                "alpha": format_rational(e.alpha),
-                **_rep_doc(e.eigenspace),
-                "marker": list(e.marker_weight) if e.marker_weight is not None else None,
-            }
-            for e in spec.matrix_spectrum
-        ],
-        "laplace": [
-            {
-                "beta": format_rational(e.beta),
-                **_rep_doc(e.eigenspace),
-                "irreducible": e.irreducible_nontrivial,
-                "highest_weight": list(e.highest_weight) if e.highest_weight is not None else None,
-            }
-            for e in spec.laplace_spectrum
-        ],
-        "beta_cutoff": format_rational(spec.beta_cutoff),
-        "degF_pos": _element_doc(spec.origin_degree_pos),
-        "degF_neg": _element_doc(spec.origin_degree_neg),
-    }
 
 
 def _verdict_doc(v: Verdict) -> dict:
@@ -381,7 +347,7 @@ def build_report(
             records.append({"lambda0": format_rational(lam), "refused": outcome})
         else:
             records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
-    return {"validation": _validation_doc(sweep.validation), "levels": records}
+    return {"validation": _validation_doc(spec.validation), "levels": records}
 
 
 def report_to_json(report: dict) -> str:

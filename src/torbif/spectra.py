@@ -9,12 +9,12 @@ of the parameter.  Everything spectral is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
 
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, shown
 from .eulerring import EulerElement
 from .intlat import Vector
 from .torusrep import TorusRep, canonical_weight
@@ -82,6 +82,14 @@ class LaplaceEigenData:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """A problem, valid by construction: it carries its own ``validation``.
+
+    The constructor (and so ``dataclasses.replace``) raises ``InputError``
+    with code ``SCHEMA`` for a spectrum or degree of the wrong rank, then
+    runs :func:`validate`, which raises the structural errors and whose
+    hypothesis flags are stored once as ``validation``.
+    """
+
     r: int
     l: int
     p: int
@@ -90,12 +98,14 @@ class ProblemSpec:
     beta_cutoff: Fraction
     origin_degree_pos: EulerElement
     origin_degree_neg: EulerElement
+    # a function of the other fields, so left out of equality
+    validation: ValidationReport = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.l < 1:
-            raise InputError("domain torus rank must be at least 1")
+            raise InputError("domain torus rank must be at least 1", code="SCHEMA")
         if self.r < 0:
-            raise InputError("system torus rank must be nonnegative")
+            raise InputError("system torus rank must be nonnegative", code="SCHEMA")
         object.__setattr__(self, "beta_cutoff", Fraction(self.beta_cutoff))
         object.__setattr__(
             self, "matrix_spectrum", tuple(sorted(self.matrix_spectrum, key=lambda e: e.alpha))
@@ -105,13 +115,14 @@ class ProblemSpec:
         )
         for e in self.matrix_spectrum:
             if e.eigenspace.ambient_rank != self.r:
-                raise InputError("matrix eigenspace rank differs from r")
+                raise InputError("matrix eigenspace rank differs from r", code="SCHEMA")
         for e in self.laplace_spectrum:
             if e.eigenspace.ambient_rank != self.l:
-                raise InputError("Laplace eigenspace rank differs from l")
+                raise InputError("Laplace eigenspace rank differs from l", code="SCHEMA")
         for deg in (self.origin_degree_pos, self.origin_degree_neg):
             if deg.ambient_rank != self.r:
-                raise InputError("origin degree lives in the wrong ring")
+                raise InputError("origin degree lives in the wrong ring", code="SCHEMA")
+        object.__setattr__(self, "validation", validate(self))
 
     def max_abs_alpha(self) -> Fraction:
         return max((abs(e.alpha) for e in self.matrix_spectrum), default=Fraction(0))
@@ -275,7 +286,9 @@ def sphere_harmonic_dim(n: int, k: int) -> int:
 def validate(spec: ProblemSpec) -> ValidationReport:
     """Check the structural and hypothesis-level properties of a spec.
 
-    Structural problems raise one InputError that lists every one of them,
+    The ``ProblemSpec`` constructor runs it once and stores the result as
+    ``spec.validation``, so every spec carries its validation.  Structural
+    problems raise one InputError that lists every one of them,
     with the code of the first (DIM_MISMATCH, SCHEMA, CUTOFF_INSUFFICIENT
     or B6_TRIVIAL).  The hypothesis flags are: N1 (origin nondegenerate, no
     zero matrix eigenvalue), N2 (no fixed vectors in positive Laplace
@@ -299,7 +312,9 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         errors.append(("SCHEMA", "repeated Laplace eigenvalue"))
     for b in betas:
         if b > spec.beta_cutoff:
-            errors.append(("CUTOFF_INSUFFICIENT", f"eigenvalue {b} exceeds declared cutoff {spec.beta_cutoff}"))
+            errors.append(
+                ("CUTOFF_INSUFFICIENT", f"eigenvalue {shown(b)} exceeds declared cutoff {shown(spec.beta_cutoff)}")
+            )
     if spec.origin_degree_pos.is_zero:
         errors.append(("B6_TRIVIAL", "origin degree for positive levels is zero"))
     if spec.origin_degree_neg.is_zero:

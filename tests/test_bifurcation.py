@@ -21,7 +21,7 @@ from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift,
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, circle_quartic_spec, degenerate_origin_spec
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
-from torbif.spectra import MatrixEigenData, ProblemSpec, flat_torus_spectrum
+from torbif.spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
 
 
@@ -39,8 +39,6 @@ def test_candidates_circle(circle_spec):
 
 
 def test_candidates_two_eigenvalues():
-    from torbif.spectra import LaplaceEigenData
-
     spec = ProblemSpec(
         r=1,
         l=1,
@@ -133,6 +131,19 @@ def test_huge_levels_give_bounded_messages():
     assert analyze_levels(spec, [16]).records[0][1] == (
         "analysis at level 16 needs Laplace data up to 16, declared cutoff is 9"
     )
+
+
+def test_huge_beta_gives_a_bounded_certificate_reason():
+    base = circle_quartic_spec(9)
+    huge = 10**5000
+    spec = dataclasses.replace(
+        base,
+        laplace_spectrum=base.laplace_spectrum + (LaplaceEigenData(huge, TorusRep(1, 1)),),
+        beta_cutoff=huge,
+    )
+    [analysis] = analyze_levels(spec, [1]).analyses()
+    assert analysis.verdict.unbounded is None
+    assert analysis.verdict.unbounded_reason == "eigenspace at <rational of 16611 bits> not certified irreducible"
 
 
 # --- Hessian spectrum ----------------------------------------------------------------
@@ -252,8 +263,6 @@ def test_verdict_alternative_when_uncertified():
     )
     # N1 fails (zero eigenvalue); laplace entries are irreducible though,
     # so strip the flags to break N2 as well
-    from torbif.spectra import LaplaceEigenData, validate
-
     stripped = ProblemSpec(
         r=1,
         l=1,
@@ -267,8 +276,7 @@ def test_verdict_alternative_when_uncertified():
         origin_degree_pos=EulerElement.unit(1),
         origin_degree_neg=EulerElement.unit(1),
     )
-    report = validate(stripped)
-    assert not report.n1 and not report.n2
+    assert not stripped.validation.n1 and not stripped.validation.n2
     v = analyze_levels(stripped, [1]).analyses()[0].verdict
     assert v.alternative == "local-or-global"
     assert not v.symmetry_breaking

@@ -384,6 +384,16 @@ def test_plucker_generator_examples():
     assert plucker_image(EulerElement.generator(subgroup_canonical(2, [(1, 1), (1, -1)]))) == {(3, 3): 4}
 
 
+def test_plucker_image_misses_a_combination_across_spans():
+    # not only swaps of equal span and covolume: four kernels of characters with four spans
+    def kernel_of(m):
+        return EulerElement.generator(subgroup_canonical(2, [m]))
+
+    x = kernel_of((1, 1)) + kernel_of((1, -1)) - 2 * kernel_of((1, 0)) - 2 * kernel_of((0, 1))
+    assert len(x.terms) == 4
+    assert plucker_image(x) == {}
+
+
 def test_plucker_coordinates_are_the_minors():
     rng = random.Random(3)
     for trial in range(200):

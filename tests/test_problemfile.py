@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torbif.bifurcation import analyze_levels
+from torbif import spectra
 from torbif.errors import InputError, RefusalError
 from torbif.eulerring import EulerElement
 from torbif.oracle import circle_quartic_spec
@@ -22,7 +23,6 @@ from torbif.problemfile import (
     parse_rational,
     render_text,
     report_to_json,
-    serialize_problem,
 )
 from torbif.torusrep import TorusRep
 
@@ -88,14 +88,37 @@ def test_dim_mismatch_code():
     assert err.value.code == "DIM_MISMATCH"
 
 
-def test_sweep_and_parser_raise_the_same_structural_code():
-    spec = dataclasses.replace(circle_quartic_spec(9), p=3)
-    with pytest.raises(InputError) as swept:
-        analyze_levels(spec)
+def test_sweep_and_parser_raise_the_same_structural_code(circle_spec):
+    doc = circle_doc()
+    doc["p"] = 3
+    with pytest.raises(InputError) as built:
+        dataclasses.replace(circle_spec, p=3)
     with pytest.raises(InputError) as parsed:
-        parse_problem_dict(serialize_problem(spec))
-    assert swept.value.code == parsed.value.code == "DIM_MISMATCH"
-    assert str(swept.value) == str(parsed.value)
+        parse_problem_dict(doc)
+    assert built.value.code == parsed.value.code == "DIM_MISMATCH"
+    assert str(built.value) == str(parsed.value)
+
+
+def test_shipped_fixture_matches_the_python_builder(circle_fixture_path):
+    assert parse_problem(circle_fixture_path) == circle_quartic_spec(9)
+
+
+def test_parse_and_report_validate_once(circle_fixture_path, monkeypatch):
+    calls = []
+    original = spectra.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # every torbif namespace that holds the function, as a tracer would see it
+    for name, module in list(sys.modules.items()):
+        if name == "torbif" or name.startswith("torbif."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counting)
+    build_report(parse_problem_dict(json.loads(circle_fixture_path.read_text())))
+    assert len(calls) == 1
 
 
 def test_b6_trivial_code():
@@ -211,12 +234,6 @@ def test_explicit_laplace_list():
 
 
 # --- round trip ------------------------------------------------------------------------
-
-
-def test_parse_serialize_roundtrip(circle_spec, sphere_spec):
-    for spec in (circle_spec, sphere_spec):
-        again = parse_problem_dict(serialize_problem(spec))
-        assert again == spec
 
 
 def test_pickle_roundtrip(circle_spec, sphere_spec):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
@@ -7,6 +8,7 @@ import pytest
 from torbif.errors import InputError, RefusalError
 from torbif.eulerring import EulerElement
 from torbif.intlat import subgroup_canonical
+from torbif.oracle import circle_quartic_spec
 from torbif.spectra import (
     LaplaceEigenData,
     MatrixEigenData,
@@ -134,7 +136,8 @@ def make_spec(**overrides):
 
 
 def test_validate_circle_fixture(circle_spec):
-    report = validate(circle_spec)
+    report = circle_spec.validation
+    assert validate(circle_spec) == report
     assert report.n1 and report.n2 and report.e_holds
     assert report.e_witnesses == ((Fraction(1), (1,)),)
 
@@ -143,7 +146,7 @@ def test_validate_zero_eigenvalue_fails_n1():
     spec = make_spec(
         matrix_spectrum=(MatrixEigenData(Fraction(0), TorusRep.rotation(1, [1]), (1,)),)
     )
-    assert not validate(spec).n1
+    assert not spec.validation.n1
 
 
 def test_validate_duplicate_marker_fails_e():
@@ -154,35 +157,48 @@ def test_validate_duplicate_marker_fails_e():
             MatrixEigenData(Fraction(2), TorusRep.rotation(1, [1]), (1,)),
         ),
     )
-    report = validate(spec)
+    report = spec.validation
     assert not report.e_holds and report.e_witnesses is None
 
 
 def test_validate_dim_mismatch_reported():
-    spec = make_spec(p=3)
     with pytest.raises(InputError) as info:
-        validate(spec)
+        make_spec(p=3)
     assert info.value.code == "DIM_MISMATCH"
 
 
 def test_validate_trivial_degree_reported():
-    spec = make_spec(origin_degree_pos=EulerElement(1))
     with pytest.raises(InputError) as info:
-        validate(spec)
+        make_spec(origin_degree_pos=EulerElement(1))
     assert info.value.code == "B6_TRIVIAL"
 
 
 def test_validate_beta_above_cutoff_reported():
-    spec = make_spec(beta_cutoff=Fraction(5))
     with pytest.raises(InputError) as info:
-        validate(spec)
+        make_spec(beta_cutoff=Fraction(5))
     assert info.value.code == "CUTOFF_INSUFFICIENT"
+
+
+def test_beta_past_the_cutoff_gives_a_bounded_message():
+    base = circle_quartic_spec(9)
+    huge_entry = LaplaceEigenData(10**5000, TorusRep(1, 1))
+    with pytest.raises(InputError) as info:
+        dataclasses.replace(base, laplace_spectrum=base.laplace_spectrum + (huge_entry,))
+    assert info.value.code == "CUTOFF_INSUFFICIENT"
+    assert str(info.value) == "CUTOFF_INSUFFICIENT: eigenvalue <rational of 16611 bits> exceeds declared cutoff 9"
+
+
+def test_rank_errors_are_schema_errors():
+    for overrides in ({"l": 0}, {"r": -1}, {"r": 2}, {"origin_degree_pos": EulerElement.unit(2)}):
+        with pytest.raises(InputError) as info:
+            make_spec(**overrides)
+        assert info.value.code == "SCHEMA"
 
 
 def test_validate_n2_methods(sphere_spec):
     # the sphere eigenspaces contain torus-fixed vectors, so only the
     # irreducibility certification route applies
-    report = validate(sphere_spec)
+    report = sphere_spec.validation
     assert report.n2 and report.n2_method == "irreducible-flags"
     stripped = ProblemSpec(
         r=sphere_spec.r,
@@ -197,7 +213,7 @@ def test_validate_n2_methods(sphere_spec):
         origin_degree_pos=sphere_spec.origin_degree_pos,
         origin_degree_neg=sphere_spec.origin_degree_neg,
     )
-    report2 = validate(stripped)
+    report2 = stripped.validation
     assert not report2.n2 and report2.n2_method is None
 
 
