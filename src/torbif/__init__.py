@@ -26,7 +26,6 @@ from .bifurcation import (
 from .errors import ConsistencyError, CutoffError, InputError, RefusalError, TorbifError
 from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
-    IntMatrix,
     SmithDecomposition,
     TorusSubgroup,
     codim_generators,
@@ -53,7 +52,6 @@ __all__ = [
     "CutoffError",
     "EulerElement",
     "InputError",
-    "IntMatrix",
     "LaplaceEigenData",
     "LevelAnalysis",
     "LevelSweep",

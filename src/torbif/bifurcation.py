@@ -80,7 +80,6 @@ class Verdict:
     nor N2 is certified the verdict degrades to the local-or-global alternative.
     """
 
-    lambda0: Fraction
     global_bifurcation: bool
     reasons: tuple[str, ...]
     symmetry_breaking: bool
@@ -305,11 +304,11 @@ def _uniqueness_scan(spec: ProblemSpec) -> str | None:
         if not any(le.highest_weight):
             return f"zero highest weight at {shown(le.beta)}"
         if not le.eigenspace.occurs(le.highest_weight):
-            return f"highest weight {le.highest_weight} at beta {shown(le.beta)} is not a weight of its eigenspace"
+            return f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} is not a weight of its eigenspace"
         for lower in spec.laplace_spectrum:
             if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
                 return (
-                    f"highest weight {le.highest_weight} at beta {shown(le.beta)} "
+                    f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} "
                     f"already occurs at beta {shown(lower.beta)}"
                 )
     return None
@@ -423,7 +422,6 @@ def _record(
         zero_parity = "p-odd" if spec.p % 2 else "p-even"
 
     v = Verdict(
-        lambda0=lam0,
         global_bifurcation=glob,
         reasons=tuple(reasons),
         symmetry_breaking=report.n2 and lam0 != 0,

@@ -1,19 +1,28 @@
-"""Exception hierarchy shared across the package, and the bounded form of a rational in messages."""
+"""Exception hierarchy shared across the package, and the bounded form of a number in messages."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
-# Messages show a rational in full up to this many bits (numerator plus
-# denominator, about 77 digits), and only its size past it: str() of an int of
-# over 4,300 digits raises ValueError, and a longer message helps no reader.
+# Messages show a number in full up to this many bits (for a rational, numerator
+# plus denominator, about 77 digits), and only its size past it: str() of an int
+# of over 4,300 digits raises ValueError, and a longer message helps no reader.
 _MESSAGE_MAX_BITS = 256
 
 
-def shown(x: Fraction) -> str:
-    """``str(x)``, or ``x``'s size in bits when it is over ``_MESSAGE_MAX_BITS``."""
-    bits = x.numerator.bit_length() + x.denominator.bit_length()
-    return str(x) if bits <= _MESSAGE_MAX_BITS else f"<rational of {bits} bits>"
+def shown(x: Fraction | int | Sequence[int]) -> str:
+    """``str(x)`` for a rational, an integer or an integer vector, or only its size past ``_MESSAGE_MAX_BITS``.
+
+    A vector is shown in full when each of its entries is.
+    """
+    if isinstance(x, Fraction):
+        bits, what = x.numerator.bit_length() + x.denominator.bit_length(), "rational"
+    elif isinstance(x, int):
+        bits, what = x.bit_length(), "integer"
+    else:
+        bits, what = max((e.bit_length() for e in x), default=0), "integer vector with an entry"
+    return str(x) if bits <= _MESSAGE_MAX_BITS else f"<{what} of {bits} bits>"
 
 
 class TorbifError(Exception):

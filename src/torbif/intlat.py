@@ -1,7 +1,8 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Hermite and Smith normal forms, and closed subgroups of a torus encoded by
-their annihilator character lattice, stored by its row-style Hermite basis.
+Hermite and Smith normal forms of integer matrices, each given as a tuple of
+row tuples, and closed subgroups of a torus encoded by their annihilator
+character lattice, stored by its row-style Hermite basis.
 
 Subgroups have no public constructor: ``subgroup_canonical``,
 ``subgroup_intersect``, ``extend_by_full_torus`` and
@@ -49,103 +50,54 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major, arbitrary precision."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("matrix shape must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError("entry count does not match matrix shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(int(e) for e in row) for row in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise InputError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and rows and width != cols:
-            raise InputError(f"rows have length {width}, expected {cols}")
-        flat = tuple(e for row in rows for e in row)
-        return IntMatrix(len(rows), width if rows else (cols or 0), flat)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> tuple[Vector, ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputError("matrix shapes do not compose")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise InputError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of the square matrix with these rows, by fraction-free Bareiss elimination."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    if any(len(row) != n for row in a):
+        raise InputError("determinant of a non-square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """``P @ R @ Q = D`` with P, Q unimodular and D diagonal."""
+    """``P R Q = diag(invariant_factors)``, zero-padded to the shape of R.
 
-    P: IntMatrix
-    Q: IntMatrix
-    D: IntMatrix
+    P and Q are unimodular, and like R they are tuples of row tuples.
+    """
+
+    P: tuple[Vector, ...]
+    Q: tuple[Vector, ...]
     invariant_factors: tuple[int, ...]
 
 
-def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms.
+def snf(cols: int, rows: Iterable[Sequence[int]]) -> SmithDecomposition:
+    """Smith normal form, with unimodular transforms, of the matrix R with these rows of ``cols`` ints.
 
-    Returns a decomposition whose diagonal entries are positive and form a
-    divisibility chain d_1 | d_2 | ... ; the zero matrix is allowed.
+    The invariant factors are positive and form a divisibility chain
+    d_1 | d_2 | ... ; the zero matrix is allowed.  A row whose length is not
+    ``cols`` raises ``InputError``.
     """
-    p, r = m.rows, m.cols
-    d = [list(m.row(i)) for i in range(p)]
+    d = _int_rows(cols, rows)
+    p, r = len(d), cols
     pm = [[int(i == j) for j in range(p)] for i in range(p)]
     qm = [[int(i == j) for j in range(r)] for i in range(r)]
 
@@ -228,14 +180,19 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             row_axpy(t, offender, -1)
         t += 1
 
-    dm = IntMatrix.from_rows(d, r)
     factors = tuple(d[i][i] for i in range(min(p, r)) if d[i][i] != 0)
-    return SmithDecomposition(
-        P=IntMatrix.from_rows(pm, p),
-        Q=IntMatrix.from_rows(qm, r),
-        D=dm,
-        invariant_factors=factors,
-    )
+    return SmithDecomposition(P=tuple(map(tuple, pm)), Q=tuple(map(tuple, qm)), invariant_factors=factors)
+
+
+def _int_rows(cols: int, rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """``rows`` as lists of ints; a row whose length is not ``cols`` raises ``InputError``."""
+    out = []
+    for row in rows:
+        row = [int(e) for e in row]
+        if len(row) != cols:
+            raise InputError(f"vector of length {len(row)} in ambient rank {cols}")
+        out.append(row)
+    return out
 
 
 def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
@@ -246,14 +203,7 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
     dropped, so two iterables span the same lattice iff the results are
     identical.
     """
-    mat: list[Sequence[int]] = []
-    for row in rows:
-        row = [int(e) for e in row]
-        if len(row) != ambient:
-            raise InputError(f"vector of length {len(row)} in ambient rank {ambient}")
-        if any(row):
-            mat.append(row)
-    return _hermite(ambient, mat)
+    return _hermite(ambient, [row for row in _int_rows(ambient, rows) if any(row)])
 
 
 def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
@@ -402,14 +352,18 @@ def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
 def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
     """Exactly codim(h) characters whose kernels intersect to ``h``.
 
-    Uses the Smith form D = P R Q of the annihilator basis R: the rows of
-    P R = D Q^-1 are the invariant factors times the rows of the unimodular
-    Q^-1, and they span the same lattice as R.
+    Uses the Smith form P R Q = D of the stored annihilator basis R: the
+    rows of P R = D Q^-1 are the invariant factors times the rows of the
+    unimodular Q^-1, and they span the same lattice as R.
     """
     if h.is_full:
         return ()
-    rmat = IntMatrix.from_rows(h.annihilator.basis, h.ambient_rank)
-    return (snf(rmat).P @ rmat).to_rows()
+    basis = h.annihilator.basis
+    columns = tuple(zip(*basis))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(prow, col)) for col in columns)
+        for prow in snf(h.ambient_rank, basis).P
+    )
 
 
 def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:

@@ -299,7 +299,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     errors: list[tuple[str, str]] = []
     total = sum(e.eigenspace.dim for e in spec.matrix_spectrum)
     if total != spec.p:
-        errors.append(("DIM_MISMATCH", f"matrix eigenspace dimensions sum to {total}, expected p={spec.p}"))
+        errors.append(("DIM_MISMATCH", f"matrix eigenspace dimensions sum to {shown(total)}, expected p={shown(spec.p)}"))
     if not spec.matrix_spectrum:
         errors.append(("SCHEMA", "empty matrix spectrum"))
     if not spec.laplace_spectrum:

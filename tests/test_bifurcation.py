@@ -146,6 +146,22 @@ def test_huge_beta_gives_a_bounded_certificate_reason():
     assert analysis.verdict.unbounded_reason == "eigenspace at <rational of 16611 bits> not certified irreducible"
 
 
+
+def test_huge_highest_weight_gives_a_bounded_certificate_reason():
+    base = circle_quartic_spec(9)
+    entries = tuple(
+        dataclasses.replace(le, highest_weight=(10**5000,)) if le.beta == 1 else le for le in base.laplace_spectrum
+    )
+    [analysis] = analyze_levels(dataclasses.replace(base, laplace_spectrum=entries), [1]).analyses()
+    [honest] = analyze_levels(base, [1]).analyses()
+    assert analysis.index == honest.index and analysis.verdict.global_bifurcation
+    assert analysis.verdict.unbounded is None
+    reason = analysis.verdict.unbounded_reason
+    assert reason == (
+        "highest weight <integer vector with an entry of 16610 bits> at beta 1 is not a weight of its eigenspace"
+    )
+    assert len(reason) < 300
+
 # --- Hessian spectrum ----------------------------------------------------------------
 
 

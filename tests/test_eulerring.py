@@ -23,7 +23,7 @@ from torbif.eulerring import (
     plucker_star,
     star,
 )
-from torbif.intlat import IntMatrix, TorusSubgroup, subgroup_canonical, subgroup_intersect
+from torbif.intlat import TorusSubgroup, det, subgroup_canonical, subgroup_intersect
 from torbif.oracle import star_dimension_flipped
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.torusrep import TorusRep, direct_sum
@@ -394,6 +394,19 @@ def test_plucker_image_misses_a_combination_across_spans():
     assert plucker_image(x) == {}
 
 
+def test_plucker_image_misses_a_combination_of_finite_subgroups():
+    # T^2[2], its three subgroups of order 2 and the trivial subgroup; the marks
+    # of the Burnside ring are dependent here: the Klein group is the union of the three
+    def finite(*basis):
+        return EulerElement.generator(subgroup_canonical(2, basis))
+
+    y = (finite((2, 0), (0, 2))
+         - 4 * (finite((2, 0), (0, 1)) + finite((1, 0), (0, 2)) + finite((1, 1), (0, 2)))
+         + 32 * finite((1, 0), (0, 1)))
+    assert len(y.terms) == 5 and not y.is_zero
+    assert plucker_image(y) == {}
+
+
 def test_plucker_coordinates_are_the_minors():
     rng = random.Random(3)
     for trial in range(200):
@@ -402,7 +415,7 @@ def test_plucker_coordinates_are_the_minors():
         basis = h.annihilator.basis
         minors = {}
         for cols in itertools.combinations(range(r), len(basis)):
-            p = IntMatrix.from_rows([[row[c] for c in cols] for row in basis], len(cols)).det()
+            p = det([[row[c] for c in cols] for row in basis])
             if p:
                 minors[sum(1 << c for c in cols)] = p
         assert plucker_image(EulerElement.generator(h)) == {(i, j): p * q for i, p in minors.items() for j, q in minors.items()}
@@ -446,7 +459,7 @@ def test_finite_subgroup_wedge_is_the_pivot_product():
         by_rows = {0: 1}
         for row in basis:
             by_rows = _wedge(by_rows, row)
-        assert _annihilator_wedge(h) == by_rows == {(1 << r) - 1: IntMatrix.from_rows(basis).det()}, h
+        assert _annihilator_wedge(h) == by_rows == {(1 << r) - 1: det(basis)}, h
     assert finite == set(range(1, 8))
 
 

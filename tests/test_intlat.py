@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 import torbif.intlat as intlat
 from torbif.errors import InputError
 from torbif.intlat import (
-    IntMatrix,
     Lattice,
     TorusSubgroup,
     _INTERNED,
     codim_generators,
     contains,
+    det,
     extend_by_full_torus,
     hermite_basis,
     snf,
@@ -47,21 +47,38 @@ def laplace_det(rows):
     return total
 
 
-def factors_by_minor_gcds(m: IntMatrix) -> tuple[int, ...]:
+def factors_by_minor_gcds(rows) -> tuple[int, ...]:
     """Invariant factors as successive quotients of k-minor gcds."""
     out = []
     prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
         g = 0
-        for rsel in itertools.combinations(range(m.rows), k):
-            for csel in itertools.combinations(range(m.cols), k):
-                sub = [[m[i, j] for j in csel] for i in rsel]
+        for rsel in itertools.combinations(range(len(rows)), k):
+            for csel in itertools.combinations(range(len(rows[0])), k):
+                sub = [[rows[i][j] for j in csel] for i in rsel]
                 g = math.gcd(g, laplace_det(sub))
         if g == 0:
             break
         out.append(g // prev)
         prev = g
     return tuple(out)
+
+
+def times(a, b):
+    """Product of two matrices given by their rows, the second with at least one row."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def padded_diagonal(p: int, r: int, factors) -> tuple[tuple[int, ...], ...]:
+    """The p x r matrix with ``factors`` down its diagonal and zeros elsewhere."""
+    return tuple(tuple(factors[i] if i == j and i < len(factors) else 0 for j in range(r)) for i in range(p))
+
+
+def assert_smith(rows, dec):
+    """``dec`` is a Smith decomposition of ``rows``: P R Q is the padded diagonal, P and Q unimodular."""
+    assert times(times(dec.P, rows), dec.Q) == padded_diagonal(len(rows), len(rows[0]), dec.invariant_factors)
+    assert abs(laplace_det(list(map(list, dec.P)))) == 1
+    assert abs(laplace_det(list(map(list, dec.Q)))) == 1
 
 
 def rank_by_gauss(rows) -> int:
@@ -102,53 +119,68 @@ def test_xgcd(a, b):
     assert x * a + y * b == g
 
 
-def test_matrix_shape_errors():
+def test_det_matches_laplace_expansion():
+    rng = random.Random(5)
+    for n in range(6):
+        for _ in range(40):
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            assert det(rows) == laplace_det(rows), rows
     with pytest.raises(InputError):
-        IntMatrix(2, 2, (1, 2, 3))
-    with pytest.raises(InputError):
-        IntMatrix.from_rows([[1, 2], [3]])
+        det([(1, 2)])
 
 
 # --- Smith normal form --------------------------------------------------------
 
 
+def test_snf_input_errors():
+    with pytest.raises(InputError, match="length 1 in ambient rank 2"):
+        snf(2, [(1, 2), (3,)])  # ragged
+    with pytest.raises(InputError, match="length 2 in ambient rank 3"):
+        snf(3, [(1, 2), (3, 4)])  # rows of equal length, but not cols
+
+
 def test_snf_identity():
-    dec = snf(IntMatrix.identity(2))
-    assert dec.D == IntMatrix.identity(2)
+    dec = snf(2, [(1, 0), (0, 1)])
     assert dec.invariant_factors == (1, 1)
+    assert_smith(((1, 0), (0, 1)), dec)
 
 
 def test_snf_diagonal_2_3():
     # gcd-of-minors oracle: d1 = gcd(2, 3) = 1, d1*d2 = |det| = 6
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    m = ((2, 0), (0, 3))
     assert factors_by_minor_gcds(m) == (1, 6)
-    assert snf(m).invariant_factors == (1, 6)
+    assert snf(2, m).invariant_factors == (1, 6)
+    assert_smith(m, snf(2, m))
 
 
 def test_snf_full_2x2():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    m = ((2, 4), (6, 8))
     assert factors_by_minor_gcds(m) == (2, 4)
-    assert snf(m).invariant_factors == (2, 4)
+    assert snf(2, m).invariant_factors == (2, 4)
+    assert_smith(m, snf(2, m))
 
 
 def test_snf_zero_matrix():
-    dec = snf(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    m = ((0, 0), (0, 0))
+    dec = snf(2, m)
     assert dec.invariant_factors == ()
-    assert dec.D.entries == (0, 0, 0, 0)
+    assert_smith(m, dec)
+
+
+def test_snf_of_no_rows():
+    dec = snf(3, [])
+    assert dec == intlat.SmithDecomposition(P=(), Q=((1, 0, 0), (0, 1, 0), (0, 0, 1)), invariant_factors=())
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_snf_decomposition_properties(rows):
-    m = IntMatrix.from_rows(rows)
-    dec = snf(m)
-    assert (dec.P @ m @ dec.Q) == dec.D
-    assert abs(laplace_det(list(map(list, dec.P.to_rows())))) == 1
-    assert abs(laplace_det(list(map(list, dec.Q.to_rows())))) == 1
+    dec = snf(len(rows[0]), rows)
+    assert_smith(rows, dec)
     fs = dec.invariant_factors
     assert all(f > 0 for f in fs)
     assert all(fs[i + 1] % fs[i] == 0 for i in range(len(fs) - 1))
-    assert fs == factors_by_minor_gcds(m)
+    assert fs == factors_by_minor_gcds(rows)
 
 
 def test_snf_matches_sympy_invariant_factors():
@@ -162,7 +194,7 @@ def test_snf_matches_sympy_invariant_factors():
         rows = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(r)] for _ in range(p)]
         theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         expected = tuple(abs(int(f)) for f in theirs if f != 0)
-        assert snf(IntMatrix.from_rows(rows)).invariant_factors == expected, rows
+        assert snf(r, rows).invariant_factors == expected, rows
 
 
 # --- Hermite form and lattices --------------------------------------------------
@@ -214,7 +246,7 @@ def minor_gcd(rows, k: int) -> int:
     cols = len(rows[0])
     for rsel in itertools.combinations(range(len(rows)), k):
         for csel in itertools.combinations(range(cols), k):
-            g = math.gcd(g, IntMatrix.from_rows([[rows[i][j] for j in csel] for i in rsel]).det())
+            g = math.gcd(g, det([[rows[i][j] for j in csel] for i in rsel]))
     return g
 
 
@@ -325,9 +357,7 @@ def assert_hermite_of(r, basis, rows):
     assert all(in_span(basis, row) for row in rows), (rows, basis)
     assert len(basis) == rank_by_gauss(rows)
     if basis:  # same rank and same gcd of maximal minors: the spans are equal
-        assert math.prod(snf(IntMatrix.from_rows(basis, r)).invariant_factors) == math.prod(
-            snf(IntMatrix.from_rows(rows, r)).invariant_factors
-        )
+        assert math.prod(snf(r, basis).invariant_factors) == math.prod(snf(r, rows).invariant_factors)
 
 
 def test_meet_core_matches_hermite_basis_on_random_pairs():
@@ -406,7 +436,7 @@ def test_codim_generators_smith_structure():
         gens = codim_generators(h)
         assert len(gens) == h.codim
         assert subgroup_canonical(r, gens) is h
-        factors = snf(IntMatrix.from_rows(h.annihilator.basis, r)).invariant_factors
+        factors = snf(r, h.annihilator.basis).invariant_factors
         assert [math.gcd(*row) for row in gens] == list(factors), chars
 
 

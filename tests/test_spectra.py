@@ -188,6 +188,16 @@ def test_beta_past_the_cutoff_gives_a_bounded_message():
     assert str(info.value) == "CUTOFF_INSUFFICIENT: eigenvalue <rational of 16611 bits> exceeds declared cutoff 9"
 
 
+def test_huge_p_gives_a_bounded_message():
+    with pytest.raises(InputError) as info:
+        dataclasses.replace(circle_quartic_spec(9), p=10**5000)
+    assert info.value.code == "DIM_MISMATCH"
+    assert str(info.value) == (
+        "DIM_MISMATCH: matrix eigenspace dimensions sum to 2, expected p=<integer of 16610 bits>"
+    )
+    assert len(str(info.value)) < 300
+
+
 def test_rank_errors_are_schema_errors():
     for overrides in ({"l": 0}, {"r": -1}, {"r": 2}, {"origin_degree_pos": EulerElement.unit(2)}):
         with pytest.raises(InputError) as info:
