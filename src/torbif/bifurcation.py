@@ -23,13 +23,11 @@ from typing import Iterable
 from .errors import ConsistencyError, CutoffError, InputError, shown
 from .eulerring import (
     PLUCKER_MAX_RANK,
-    PLUCKER_ONE,
     EulerElement,
     deg_minus_id,
     lift,
     plucker_degree,
     plucker_image,
-    plucker_star,
     plucker_sub,
     star,
 )
@@ -218,24 +216,24 @@ def analyze_levels(
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
     The spec carries its validation; its eigendata are grouped by level
-    once, and its highest weights are scanned at most once.  Walking outward from
-    0 on each side, each kernel is built once and added to the negative
-    space toward 0 (near), giving the one away from it (far), and the degree
-    of -Id on the negative space is carried as a running product: at every
-    walked level deg(far) = deg(near) * deg(kernel).  At a requested level,
-    with the near and far sides named below and above, the index is
-    lift(F) * (deg(above) - deg(below)).  It is checked without the star
-    product: its Plücker-square image (see :mod:`~torbif.eulerring`) must
-    equal Phi(lift(F)) * (P(above) - P(below)), where P is the image of the
-    degree carried alongside by the closed form from the weights.  Phi is
-    not injective, so an error whose image is 0 passes this check: not only
-    a swap of subgroups of equal rational span and covolume, but any
-    combination whose squared wedges cancel across spans, such as
-    chi(H_(1,1)) + chi(H_(1,-1)) - 2 chi(H_(1,0)) - 2 chi(H_(0,1)) in
-    U(T^2), where H_m is the kernel of the character m.
+    once, and its highest weights are scanned at most once.  Walking outward
+    from 0 on each side, each kernel is built once and added to the negative
+    space toward 0 (near), giving the one away from it (far).  The gradient
+    degree D = lift(F) * deg(-Id) on the negative space is carried as a
+    running product from D = lift(F) at the zero space: at every walked
+    level D(far) = D(near) * deg(-Id)(kernel).  At a requested level, with
+    the near and far sides named below and above, the index is
+    D(above) - D(below).  It is checked without the star product: its
+    Plücker-square image (see :mod:`~torbif.eulerring`) must equal
+    P(above) - P(below), where P, the image of D, is carried alongside from
+    Phi(lift(F)) by the closed form from each kernel's weights.  Phi is
+    not injective, so an error whose image is 0 passes this check: a swap of
+    subgroups of equal rational span and covolume, or a combination whose
+    squared wedges cancel across spans (:mod:`~torbif.eulerring` gives one).
     Above ``PLUCKER_MAX_RANK`` the running degree is instead compared with
-    deg(far) computed from scratch.  Every ring product is ``star`` looked
-    up in this module at call time, so a rebound ``star`` sees each one.
+    lift(F) * deg(-Id)(far) computed from scratch.  Every ring product is
+    ``star`` looked up in this module at call time, so a rebound ``star``
+    sees each one.
 
     Each requested level gets a record: its analysis, or the message of its
     cutoff refusal.  A level past the cutoff is refused before it is checked
@@ -262,29 +260,30 @@ def analyze_levels(
     facts = _SweepFacts(spec, pairs)
     n = spec.r + spec.l
     zero = TorusRep(n)
-    if 0 in todo:  # both negative spaces are zero, with degree the unit
-        index = lift(spec.origin_degree_pos, spec.l) - lift(spec.origin_degree_neg, spec.l)
-        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, index)
+    # the gradient degree where the negative space is zero: the lifted origin degree
+    start = {1: lift(spec.origin_degree_pos, spec.l), -1: lift(spec.origin_degree_neg, spec.l)}
+    if 0 in todo:
+        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, start[1] - start[-1])
     # positive side first: a fixed order, so the level a defect names does not depend on set order
     for stop in sorted({max(todo | {0}), min(todo | {0})} - {0}, reverse=True):
-        lifted = lift(spec.origin_degree_pos if stop > 0 else spec.origin_degree_neg, spec.l)
-        phi_lifted = plucker_image(lifted) if n <= PLUCKER_MAX_RANK else None
-        near, d_far, p_far = zero, EulerElement.unit(n), PLUCKER_ONE  # the zero space, its degree and image
+        side = 1 if stop > 0 else -1
+        near, d_far = zero, start[side]
+        p_far = plucker_image(d_far) if n <= PLUCKER_MAX_RANK else None
         for t in sorted((t for t in pairs if 0 < t / stop < 1), key=abs) + [stop]:
             kernel = _kernel(n, pairs[t])  # |t| <= |stop|, which passed the cutoff check
             far = direct_sum(near, kernel)
             d_near, p_near = d_far, p_far
             d_far = star(d_near, deg_minus_id(kernel, star))
-            if phi_lifted is not None:
+            if p_near is not None:
                 p_far = plucker_degree(kernel, p_near)
             if t in todo:
                 sides = [(near, d_near, p_near), (far, d_far, p_far)]
                 (below, d_below, p_below), (above, d_above, p_above) = sides if t > 0 else sides[::-1]
-                index = star(lifted, d_above - d_below)
-                if phi_lifted is None:
-                    agree = d_far == deg_minus_id(far, star)
+                index = d_above - d_below
+                if p_far is None:
+                    agree = d_far == star(start[side], deg_minus_id(far, star))
                 else:
-                    agree = plucker_image(index) == plucker_star(phi_lifted, plucker_sub(p_above, p_below))
+                    agree = plucker_image(index) == plucker_sub(p_above, p_below)
                 if not agree:
                     raise ConsistencyError(f"index routes disagree at level {t}")
                 out[t] = _record(facts, t, kernel, below, above, index)

@@ -33,9 +33,11 @@ if TYPE_CHECKING:
 
 RESIDUAL_TOL = 1e-12
 CROSSING_TOL = 1e-6
+# Newton steps newton_branch takes before it reports divergence.
+NEWTON_MAX_ITER = 50
 # Largest Fourier cutoff N that stability_scan and newton_branch take on.  A
 # Newton step solves a dense system of order 2(2N+1); at N = 128 a step takes
-# about 0.06 s on a 2-core machine, so the default 50 steps stay near 3 s.  The
+# about 0.06 s on a 2-core machine, so NEWTON_MAX_ITER steps stay near 3 s.  The
 # scan resolves crossings up to (N-2)^2 = 15876 at this cutoff.
 GALERKIN_MAX_MODES = 128
 # Most grid steps stability_scan takes on; each grid point is one negative count.
@@ -272,15 +274,13 @@ class NewtonResult:
     residual_sup: float
 
 
-def newton_branch(
-    k: int, lam: float, n_modes: int | None = None, max_iter: int = 50
-) -> NewtonResult:
+def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResult:
     """Converge onto the mode-k branch at parameter ``lam``.
 
     Starts from the 0.1-amplitude guess on mode k, pins the phase, and
     iterates Newton on the trivial-family-deflated residual until the
     (undeflated) residual sup-norm drops below 1e-12.  Divergence after
-    ``max_iter`` steps is reported, not raised.  A non-finite ``lam`` is an
+    ``NEWTON_MAX_ITER`` steps is reported, not raised.  A non-finite ``lam`` is an
     input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused.
     """
     if not math.isfinite(lam):
@@ -300,7 +300,7 @@ def newton_branch(
     iterations = 0
     res = residual(model).ravel()
     while not float(np.abs(res).max()) < RESIDUAL_TOL:  # a NaN residual has not converged
-        if iterations >= max_iter:
+        if iterations >= NEWTON_MAX_ITER:
             return NewtonResult(False, iterations, model, amplitude(model), float(np.abs(res).max()))
         jac = _jacobian(model)
         jac[pin, :] = 0.0

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
-from types import MappingProxyType
 
 from .errors import InputError
 from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, subgroup_intersect
@@ -74,8 +73,8 @@ class EulerElement:
         return EulerElement(r, [(TorusSubgroup.full_torus(r), 1)])
 
     @staticmethod
-    def generator(h: TorusSubgroup, coeff: int = 1) -> "EulerElement":
-        return EulerElement(h.ambient_rank, [(h, coeff)])
+    def generator(h: TorusSubgroup) -> "EulerElement":
+        return EulerElement(h.ambient_rank, [(h, 1)])
 
     @property
     def is_zero(self) -> bool:
@@ -194,7 +193,6 @@ PLUCKER_MAX_RANK = 7
 
 # (I, J) as column bitmasks -> coefficient of e_I (x) e_J; zeros are dropped
 PluckerImage = Mapping[tuple[int, int], int]
-PLUCKER_ONE: PluckerImage = MappingProxyType({(0, 0): 1})  # read-only: shared by every sweep
 
 
 def _wedge_sign(i: int, k: int) -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .bifurcation import LevelAnalysis, Verdict, analyze_levels
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, shown
 from .eulerring import EulerElement
 from .intlat import TorusSubgroup, subgroup_canonical
 from .spectra import (
@@ -95,7 +95,7 @@ def _parse_rep(doc: dict, rank: int, where: str) -> TorusRep:
         raise InputError(f"{where}: {exc}", code="SCHEMA")
 
 
-def _parse_degree(value: Any, r: int, where: str, code_if_zero: str) -> EulerElement:
+def _parse_degree(value: Any, r: int, where: str) -> EulerElement:
     terms = []
     for i, item in enumerate(_expect_list(value, where)):
         if not isinstance(item, dict):
@@ -111,7 +111,7 @@ def _parse_degree(value: Any, r: int, where: str, code_if_zero: str) -> EulerEle
             raise InputError(f"{where}[{i}]: {exc}", code="SCHEMA")
     element = EulerElement(r, terms)
     if element.is_zero:
-        raise InputError(f"{where}: degree is the zero element", code=code_if_zero)
+        raise InputError(f"{where}: degree is the zero element", code="B6_TRIVIAL")
     return element
 
 
@@ -126,11 +126,11 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
             pcut = _expect_int(params.get("cutoff"), "laplace.params.cutoff")
             if d != l:
                 raise InputError(
-                    f"laplace.params.d={d} does not match l={l}", code="SCHEMA"
+                    f"laplace.params.d={shown(d)} does not match l={shown(l)}", code="SCHEMA"
                 )
             if Fraction(pcut) < cutoff:
                 raise InputError(
-                    f"flat torus provider enumerates up to {pcut}, below beta_cutoff {cutoff}",
+                    f"flat torus provider enumerates up to {shown(pcut)}, below beta_cutoff {shown(cutoff)}",
                     code="CUTOFF_INSUFFICIENT",
                 )
             provide, args = flat_torus_spectrum, (d, pcut)
@@ -139,12 +139,12 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
             kmax = _expect_int(params.get("cutoff_k"), "laplace.params.cutoff_k")
             if n // 2 != l:
                 raise InputError(
-                    f"sphere provider has torus rank {n // 2}, spec says l={l}", code="SCHEMA"
+                    f"sphere provider has torus rank {shown(n // 2)}, spec says l={shown(l)}", code="SCHEMA"
                 )
             top = (kmax + 1) * (kmax + n - 1)
             if Fraction(top) <= cutoff:
                 raise InputError(
-                    f"sphere provider stops below beta_cutoff {cutoff}; raise cutoff_k",
+                    f"sphere provider stops below beta_cutoff {shown(cutoff)}; raise cutoff_k",
                     code="CUTOFF_INSUFFICIENT",
                 )
             provide, args = sphere_spectrum, (n, kmax)
@@ -178,7 +178,7 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
             raise InputError(f"{where}: {exc}", code="SCHEMA")
         if beta > cutoff:
             raise InputError(
-                f"{where}: eigenvalue {beta} exceeds beta_cutoff {cutoff}",
+                f"{where}: eigenvalue {shown(beta)} exceeds beta_cutoff {shown(cutoff)}",
                 code="CUTOFF_INSUFFICIENT",
             )
     return tuple(out)
@@ -196,7 +196,7 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
     l = _expect_int(doc.get("l"), "l")
     if abs(r) + abs(l) > MAX_TORUS_RANK:
         raise RefusalError(
-            f"torus rank r + l with r={r}, l={l} is over the limit {MAX_TORUS_RANK}; lower r or l"
+            f"torus rank r + l with r={shown(r)}, l={shown(l)} is over the limit {MAX_TORUS_RANK}; lower r or l"
         )
     p = _expect_int(doc.get("p"), "p")
     cutoff = parse_rational(doc.get("beta_cutoff"), "beta_cutoff")
@@ -221,8 +221,8 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
             raise InputError(f"{where}: {exc}", code="SCHEMA")
 
     laplace = _parse_laplace(doc.get("laplace"), l, cutoff)
-    deg_pos = _parse_degree(doc.get("degF_pos"), r, "degF_pos", "B6_TRIVIAL")
-    deg_neg = _parse_degree(doc.get("degF_neg"), r, "degF_neg", "B6_TRIVIAL")
+    deg_pos = _parse_degree(doc.get("degF_pos"), r, "degF_pos")
+    deg_neg = _parse_degree(doc.get("degF_neg"), r, "degF_neg")
 
     return ProblemSpec(
         r=r,

@@ -154,7 +154,7 @@ def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
     # 2s+1 >= 2, since 2**bit_length exceeds the limit, and never a huge power
     if (2 * s + 1) ** min(d, FLAT_TORUS_MAX_POINTS.bit_length()) > FLAT_TORUS_MAX_POINTS:
         raise RefusalError(
-            f"flat torus T^{d} up to cutoff {cutoff} walks {2 * s + 1}^{d} lattice points, "
+            f"flat torus T^{shown(d)} up to cutoff {shown(cutoff)} walks {shown(2 * s + 1)}^{shown(d)} lattice points, "
             f"more than {FLAT_TORUS_MAX_POINTS}; lower the cutoff or d"
         )
     by_beta: dict[int, dict[Vector, int]] = {}
@@ -232,7 +232,7 @@ def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
     work = n * l * (cutoff_k + 1) ** 2 * (2 * cutoff_k + 1) ** min(l, SPHERE_MAX_WORK.bit_length())
     if work > SPHERE_MAX_WORK:
         raise RefusalError(
-            f"sphere S^{n - 1} up to cutoff_k = {cutoff_k} bounds its work by {work} coordinate "
+            f"sphere S^{shown(n - 1)} up to cutoff_k = {shown(cutoff_k)} bounds its work by {shown(work)} coordinate "
             f"updates, more than {SPHERE_MAX_WORK}; lower cutoff_k or n"
         )
     base: list[Vector] = []

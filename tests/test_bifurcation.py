@@ -20,7 +20,7 @@ from torbif.errors import ConsistencyError, CutoffError, InputError
 from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_image, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_inverted_spec, circle_quartic_spec, degenerate_origin_spec
-from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
+from torbif.problemfile import build_report, parse_problem, parse_problem_dict, render_text, report_to_json
 from torbif.spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
 
@@ -296,6 +296,7 @@ def test_verdict_alternative_when_uncertified():
     v = analyze_levels(stripped, [1]).analyses()[0].verdict
     assert v.alternative == "local-or-global"
     assert not v.symmetry_breaking
+    assert "alternative: local-or-global" in render_text(build_report(stripped, [1]))
 
 
 def test_verdict_zero_level(circle_spec):

@@ -108,24 +108,60 @@ def _timed_report(runner, problem):
 
 
 def test_oversized_torus_rank_is_refused(runner, tmp_path):
-    result, seconds = _timed_report(runner, _write_problem(tmp_path, r=10**7))
-    assert seconds < 1.0
-    assert result.exit_code == 3
-    assert "r=10000000" in result.output and "lower r or l" in result.output
+    for r, shown in [(10**7, "r=10000000"), (10**3999, "r=<integer of 13285 bits>")]:
+        result, seconds = _timed_report(runner, _write_problem(tmp_path, r=r))
+        assert seconds < 1.0
+        assert result.exit_code == 3
+        assert shown in result.output and "lower r or l" in result.output
+        assert len(result.output) < 300
 
 
-def test_oversized_sphere_is_refused(runner, tmp_path):
+@pytest.mark.parametrize("cutoff_k", [10**6, 10**1499], ids=["7-digit", "1500-digit"])
+def test_oversized_sphere_is_refused(runner, tmp_path, cutoff_k):
+    # the bound on the work of a 1,500-digit cutoff_k has over 4,300 digits, past str()'s limit
     problem = _write_problem(
         tmp_path,
         p=1,
         matrix_spectrum=[{"alpha": "1", "trivial_mult": 1, "marker": [0]}],
-        laplace={"provider": "sphere", "params": {"n": 3, "cutoff_k": 10**6}},
+        laplace={"provider": "sphere", "params": {"n": 3, "cutoff_k": cutoff_k}},
         beta_cutoff="20",
     )
     result, seconds = _timed_report(runner, problem)
     assert seconds < 1.0
     assert result.exit_code == 3
     assert "laplace.params" in result.output and "cutoff_k" in result.output
+    assert len(result.output) < 300
+
+
+_HUGE = 10**3999  # 4,000 digits: json reads it, and str() of it still works
+
+
+@pytest.mark.parametrize(
+    ("changes", "code"),
+    [
+        ({"laplace": {"provider": "flat_torus", "params": {"d": _HUGE, "cutoff": 4}}}, "SCHEMA"),
+        (
+            {
+                "laplace": {"provider": "flat_torus", "params": {"d": 1, "cutoff": _HUGE}},
+                "beta_cutoff": str(10 * _HUGE),
+            },
+            "CUTOFF_INSUFFICIENT",
+        ),
+        ({"laplace": {"provider": "sphere", "params": {"n": _HUGE, "cutoff_k": 1}}}, "SCHEMA"),
+        (
+            {"laplace": {"provider": "sphere", "params": {"n": 3, "cutoff_k": 1}}, "beta_cutoff": str(_HUGE)},
+            "CUTOFF_INSUFFICIENT",
+        ),
+        ({"laplace": [{"beta": str(_HUGE), "weights": [{"m": [1]}]}]}, "CUTOFF_INSUFFICIENT"),
+    ],
+    ids=["flat-d", "flat-cutoff", "sphere-n", "sphere-beta-cutoff", "entry-beta"],
+)
+def test_parser_messages_bound_huge_laplace_values(runner, tmp_path, changes, code):
+    result, seconds = _timed_report(runner, _write_problem(tmp_path, **changes))
+    assert seconds < 1.0
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error[{code}]: ")
+    assert "bits>" in result.output and len(result.output) < 300
 
 
 def test_huge_multiplicity_is_reported(runner, tmp_path):

@@ -1,17 +1,19 @@
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torbif.bifurcation as bifurcation
+from torbif import cli
 from torbif.errors import ConsistencyError, InputError
 from torbif.eulerring import (
-    PLUCKER_ONE,
     EulerElement,
     _annihilator_wedge,
     _wedge,
@@ -216,11 +218,33 @@ def test_p3_report_bytes_pinned(cutoff, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_analyze_all_prints_a_refused_level(tmp_path):
+    problem = tmp_path / "p3.json"
+    problem.write_text(json.dumps(p3_problem(5)))
+    result = CliRunner().invoke(cli.main, ["analyze-all", str(problem)])
+    assert result.exit_code == 0
+    assert "level 5: refused (analysis at level 5 needs Laplace data up to 15, declared cutoff is 5)" in (
+        result.output.splitlines()
+    )
+
+
 @pytest.mark.parametrize(("cutoff", "count"), [(5, 2036), (9, 6426)])
 def test_p3_report_meets_each_pair_once(cutoff, count, meets):
     # the running degrees never meet a pair twice, so a meet memo would save nothing here
     build_report(parse_problem_dict(p3_problem(cutoff)))
     assert len(meets) == len(set(meets)) == count
+
+
+@pytest.mark.parametrize(("name", "count"), [("p3", 29), ("sphere_spec", 14), ("circle_spec", 9)])
+def test_report_star_calls_pinned(name, count, request, monkeypatch):
+    # each side's running degree starts at the lifted origin degree, so a level's
+    # index is a difference of degrees and takes no product of its own
+    spec = parse_problem_dict(p3_problem(5)) if name == "p3" else request.getfixturevalue(name)
+    calls = []
+    honest = bifurcation.star
+    monkeypatch.setattr(bifurcation, "star", lambda a, b: calls.append(1) or honest(a, b))
+    build_report(spec)
+    assert len(calls) == count
 
 
 def test_meet_table_lives_for_one_sweep(meets, sphere_fixture_path):
@@ -375,9 +399,7 @@ def test_deg_multiplicative(v, w):
 
 
 def test_plucker_generator_examples():
-    assert plucker_image(EulerElement.generator(subgroup_canonical(3, []))) == PLUCKER_ONE
-    with pytest.raises(TypeError):
-        PLUCKER_ONE[0, 0] = 2  # shared by every sweep, so read-only
+    assert plucker_image(EulerElement.generator(subgroup_canonical(3, []))) == {(0, 0): 1}
     # disconnected: the kernel of (2, 0) has annihilator 2Z x 0, so w = 2 e_0
     assert plucker_image(EulerElement.generator(subgroup_canonical(2, [(2, 0)]))) == {(1, 1): 4}
     # (1, 1) and (1, -1) span an index-2 lattice: w = 2 e_01 up to sign
@@ -473,7 +495,8 @@ def test_corrupted_finite_term_of_an_index_is_a_defect(monkeypatch):
 
     def corrupted(a, b):
         out = honest(a, b)
-        return out + EulerElement.generator(finite) if out == index else out
+        # the running step across the level: a positive level's index is deg(above) - deg(below)
+        return out + EulerElement.generator(finite) if out - a == index else out
 
     monkeypatch.setattr(bifurcation, "star", corrupted)
     with pytest.raises(ConsistencyError, match=f"index routes disagree at level {level}"):
@@ -491,11 +514,12 @@ def random_rep(rng, r):
 
 def test_plucker_degree_closed_form():
     rng = random.Random(11)
+    one = {(0, 0): 1}
     for trial in range(200):
         v = random_rep(rng, 1 + trial % 4)
-        assert plucker_degree(v, PLUCKER_ONE) == plucker_image(deg_minus_id(v)), v
+        assert plucker_degree(v, one) == plucker_image(deg_minus_id(v)), v
         start = plucker_image(random_element(rng, v.ambient_rank))
-        assert plucker_degree(v, start) == plucker_star(start, plucker_degree(v, PLUCKER_ONE))
+        assert plucker_degree(v, start) == plucker_star(start, plucker_degree(v, one))
 
 
 @pytest.mark.parametrize("name", ["circle_fixture_path", "sphere_fixture_path"])

@@ -116,6 +116,18 @@ def test_sphere_work_bound():
         sphere_spectrum(10**9, 0)
 
 
+@pytest.mark.parametrize(
+    ("provide", "args"),
+    [(flat_torus_spectrum, (10**5000, 4)), (flat_torus_spectrum, (1, 10**10000)), (sphere_spectrum, (3, 10**5000))],
+    ids=["flat-d", "flat-cutoff", "sphere-cutoff_k"],
+)
+def test_provider_refusal_shows_huge_numbers_by_size(provide, args):
+    # str() of an int past 4,300 digits raises ValueError
+    with pytest.raises(RefusalError, match="bits>") as info:
+        provide(*args)
+    assert len(str(info.value)) < 300
+
+
 # --- validation -----------------------------------------------------------------
 
 
