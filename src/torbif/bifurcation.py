@@ -269,7 +269,7 @@ def analyze_levels(
         side = 1 if stop > 0 else -1
         near, d_far = zero, start[side]
         p_far = plucker_image(d_far) if n <= PLUCKER_MAX_RANK else None
-        for t in sorted((t for t in pairs if 0 < t / stop < 1), key=abs) + [stop]:
+        for t in sorted((t for t in pairs if _between_zero_and(t, stop)), key=abs) + [stop]:
             kernel = _kernel(n, pairs[t])  # |t| <= |stop|, which passed the cutoff check
             far = direct_sum(near, kernel)
             d_near, p_near = d_far, p_far
@@ -289,6 +289,11 @@ def analyze_levels(
                 out[t] = _record(facts, t, kernel, below, above, index)
             near = far
     return LevelSweep(cands, tuple((lam, out[lam]) for lam in wanted))
+
+
+def _between_zero_and(t: Fraction, level: Fraction) -> bool:
+    """Whether t lies strictly between 0 and the nonzero level (0 < t / level < 1), by comparisons only."""
+    return 0 < t < level or level < t < 0
 
 
 def _uniqueness_scan(spec: ProblemSpec) -> str | None:
@@ -379,7 +384,7 @@ def _unboundedness(
             coefficient=coeff,
             multiplicity=mult,
             witness=(me.alpha, le.beta, mu, nu),
-            excluded_levels=tuple(sorted(t for t in facts.pairs if 0 < t / lam0 < 1)),
+            excluded_levels=tuple(sorted(t for t in facts.pairs if _between_zero_and(t, lam0))),
         ),
         None,
     )

@@ -14,6 +14,15 @@ the trivial root altogether.  The angular degeneracy along the group
 orbit is pinned by freezing the sine coefficient of mode k of the first
 component.
 
+The Newton matrix is assembled in product form: the derivative of the
+cubic term is A diag(g) S^T for each pair of field components, with S the
+synthesis and A the analysis table on the grid, three (2N+1) x m products
+in all, instead of synthesizing all 2(2N+1) unit coefficient vectors.  The
+cos/sin tables behind S and A depend only on N; they are built once per
+cutoff and kept, read-only, in a cache of ``TABLE_CACHE_SIZE`` cutoffs.
+The scan counts negative eigenvalues at all its grid points in one array
+evaluation and only its bisection midpoints one at a time.
+
 numpy is imported inside each function that builds an array, not at module
 top, so the exact-algebra commands, which build none, never pay for loading
 it; ``stability_scan`` and ``newton_branch`` import it after their input
@@ -22,11 +31,12 @@ checks, so a bad or oversized request is rejected without loading numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,10 +47,15 @@ CROSSING_TOL = 1e-6
 NEWTON_MAX_ITER = 50
 # Largest Fourier cutoff N that stability_scan and newton_branch take on.  A
 # Newton step solves a dense system of order 2(2N+1); at N = 128 a step takes
-# about 0.06 s on a 2-core machine, so NEWTON_MAX_ITER steps stay near 3 s.  The
-# scan resolves crossings up to (N-2)^2 = 15876 at this cutoff.
+# about 0.012 s on a 2-core machine with one BLAS thread, so NEWTON_MAX_ITER
+# steps stay under 1 s.  The scan resolves crossings up to (N-2)^2 = 15876 at
+# this cutoff.
 GALERKIN_MAX_MODES = 128
-# Most grid steps stability_scan takes on; each grid point is one negative count.
+# Fourier cutoffs whose cos/sin tables stay cached; a table pair at N = 128
+# holds 2 * 128 * 516 floats (about 1 MB).
+TABLE_CACHE_SIZE = 8
+# Most grid steps stability_scan takes on.  It counts all grid points in one
+# batch: at both limits an array of 20,001 x 129 floats, about 21 MB.
 SCAN_MAX_STEPS = 20_000
 
 
@@ -60,11 +75,16 @@ def _grid(n_modes: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(m) / m
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k theta) and sin(k theta), k = 1..N, on the grid; shared, so read-only."""
     import numpy as np
     theta = _grid(n_modes)
     k = np.arange(1, n_modes + 1)[:, None]
-    return np.cos(k * theta), np.sin(k * theta)
+    tables = np.cos(k * theta), np.sin(k * theta)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def synthesize(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
@@ -143,21 +163,46 @@ def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _jacobian(model: CircleModel) -> np.ndarray:
-    """Derivative of ``residual`` in the flattened coefficients, all columns at once."""
+    """Derivative of ``residual`` in the flattened coefficients.
+
+    The cubic term's derivative in component j of component i is
+    A diag(g_ij) S^T, with S the synthesis table (rows 1, cos k theta,
+    sin k theta), A the analysis table of ``analyze`` (S scaled by 1/m
+    for mode 0 and 2/m above, here also by the mode weights) and
+    g_ij = 2 u_i u_j + delta_ij |u|^2 on the grid.  g_01 = g_10, so the
+    four blocks take three products, made in one batched matmul.  The
+    linear part is diagonal.
+    """
     import numpy as np
     n = model.n_modes
-    size = 2 * (2 * n + 1)
+    modes = 2 * n + 1
+    cos_t, sin_t = _tables(n)
+    m = cos_t.shape[1]
+    synth = np.empty((modes, m))
+    synth[0] = 1.0
+    synth[1::2] = cos_t
+    synth[2::2] = sin_t
+    weights = _mode_weights(n)
+    scale = np.full((modes, 1), 2.0 / m)
+    scale[0] = 1.0 / m
     u = synthesize(model.coeffs, n)
     sq = u[0] ** 2 + u[1] ** 2
-    basis = np.eye(size).reshape(size, 2, 2 * n + 1)  # basis[col] perturbs coefficient col
-    v = synthesize(basis, n)
-    dot = u[0] * v[:, 0] + u[1] * v[:, 1]
-    nl = analyze(sq * v + 2.0 * dot[:, None] * u, n)
-    return ((_linear(basis, model.lam) + nl) / _mode_weights(n)).reshape(size, size).T
+    g = np.stack([2.0 * u[0] * u[0] + sq, 2.0 * u[0] * u[1], 2.0 * u[1] * u[1] + sq])
+    blocks = (synth * (scale / weights[:, None]) * g[:, None, :]) @ synth.T
+    jac = np.empty((2, modes, 2, modes))
+    jac[0, :, 0] = blocks[0]
+    jac[0, :, 1] = jac[1, :, 0] = blocks[1]
+    jac[1, :, 1] = blocks[2]
+    jac = jac.reshape(2 * modes, 2 * modes)
+    jac.flat[:: 2 * modes + 1] += (_linear(np.ones((2, modes)), model.lam) / weights).ravel()
+    return jac
 
 
-def trivial_branch_eigenvalues(n_modes: int, lam: float) -> np.ndarray:
-    """Diagonal linearization eigenvalues (k^2 - lam)/(1 + k^2), k = 0..N."""
+def trivial_branch_eigenvalues(n_modes: int, lam: float | np.ndarray) -> np.ndarray:
+    """Diagonal linearization eigenvalues (k^2 - lam)/(1 + k^2), k = 0..N.
+
+    ``lam`` broadcasts against k: a column of s parameters gives s rows.
+    """
     import numpy as np
     k = np.arange(n_modes + 1, dtype=float)
     return (k * k - lam) / (1.0 + k * k)
@@ -166,16 +211,22 @@ def trivial_branch_eigenvalues(n_modes: int, lam: float) -> np.ndarray:
 def _check_modes(n_modes: int) -> None:
     if n_modes > GALERKIN_MAX_MODES:
         raise RefusalError(
-            f"mode cutoff {n_modes} is over the limit {GALERKIN_MAX_MODES}; lower the cutoff"
+            f"mode cutoff {shown(n_modes)} is over the limit {GALERKIN_MAX_MODES}; lower the cutoff"
         )
 
 
 def _negative_count(n_modes: int, lam: float) -> int:
+    """Negative eigenvalues of the trivial-branch linearization, with multiplicity (2 at mode 0, 4 above)."""
     import numpy as np
-    eigs = trivial_branch_eigenvalues(n_modes, lam)
-    mult = np.full(n_modes + 1, 4)
-    mult[0] = 2
-    return int(mult[eigs < 0.0].sum())
+    neg = trivial_branch_eigenvalues(n_modes, lam) < 0.0
+    return 4 * int(np.count_nonzero(neg)) - 2 * int(neg[0])
+
+
+def _negative_counts(n_modes: int, lams: np.ndarray) -> np.ndarray:
+    """``_negative_count`` at every parameter of ``lams``, in one evaluation of the formula."""
+    import numpy as np
+    neg = trivial_branch_eigenvalues(n_modes, lams[:, None]) < 0.0
+    return 4 * np.count_nonzero(neg, axis=1) - 2 * neg[:, 0]
 
 
 def stability_scan(
@@ -196,7 +247,7 @@ def stability_scan(
     if steps < 1:
         raise InputError("need at least one scan step")
     if steps > SCAN_MAX_STEPS:
-        raise RefusalError(f"{steps} scan steps are over the limit {SCAN_MAX_STEPS}; lower the step count")
+        raise RefusalError(f"{shown(steps)} scan steps are over the limit {SCAN_MAX_STEPS}; lower the step count")
     _check_modes(n_modes)
     needed = math.ceil(math.sqrt(max(lam_hi, 0.0))) + 2
     if n_modes < needed:
@@ -205,11 +256,13 @@ def stability_scan(
         )
     import numpy as np
 
-    # one count per grid point and per bisection midpoint; each interval on the
-    # explicit stack carries the counts at its ends (a wide interval can take
-    # more halvings, about 1,000 from 1e300, than Python's recursion limit)
-    grid = [float(x) for x in np.linspace(lam_lo, lam_hi, steps + 1)]
-    ends = [_negative_count(n_modes, x) for x in grid]
+    # one count per grid point, all in one batch, and one per bisection
+    # midpoint; each interval on the explicit stack carries the counts at its
+    # ends (a wide interval can take more halvings, about 1,000 from 1e300,
+    # than Python's recursion limit)
+    points = np.linspace(lam_lo, lam_hi, steps + 1)
+    grid = points.tolist()
+    ends = _negative_counts(n_modes, points).tolist()
     crossings: list[float] = []
     for i in range(steps):
         todo = [(grid[i], ends[i], grid[i + 1], ends[i + 1])]
@@ -237,7 +290,7 @@ def initial_guess(k: int, n_modes: int, amplitude: float = 0.1) -> np.ndarray:
 def exact_branch_state(k: int, lam: float, n_modes: int) -> CircleModel:
     """The closed-form branch state sqrt(lam - k^2)(cos k0, sin k0)."""
     if not lam > k * k:
-        raise RefusalError(f"branch state needs lambda > k^2 = {k * k}")
+        raise RefusalError(f"branch state needs lambda > k^2 = {shown(k * k)}")
     amp = math.sqrt(lam - k * k)
     return CircleModel(n_modes, lam, initial_guess(k, n_modes, amp))
 
@@ -288,10 +341,10 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
     if k < 1:
         raise InputError("mode index must be at least 1")
     if not lam > k * k:
-        raise RefusalError(f"need lambda > k^2 = {k * k}, got {lam}")
+        raise RefusalError(f"need lambda > k^2 = {shown(k * k)}, got {lam}")
     n = n_modes if n_modes is not None else max(k + 2, 8)
     if n < k + 2:
-        raise RefusalError(f"mode cutoff {n} too small for mode {k}; need >= {k + 2}")
+        raise RefusalError(f"mode cutoff {shown(n)} too small for mode {shown(k)}; need >= {shown(k + 2)}")
     _check_modes(n)
     import numpy as np
 

@@ -46,6 +46,10 @@ from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, sub
 from .torusrep import TorusRep
 
 
+def _term_order(term: tuple[TorusSubgroup, int]) -> tuple:
+    return term[0].sort_key
+
+
 @dataclass(frozen=True)
 class EulerElement:
     """Integer combination of generators chi(T^r/H+).
@@ -59,13 +63,14 @@ class EulerElement:
     terms: tuple[tuple[TorusSubgroup, int], ...] = ()
 
     def __post_init__(self):
-        items = self.terms.items() if isinstance(self.terms, Mapping) else self.terms
+        r = self.ambient_rank
+        items = self.terms.items() if hasattr(self.terms, "items") else self.terms
         acc: dict[TorusSubgroup, int] = {}
         for h, c in items:
-            if h.ambient_rank != self.ambient_rank:
+            if h.ambient_rank != r:
                 raise InputError("generator subgroup has wrong ambient rank")
             acc[h] = acc.get(h, 0) + int(c)
-        cleaned = tuple(sorted(((h, c) for h, c in acc.items() if c), key=lambda t: t[0].sort_key))
+        cleaned = tuple(sorted([t for t in acc.items() if t[1]], key=_term_order))
         object.__setattr__(self, "terms", cleaned)
 
     @staticmethod
@@ -162,10 +167,10 @@ def deg_minus_id(
     """
     product = product or star
     r = v.ambient_rank
-    unit = EulerElement.unit(r)
-    out = -unit if v.trivial_mult % 2 else unit
+    full = TorusSubgroup.full_torus(r)
+    out = EulerElement(r, [(full, -1 if v.trivial_mult % 2 else 1)])
     for m, k in v.weights:
-        out = product(out, unit - k * EulerElement.generator(subgroup_canonical(r, [m])))
+        out = product(out, EulerElement(r, [(full, 1), (subgroup_canonical(r, [m]), -k)]))
     return out
 
 
@@ -176,10 +181,7 @@ def codim_part(x: EulerElement, c: int) -> EulerElement:
 
 def lift(x: EulerElement, l: int) -> EulerElement:
     """Image in U(T^(r+l)) under the extra torus acting trivially."""
-    return EulerElement(
-        x.ambient_rank + l,
-        tuple((extend_by_full_torus(h, l), c) for h, c in x.terms),
-    )
+    return EulerElement(x.ambient_rank + l, [(extend_by_full_torus(h, l), c) for h, c in x.terms])
 
 
 # Largest ambient rank n (r + l of a problem) at which the level sweep checks

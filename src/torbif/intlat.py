@@ -26,11 +26,13 @@ is computed outside the lock.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
+from operator import mul, neg
 
 from .errors import InputError
 
@@ -214,6 +216,13 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
     canonical bases; zero rows are allowed.
     """
     m = len(mat)
+    if m == 1:
+        # a single row is canonical once its first nonzero entry is positive;
+        # it sorts below the zero row exactly when that entry is negative
+        row, zero = tuple(mat[0]), (0,) * ambient
+        if row == zero:
+            return ()
+        return (tuple(map(neg, row)) if row < zero else row,)
     nr = 0
     for c in range(ambient):
         if nr == m:
@@ -225,29 +234,29 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
             continue
         top = mat[piv]
         mat[piv] = mat[nr]
+        a = top[c]  # the pivot, top[c], as rows below are folded into top
         for i in range(nr + 1, m):
             row = mat[i]
             b = row[c]
             if not b:
                 continue
-            a = top[c]
             q, rem = divmod(b, a)
             if not rem:
                 # here xgcd(a, b) = (|a|, +-1, 0): the pivot row stays, up to sign
                 mat[i] = [t - q * s for s, t in zip(top, row)]
                 continue
-            g, x, y = xgcd(a, b)
-            u, v = a // g, b // g
+            a, x, y = xgcd(a, b)
+            u, v = top[c] // a, b // a
             top, mat[i] = (
                 [x * s + y * t for s, t in zip(top, row)],
                 [u * t - v * s for s, t in zip(top, row)],
             )
-        if top[c] < 0:
+        if a < 0:
             top = [-e for e in top]
+            a = -a
         mat[nr] = top
-        p = top[c]
         for i in range(nr):
-            q = mat[i][c] // p
+            q = mat[i][c] // a
             if q:
                 mat[i] = [e - q * s for e, s in zip(mat[i], top)]
         nr += 1
@@ -370,11 +379,15 @@ def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:
     """Membership of the torus element exp(2*pi*i*q) in ``h``, exactly."""
     if len(q) != h.ambient_rank:
         raise InputError(f"point of length {len(q)} in ambient rank {h.ambient_rank}")
+    den, nums = _common_denominator(q)
+    return all(sum(map(mul, k, nums)) % den == 0 for k in h.annihilator.basis)
+
+
+def _common_denominator(q: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """``(d, [d * x for x in q])`` with d the least common denominator of the coordinates."""
     qv = [Fraction(e) for e in q]
-    for k in h.annihilator.basis:
-        if sum(ki * qi for ki, qi in zip(k, qv)).denominator != 1:
-            return False
-    return True
+    den = math.lcm(*(x.denominator for x in qv))
+    return den, [x.numerator * (den // x.denominator) for x in qv]
 
 
 def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
@@ -382,5 +395,6 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     if l < 0:
         raise InputError("extension rank must be nonnegative")
     # zero columns after the last keep a Hermite basis canonical
-    padded = tuple(row + (0,) * l for row in h.annihilator.basis)
+    pad = (0,) * l
+    padded = tuple([row + pad for row in h.annihilator.basis])
     return _interned(h.ambient_rank + l, padded)

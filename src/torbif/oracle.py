@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import bifurcation as bif
-from .errors import InputError, RefusalError
+from .errors import InputError, RefusalError, shown
 from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
     TorusSubgroup,
@@ -42,9 +42,11 @@ from .torusrep import TorusRep, canonical_weight, character, direct_sum, tensor
 
 StarImpl = Callable[[EulerElement, EulerElement], EulerElement]
 TensorImpl = Callable[[TorusRep, TorusRep], TorusRep]
+# One randomized trial: a description of its case, made only if it fails, and whether it passed.
+Trial = tuple[Callable[[], str], bool]
 
-# Most trials run_selftest takes on; all suites at this count take about 40 s
-# on a 2-core host (3.3 s at 1,000 trials).
+# Most trials run_selftest takes on; all suites at this count take about 25 s
+# on a 2-core host (2-3 s at 1,000 trials).
 SELFTEST_MAX_TRIALS = 10_000
 
 
@@ -268,7 +270,7 @@ def _times(a: Sequence[Vector], b: Sequence[Vector]) -> tuple[Vector, ...]:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in columns) for row in a)
 
 
-def _suite_snf(rng: random.Random) -> tuple[str, bool]:
+def _suite_snf(rng: random.Random) -> Trial:
     m = _rand_matrix(rng)
     p, r = len(m), len(m[0])
     dec = snf(r, m)
@@ -278,10 +280,10 @@ def _suite_snf(rng: random.Random) -> tuple[str, bool]:
     ok = ok and abs(det(dec.P)) == 1 and abs(det(dec.Q)) == 1
     ok = ok and all(f > 0 for f in factors)
     ok = ok and all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-    return f"snf of {m}", ok
+    return (lambda: f"snf of {m}"), ok
 
 
-def _suite_hnf(rng: random.Random) -> tuple[str, bool]:
+def _suite_hnf(rng: random.Random) -> Trial:
     r = rng.randint(1, 4)
     chars = _rand_characters(rng, r, rng.randint(0, 3))
     h = subgroup_canonical(r, chars)
@@ -296,10 +298,10 @@ def _suite_hnf(rng: random.Random) -> tuple[str, bool]:
     if not h.is_full:
         ok = ok and subgroup_canonical(r, codim_generators(h)) == h
         ok = ok and len(codim_generators(h)) == h.codim
-    return f"characters {chars} in rank {r}", ok
+    return (lambda: f"characters {chars} in rank {r}"), ok
 
 
-def _suite_intersection(rng: random.Random) -> tuple[str, bool]:
+def _suite_intersection(rng: random.Random) -> Trial:
     r = rng.randint(1, 4)
     h1 = _rand_subgroup(rng, r)
     h2 = _rand_subgroup(rng, r)
@@ -309,10 +311,10 @@ def _suite_intersection(rng: random.Random) -> tuple[str, bool]:
     ok = ok and meet == subgroup_intersect(h2, h1)
     ok = ok and subgroup_intersect(meet, h3) == subgroup_intersect(h1, subgroup_intersect(h2, h3))
     ok = ok and subgroup_intersect(h1, TorusSubgroup.full_torus(r)) == h1
-    return f"{h1} ^ {h2} ^ {h3}", ok
+    return (lambda: f"{h1} ^ {h2} ^ {h3}"), ok
 
 
-def _suite_dimension_lemma(rng: random.Random) -> tuple[str, bool]:
+def _suite_dimension_lemma(rng: random.Random) -> Trial:
     r = rng.randint(1, 3)
     l = rng.randint(1, 2)
     h = _rand_subgroup(rng, r)
@@ -322,10 +324,10 @@ def _suite_dimension_lemma(rng: random.Random) -> tuple[str, bool]:
     wall = subgroup_canonical(r + l, [m + n])
     meet = subgroup_intersect(lifted, wall)
     ok = meet.dim == l + h.dim - 1
-    return f"H={h}, (m,n)={(m, n)}, l={l}", ok
+    return (lambda: f"H={h}, (m,n)={(m, n)}, l={l}"), ok
 
 
-def _suite_membership(rng: random.Random) -> tuple[str, bool]:
+def _suite_membership(rng: random.Random) -> Trial:
     r = rng.randint(1, 4)
     h = _rand_subgroup(rng, r)
     # sample members via the Smith coordinates of the annihilator
@@ -351,11 +353,11 @@ def _suite_membership(rng: random.Random) -> tuple[str, bool]:
     ok = ok and contains(h, tuple(a + b for a, b in zip(q1, q2)))
     ok = ok and contains(h, tuple(-a for a in q1))
     ok = ok and contains(h, (Fraction(0),) * r)
-    return f"members of {h}", ok
+    return (lambda: f"members of {h}"), ok
 
 
 def _suite_ring_axioms(star_impl: StarImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 3)
         x = _rand_element(rng, r)
         y = _rand_element(rng, r)
@@ -371,13 +373,13 @@ def _suite_ring_axioms(star_impl: StarImpl):
         c = EulerElement.generator(subgroup_canonical(2, [[1, 1]]))
         ok = ok and star_impl(star_impl(a, b), c) == star_impl(a, star_impl(b, c))
         ok = ok and star_impl(EulerElement.unit(2), a) == a
-        return f"x={x}; y={y}; z={z}", ok
+        return (lambda: f"x={x}; y={y}; z={z}"), ok
 
     return run
 
 
 def _suite_codim_ideal(star_impl: StarImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(2, 3)
         x = _rand_element(rng, r)
         terms = []
@@ -393,13 +395,13 @@ def _suite_codim_ideal(star_impl: StarImpl):
         y = EulerElement(r, terms)
         prod = star_impl(x, y)
         ok = all(h.codim >= 2 for h, _ in prod.terms)
-        return f"x={x}; y={y}", ok
+        return (lambda: f"x={x}; y={y}"), ok
 
     return run
 
 
 def _suite_truncation(star_impl: StarImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 3)
         v = _rand_rep(rng, r)
         deg = deg_minus_id(v, star_impl)
@@ -409,25 +411,25 @@ def _suite_truncation(star_impl: StarImpl):
         for m, k in v.weights:
             expected = expected - k * EulerElement.generator(subgroup_canonical(r, [m]))
         ok = low == sign * expected
-        return f"V={v}", ok
+        return (lambda: f"V={v}"), ok
 
     return run
 
 
 def _suite_multiplicative(star_impl: StarImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 3)
         v = _rand_rep(rng, r)
         w = _rand_rep(rng, r)
         ok = deg_minus_id(direct_sum(v, w), star_impl) == star_impl(
             deg_minus_id(v, star_impl), deg_minus_id(w, star_impl)
         )
-        return f"V={v}; W={w}", ok
+        return (lambda: f"V={v}; W={w}"), ok
 
     return run
 
 
-def _suite_lift(rng: random.Random) -> tuple[str, bool]:
+def _suite_lift(rng: random.Random) -> Trial:
     r = rng.randint(1, 2)
     l = rng.randint(1, 2)
     x = _rand_element(rng, r)
@@ -436,23 +438,23 @@ def _suite_lift(rng: random.Random) -> tuple[str, bool]:
     ok = ok and lift(x + y, l) == lift(x, l) + lift(y, l)
     ok = ok and lift(EulerElement.unit(r), l) == EulerElement.unit(r + l)
     ok = ok and lift(EulerElement(r), l) == EulerElement(r + l)
-    return f"x={x}; y={y}; l={l}", ok
+    return (lambda: f"x={x}; y={y}; l={l}"), ok
 
 
 def _suite_tensor_dim(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 2)
         l = rng.randint(1, 2)
         w = _rand_rep(rng, r)
         v = _rand_rep(rng, l)
         ok = tensor_impl(w, v).dim == w.dim * v.dim
-        return f"W={w}; V={v}", ok
+        return (lambda: f"W={w}; V={v}"), ok
 
     return run
 
 
 def _suite_tensor_character(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 2)
         l = rng.randint(1, 2)
         w = _rand_rep(rng, r)
@@ -462,25 +464,25 @@ def _suite_tensor_character(tensor_impl: TensorImpl):
         lhs = character(tensor_impl(w, v), q1 + q2)
         rhs = character(w, q1) * character(v, q2)
         ok = abs(lhs - rhs) < 1e-9
-        return f"W={w}; V={v}; q={(q1, q2)}", ok
+        return (lambda: f"W={w}; V={v}; q={(q1, q2)}"), ok
 
     return run
 
 
 def _suite_tensor_weights(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 2)
         l = rng.randint(1, 2)
         w = _rand_rep(rng, r)
         v = _rand_rep(rng, l)
         ok = tensor_impl(w, v) == _tensor_by_complexification(w, v)
-        return f"W={w}; V={v}", ok
+        return (lambda: f"W={w}; V={v}"), ok
 
     return run
 
 
 def _suite_rep_algebra(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> tuple[str, bool]:
+    def run(rng: random.Random) -> Trial:
         r = rng.randint(1, 2)
         l = rng.randint(1, 2)
         a = _rand_rep(rng, r)
@@ -492,12 +494,12 @@ def _suite_rep_algebra(tensor_impl: TensorImpl):
         ok = ok and tensor_impl(direct_sum(a, b), w) == direct_sum(
             tensor_impl(a, w), tensor_impl(b, w)
         )
-        return f"a={a}; b={b}; c={c}; w={w}", ok
+        return (lambda: f"a={a}; b={b}; c={c}; w={w}"), ok
 
     return run
 
 
-def _suite_separation(rng: random.Random) -> tuple[str, bool]:
+def _suite_separation(rng: random.Random) -> Trial:
     r = rng.randint(1, 2)
     l = rng.randint(1, 2)
     h1 = _rand_subgroup(rng, r)
@@ -522,10 +524,10 @@ def _suite_separation(rng: random.Random) -> tuple[str, bool]:
         h2b, m2b, n2b = h2, m2, _rand_weight(rng, l)
     if cut(h1, m1 + n1) == cut(h2b, m2b + n2b):
         ok = ok and h1 == h2b
-    return f"H={h1}, H'={h2}, m={m1}, m'={m2}, n={n1}", ok
+    return (lambda: f"H={h1}, H'={h2}, m={m1}, m'={m2}, n={n1}"), ok
 
 
-def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
+def _suite_nontrivial_product(rng: random.Random) -> Trial:
     r = rng.randint(1, 2)
     l = rng.randint(1, 2)
     a_terms = []
@@ -540,9 +542,9 @@ def _suite_nontrivial_product(rng: random.Random) -> tuple[str, bool]:
     b_terms.append((subgroup_canonical(r + l, [m + n]), sign * rng.randint(1, 3)))
     b = EulerElement(r + l, b_terms)
     if a.is_zero:
-        return "degenerate A", True
+        return (lambda: "degenerate A"), True
     ok = not star(a, b).is_zero
-    return f"A={a}; B={b}", ok
+    return (lambda: f"A={a}; B={b}"), ok
 
 
 def _fixture_checks_kernel(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
@@ -651,7 +653,7 @@ def _fixture_checks_symmetry(records: Sequence[FixtureRecord]) -> list[tuple[str
 
 def _randomized_suites(
     star_impl: StarImpl, tensor_impl: TensorImpl
-) -> dict[str, Callable[[random.Random], tuple[str, bool]]]:
+) -> dict[str, Callable[[random.Random], Trial]]:
     """The seeded suites in run order, closed over the ring and tensor rules under test."""
     return {
         "snf-decomposition": _suite_snf,
@@ -705,7 +707,7 @@ def run_selftest(
     if trials < 1:
         raise InputError("trials must be at least 1")
     if trials > SELFTEST_MAX_TRIALS:
-        raise RefusalError(f"{trials} trials are over the limit {SELFTEST_MAX_TRIALS}; lower the trial count")
+        raise RefusalError(f"{shown(trials)} trials are over the limit {SELFTEST_MAX_TRIALS}; lower the trial count")
     randomized = _randomized_suites(star_impl or star, tensor_impl or tensor)
 
     selected = tuple(suites) if suites is not None else SUITE_NAMES
@@ -719,7 +721,8 @@ def run_selftest(
             first = None
             for _ in range(trials):
                 try:
-                    case, ok = gen(rng)
+                    describe, ok = gen(rng)
+                    case = None if ok else describe()
                 except Exception as exc:  # a crash is a failure with evidence
                     case, ok = f"exception: {exc!r}", False
                 if not ok:

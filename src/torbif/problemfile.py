@@ -149,7 +149,9 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
                 )
             provide, args = sphere_spectrum, (n, kmax)
         else:
-            raise InputError(f"laplace.provider: unknown provider {provider!r}", code="SCHEMA")
+            # at most 40 characters of a string, as parse_rational echoes, and only the type of anything else
+            what = repr(provider[:40]) if isinstance(provider, str) else f"of type {type(provider).__name__}"
+            raise InputError(f"laplace.provider: unknown provider {what}", code="SCHEMA")
         try:
             entries = provide(*args)
         except InputError as exc:

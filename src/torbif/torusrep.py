@@ -11,21 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from operator import mul, neg
 
 from .errors import InputError
-from .intlat import Vector
+from .intlat import Vector, _common_denominator
 
 
 def canonical_weight(m: Sequence[int]) -> Vector:
     """Flip the sign so the first nonzero coordinate is positive."""
-    m = tuple(int(e) for e in m)
-    for e in m:
-        if e > 0:
-            return m
-        if e < 0:
-            return tuple(-x for x in m)
-    return m
+    m = tuple(map(int, m))
+    # a weight is below the zero weight exactly when its first nonzero coordinate is negative
+    return tuple(map(neg, m)) if m < (0,) * len(m) else m
 
 
 @dataclass(frozen=True)
@@ -44,16 +41,19 @@ class TorusRep:
     def __post_init__(self):
         if self.trivial_mult < 0:
             raise InputError("trivial multiplicity must be nonnegative")
-        items = self.weights.items() if isinstance(self.weights, Mapping) else self.weights
+        r = self.ambient_rank
+        zero = (0,) * r
+        items = self.weights.items() if hasattr(self.weights, "items") else self.weights
         acc: dict[Vector, int] = {}
         for m, k in items:
-            m = tuple(int(e) for e in m)
-            if len(m) != self.ambient_rank:
-                raise InputError(f"weight of length {len(m)} in rank {self.ambient_rank}")
-            if not any(m):
+            m = tuple(map(int, m))
+            if len(m) != r:
+                raise InputError(f"weight of length {len(m)} in rank {r}")
+            if m < zero:  # the canonical_weight flip
+                m = tuple(map(neg, m))
+            elif m == zero:
                 raise InputError("zero weight: use trivial_mult for trivial blocks")
-            cm = canonical_weight(m)
-            acc[cm] = acc.get(cm, 0) + int(k)
+            acc[m] = acc.get(m, 0) + int(k)
         for m, k in acc.items():
             if k < 0:
                 raise InputError(f"negative multiplicity at weight {m}")
@@ -73,12 +73,12 @@ class TorusRep:
 
     def multiplicity(self, m: Sequence[int]) -> int:
         """Multiplicity of the weight; the zero weight reads trivial_mult."""
-        m = tuple(int(e) for e in m)
+        m = canonical_weight(m)
         if len(m) != self.ambient_rank:
             raise InputError("weight length mismatch")
         if not any(m):
             return self.trivial_mult
-        return dict(self.weights).get(canonical_weight(m), 0)
+        return next((k for w, k in self.weights if w == m), 0)
 
     def occurs(self, m: Sequence[int]) -> bool:
         return self.multiplicity(m) >= 1
@@ -121,9 +121,11 @@ def character(v: TorusRep, q: Sequence[Fraction | int]) -> float:
     """
     if len(q) != v.ambient_rank:
         raise InputError(f"point of length {len(q)} in rank {v.ambient_rank}")
-    qf = [Fraction(x) for x in q]
+    den, nums = _common_denominator(q)
     total = float(v.trivial_mult)
     for m, k in v.weights:
-        phase = sum(mi * qi for mi, qi in zip(m, qf)) % 1
-        total += 2.0 * k * math.cos(2.0 * math.pi * float(phase))
+        # <m, q> mod 1 as (integer mod den) / den; int true division rounds
+        # correctly, as float(Fraction) does
+        phase = sum(map(mul, m, nums)) % den / den
+        total += 2.0 * k * math.cos(2.0 * math.pi * phase)
     return total

@@ -164,6 +164,18 @@ def test_parser_messages_bound_huge_laplace_values(runner, tmp_path, changes, co
     assert "bits>" in result.output and len(result.output) < 300
 
 
+@pytest.mark.parametrize(
+    ("provider", "shown"),
+    [("x" * 100_000, "'" + "x" * 40 + "'"), (_HUGE, "of type int"), ([["flat_torus"]] * 50_000, "of type list")],
+    ids=["long-string", "huge-int", "long-list"],
+)
+def test_unknown_provider_is_echoed_briefly(runner, tmp_path, provider, shown):
+    result, seconds = _timed_report(runner, _write_problem(tmp_path, laplace={"provider": provider, "params": {}}))
+    assert seconds < 1.0
+    assert result.exit_code == 2
+    assert result.output == f"error[SCHEMA]: laplace.provider: unknown provider {shown}\n"
+
+
 def test_huge_multiplicity_is_reported(runner, tmp_path):
     problem = _write_problem(
         tmp_path,
@@ -309,6 +321,26 @@ def test_oversized_galerkin_work_is_refused(runner, no_galerkin_arrays, args, li
     assert time.perf_counter() - t0 < 1.0
     assert result.exit_code == 3
     assert limit in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["corroborate-circle", "--k", str(_HUGE), "--lambda", "5"],
+        ["corroborate-circle", "--k", "1", "--lambda", "1.5", "--modes", str(_HUGE)],
+        ["scan", "--lo", "0.5", "--hi", "5", "--steps", str(_HUGE)],
+        ["scan", "--lo", "0.5", "--hi", "5", "--modes", str(_HUGE)],
+        ["selftest", "--trials", str(_HUGE)],
+    ],
+    ids=["circle-k", "circle-modes", "scan-steps", "scan-modes", "selftest-trials"],
+)
+def test_huge_command_numbers_are_refused_by_size(runner, no_galerkin_arrays, args):
+    # k^2, the cutoff, the step count and the trial count print by their size past 256 bits
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, args)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 3
+    assert "bits>" in result.output and len(result.output) < 300
 
 
 def test_wide_scan_interval_is_bisected_without_recursion(runner):

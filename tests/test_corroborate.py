@@ -88,13 +88,28 @@ def test_scan_crossings_equal_the_two_count_scan(args):
 
 def test_scan_counts_each_point_once(monkeypatch):
     calls = []
+    batches = []
     count = corroborate._negative_count
+    counts = corroborate._negative_counts
     monkeypatch.setattr(corroborate, "_negative_count", lambda n, lam: calls.append(lam) or count(n, lam))
+    monkeypatch.setattr(corroborate, "_negative_counts", lambda n, lams: batches.append(lams) or counts(n, lams))
     crossings = stability_scan(40, 0.5, 1000.0, 2000)
-    # 2,001 grid points and 713 midpoints: 31 crossings of 23 halvings each;
-    # counting at both ends of every bisected interval took 6,852
+    # the 2,001 grid points in one batch, then 713 midpoints one by one: 31
+    # crossings of 23 halvings each; counting at both ends of every bisected
+    # interval took 6,852
     assert len(crossings) == 31
-    assert len(calls) == len(set(calls)) == 2001 + 31 * 23
+    assert [len(lams) for lams in batches] == [2001]
+    assert len(calls) == len(set(calls)) == 31 * 23
+    assert not set(calls) & set(batches[0].tolist())
+
+
+@pytest.mark.parametrize("args", [(40, 0.5, 1000.0, 2000), (12, -1e300, 5.0, 60), (8, -1.0, 0.5, 7)])
+def test_batch_count_equals_the_scalar_count(args):
+    n_modes, lo, hi, steps = args
+    points = np.linspace(lo, hi, steps + 1)
+    assert corroborate._negative_counts(n_modes, points).tolist() == [
+        _negative_count(n_modes, x) for x in points.tolist()
+    ]
 
 
 def test_scan_matches_symbolic_candidates(circle_spec):
@@ -188,6 +203,54 @@ def test_jacobian_matches_central_differences(n_modes):
         down = residual(CircleModel(n_modes, model.lam, (x - step).reshape(model.coeffs.shape)))
         columns.append(((up - down) / (2 * h)).ravel())
     assert np.abs(_jacobian(model) - np.column_stack(columns)).max() < 1e-8
+
+
+def basis_jacobian(model):
+    """The derivative of ``residual`` from the synthesis of every unit coefficient vector."""
+    n = model.n_modes
+    size = 2 * (2 * n + 1)
+    u = corroborate.synthesize(model.coeffs, n)
+    sq = u[0] ** 2 + u[1] ** 2
+    basis = np.eye(size).reshape(size, 2, 2 * n + 1)  # basis[col] perturbs coefficient col
+    v = corroborate.synthesize(basis, n)
+    dot = u[0] * v[:, 0] + u[1] * v[:, 1]
+    nl = corroborate.analyze(sq * v + 2.0 * dot[:, None] * u, n)
+    lin = corroborate._linear(basis, model.lam)
+    return ((lin + nl) / corroborate._mode_weights(n)).reshape(size, size).T
+
+
+@pytest.mark.parametrize("n_modes", [3, 8, 32, 128])
+def test_jacobian_equals_the_basis_synthesis(n_modes):
+    rng = np.random.default_rng(100 + n_modes)
+    for lam in (0.7, 5.5, 40.0):
+        model = CircleModel(n_modes, lam, 0.5 * rng.normal(size=(2, 2 * n_modes + 1)))
+        want = basis_jacobian(model)
+        assert np.abs(_jacobian(model) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# one lambda per plateau of equal Newton step counts, per verify stratum (k, N)
+VERIFY_STRATA = [
+    (1, 16, 1.0 + 0.375), (1, 24, 1.0 + 2.05), (1, 32, 1.0 + 4.6),
+    (2, 16, 4.0 + 1.0), (2, 24, 4.0 + 3.3), (2, 32, 4.0 + 5.675),
+    (3, 16, 9.0 + 5.675), (3, 24, 9.0 + 1.0), (3, 32, 9.0 + 3.3),
+]
+
+
+def test_verify_strata_step_counts():
+    steps = []
+    for k, n_modes, lam in VERIFY_STRATA:
+        result = newton_branch(k, lam, n_modes)
+        assert result.converged and abs(result.amplitude - math.sqrt(lam - k * k)) < 1e-8
+        steps.append(result.iterations)
+    assert steps == [6, 8, 10, 7, 9, 11, 11, 7, 9]
+
+
+@pytest.mark.parametrize("n_modes", [3, 16])
+def test_cached_tables_are_read_only(n_modes):
+    for table in corroborate._tables(n_modes):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert corroborate._tables(n_modes)[0] is corroborate._tables(n_modes)[0]
 
 
 def test_equivariance_of_residual_norm():

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from click.testing import CliRunner
@@ -53,6 +54,15 @@ def rep_strategy(rank: int):
 
 
 # --- construction ------------------------------------------------------------------
+
+
+def test_element_takes_any_mapping_or_pairs():
+    a, b = subgroup_canonical(2, [[1, 0]]), subgroup_canonical(2, [[1, 1], [0, 2]])
+    pairs = [(b, 2), (a, -1), (TorusSubgroup.full_torus(2), 0)]
+    as_dict = dict(pairs)
+    built = [EulerElement(2, as_dict), EulerElement(2, MappingProxyType(as_dict)), EulerElement(2, pairs)]
+    assert built[0] == built[1] == built[2]
+    assert built[0].terms == ((a, -1), (b, 2))
 
 
 def test_constructor_canonicalises_terms():

@@ -451,6 +451,21 @@ def test_contains_examples():
     assert contains(finite, (0, 0))
 
 
+def test_contains_equals_the_fraction_test():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        r = rng.randint(1, 4)
+        h = subgroup_canonical(r, [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rng.randint(0, r))])
+        # points of small order lie in h often enough to exercise both answers
+        order = rng.randint(1, 12)
+        q = [Fraction(rng.randint(-order, order), order) if rng.random() < 0.8 else rng.randint(-2, 2)
+             for _ in range(r)]
+        by_fractions = all(
+            sum(k * Fraction(x) for k, x in zip(row, q)).denominator == 1 for row in h.annihilator.basis
+        )
+        assert contains(h, q) == by_fractions, (h, q)
+
+
 def test_contains_length_error():
     with pytest.raises(InputError):
         contains(subgroup_canonical(2, [(1, 1)]), (Fraction(1, 2),))

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +58,40 @@ def test_constructor_canonicalises_weights():
     assert v == TorusRep(2, 1, {(1, -2): 3, (0, 1): 1}) == TorusRep(2, 1, list(reversed(v.weights)))
     with pytest.raises(InputError):
         TorusRep(2, 0, [((1, 0, 0), 1)])
+
+
+def test_constructor_takes_any_mapping_or_pairs():
+    pairs = [((1, -2), 3), ((0, 1), 1), ((-1, 2), 0)]
+    as_dict = dict(pairs)
+    built = [TorusRep(2, 1, as_dict), TorusRep(2, 1, MappingProxyType(as_dict)), TorusRep(2, 1, pairs)]
+    assert built[0] == built[1] == built[2]
+    assert built[0].weights == (((0, 1), 1), ((1, -2), 3))
+
+
+def test_canonical_weight_flips_a_negative_first_entry():
+    assert canonical_weight((0, -1, 2)) == (0, 1, -2)
+    assert canonical_weight([0, 3, -2]) == (0, 3, -2)
+    assert canonical_weight((0, 0)) == (0, 0)
+
+
+def fraction_character(v, q):
+    """The character with its phase <m, q> mod 1 summed in Fractions."""
+    total = float(v.trivial_mult)
+    for m, k in v.weights:
+        phase = sum(mi * Fraction(qi) for mi, qi in zip(m, q)) % 1
+        total += 2.0 * k * math.cos(2.0 * math.pi * float(phase))
+    return total
+
+
+def test_character_equals_the_fraction_formula_bitwise():
+    rng = random.Random(20261019)
+    for _ in range(500):
+        r = rng.randint(1, 4)
+        weights = {tuple(rng.randint(-9, 9) for _ in range(r)): rng.randint(1, 3) for _ in range(rng.randint(0, 4))}
+        v = TorusRep(r, rng.randint(0, 2), {m: k for m, k in weights.items() if any(m)})
+        q = [Fraction(rng.randint(-50, 50), rng.randint(1, 60)) if rng.random() < 0.8 else rng.randint(-3, 3)
+             for _ in range(r)]
+        assert character(v, q) == fraction_character(v, q), (v, q)
 
 
 def test_zero_weight_rejected():
