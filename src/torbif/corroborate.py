@@ -17,11 +17,13 @@ component.
 The Newton matrix is assembled in product form: the derivative of the
 cubic term is A diag(g) S^T for each pair of field components, with S the
 synthesis and A the analysis table on the grid, three (2N+1) x m products
-in all, instead of synthesizing all 2(2N+1) unit coefficient vectors.  The
-cos/sin tables behind S and A depend only on N; they are built once per
-cutoff and kept, read-only, in a cache of ``TABLE_CACHE_SIZE`` cutoffs.
-The scan counts negative eigenvalues at all its grid points in one array
-evaluation and only its bisection midpoints one at a time.
+in all.  S (whose rows are the cos/sin tables), A (scaled by the mode
+weights) and the mode weights are built once per cutoff and kept,
+read-only, in a cache of ``TABLE_CACHE_SIZE`` cutoffs.  Newton synthesizes
+each iterate once, for both the residual and the Jacobian.  The scan
+counts negative eigenvalues at all its grid points in one array
+evaluation, then halves all open brackets together, one evaluation of
+their midpoints per round.
 
 numpy is imported inside each function that builds an array, not at module
 top, so the exact-algebra commands, which build none, never pay for loading
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, RefusalError, shown
 
@@ -51,8 +53,8 @@ NEWTON_MAX_ITER = 50
 # steps stay under 1 s.  The scan resolves crossings up to (N-2)^2 = 15876 at
 # this cutoff.
 GALERKIN_MAX_MODES = 128
-# Fourier cutoffs whose cos/sin tables stay cached; a table pair at N = 128
-# holds 2 * 128 * 516 floats (about 1 MB).
+# Fourier cutoffs whose tables stay cached; an entry at N = 128 holds 2.1 MB
+# (S and A: 2 * 257 * 516 floats), the cache at most 16 MB (N = 121..128).
 TABLE_CACHE_SIZE = 8
 # Most grid steps stability_scan takes on.  It counts all grid points in one
 # batch: at both limits an array of 20,001 x 129 floats, about 21 MB.
@@ -68,20 +70,32 @@ class CircleModel:
     coeffs: np.ndarray
 
 
-def _grid(n_modes: int) -> np.ndarray:
-    import numpy as np
-    # 4(N+1) points: cubic products of degree <= 3N alias only onto modes > N
-    m = 4 * (n_modes + 1)
-    return 2.0 * np.pi * np.arange(m) / m
+class _Tables(NamedTuple):
+    """What a Galerkin step at cutoff N needs that depends on N alone; shared, so read-only."""
+
+    cos: np.ndarray  # cos(k theta), k = 1..N, on the m = 4(N+1) grid points: rows of S
+    sin: np.ndarray  # sin(k theta): rows of S
+    synth: np.ndarray  # S: rows 1, cos(theta), sin(theta), ..., cos(N theta), sin(N theta)
+    analysis: np.ndarray  # S scaled by 1/m (mode 0) or 2/m, over the mode weights
+    weights: np.ndarray  # mode weights 1, 1 + k^2, 1 + k^2, ...
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _tables(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(k theta) and sin(k theta), k = 1..N, on the grid; shared, so read-only."""
+def _tables(n_modes: int) -> _Tables:
     import numpy as np
-    theta = _grid(n_modes)
-    k = np.arange(1, n_modes + 1)[:, None]
-    tables = np.cos(k * theta), np.sin(k * theta)
+    # 4(N+1) points: cubic products of degree <= 3N alias only onto modes > N
+    m = 4 * (n_modes + 1)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    k = np.arange(1, n_modes + 1)
+    modes = 2 * n_modes + 1
+    synth = np.empty((modes, m))
+    synth[0] = 1.0
+    synth[1::2] = np.cos(k[:, None] * theta)
+    synth[2::2] = np.sin(k[:, None] * theta)
+    weights = np.concatenate([[1.0], np.repeat(1.0 + k * k, 2)])
+    scale = np.full((modes, 1), 2.0 / m)
+    scale[0] = 1.0 / m
+    tables = _Tables(synth[1::2], synth[2::2], synth, synth * (scale / weights[:, None]), weights)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -93,30 +107,20 @@ def synthesize(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     Axes before the last two of ``coeffs`` (shape ``(..., 2, 2N+1)``) are
     batch axes and are kept.
     """
-    cos_t, sin_t = _tables(n_modes)
-    return coeffs[..., :1] + coeffs[..., 1::2] @ cos_t + coeffs[..., 2::2] @ sin_t
+    t = _tables(n_modes)
+    return coeffs[..., :1] + coeffs[..., 1::2] @ t.cos + coeffs[..., 2::2] @ t.sin
 
 
 def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
     """Fourier coefficients (modes 0..N) from grid values, batched like ``synthesize``."""
     import numpy as np
     m = values.shape[-1]
-    cos_t, sin_t = _tables(n_modes)
+    t = _tables(n_modes)
     out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
     out[..., 0] = values.mean(axis=-1)
-    out[..., 1::2] = 2.0 / m * values @ cos_t.T
-    out[..., 2::2] = 2.0 / m * values @ sin_t.T
+    out[..., 1::2] = 2.0 / m * values @ t.cos.T
+    out[..., 2::2] = 2.0 / m * values @ t.sin.T
     return out
-
-
-def _mode_weights(n_modes: int) -> np.ndarray:
-    import numpy as np
-    w = np.empty(2 * n_modes + 1)
-    w[0] = 1.0
-    k = np.arange(1, n_modes + 1)
-    w[1::2] = 1.0 + k * k
-    w[2::2] = 1.0 + k * k
-    return w
 
 
 def _linear(coeffs: np.ndarray, lam: float) -> np.ndarray:
@@ -132,10 +136,14 @@ def _linear(coeffs: np.ndarray, lam: float) -> np.ndarray:
 
 def residual(model: CircleModel) -> np.ndarray:
     """Per-mode normalized residual of the discretized equation."""
+    return _residual(model, synthesize(model.coeffs, model.n_modes))
+
+
+def _residual(model: CircleModel, u: np.ndarray) -> np.ndarray:
+    """``residual`` from the grid values ``u`` of ``model``."""
     n = model.n_modes
-    u = synthesize(model.coeffs, n)
     cubic = analyze((u[0] ** 2 + u[1] ** 2) * u, n)
-    return (_linear(model.coeffs, model.lam) + cubic) / _mode_weights(n)
+    return (_linear(model.coeffs, model.lam) + cubic) / _tables(n).weights
 
 
 def energy(model: CircleModel) -> float:
@@ -157,13 +165,13 @@ def energy(model: CircleModel) -> float:
 def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
     """Inner product under which ``residual`` is the gradient of ``energy``."""
     import numpy as np
-    w = _mode_weights(n_modes) * np.pi
+    w = _tables(n_modes).weights * np.pi
     w[0] = 2.0 * np.pi
     return float(np.sum(x * y * w))
 
 
-def _jacobian(model: CircleModel) -> np.ndarray:
-    """Derivative of ``residual`` in the flattened coefficients.
+def _jacobian(model: CircleModel, u: np.ndarray) -> np.ndarray:
+    """Derivative of ``residual`` in the flattened coefficients, at grid values ``u``.
 
     The cubic term's derivative in component j of component i is
     A diag(g_ij) S^T, with S the synthesis table (rows 1, cos k theta,
@@ -174,27 +182,17 @@ def _jacobian(model: CircleModel) -> np.ndarray:
     linear part is diagonal.
     """
     import numpy as np
-    n = model.n_modes
-    modes = 2 * n + 1
-    cos_t, sin_t = _tables(n)
-    m = cos_t.shape[1]
-    synth = np.empty((modes, m))
-    synth[0] = 1.0
-    synth[1::2] = cos_t
-    synth[2::2] = sin_t
-    weights = _mode_weights(n)
-    scale = np.full((modes, 1), 2.0 / m)
-    scale[0] = 1.0 / m
-    u = synthesize(model.coeffs, n)
+    t = _tables(model.n_modes)
+    modes = t.weights.size
     sq = u[0] ** 2 + u[1] ** 2
     g = np.stack([2.0 * u[0] * u[0] + sq, 2.0 * u[0] * u[1], 2.0 * u[1] * u[1] + sq])
-    blocks = (synth * (scale / weights[:, None]) * g[:, None, :]) @ synth.T
+    blocks = (t.analysis * g[:, None, :]) @ t.synth.T
     jac = np.empty((2, modes, 2, modes))
     jac[0, :, 0] = blocks[0]
     jac[0, :, 1] = jac[1, :, 0] = blocks[1]
     jac[1, :, 1] = blocks[2]
     jac = jac.reshape(2 * modes, 2 * modes)
-    jac.flat[:: 2 * modes + 1] += (_linear(np.ones((2, modes)), model.lam) / weights).ravel()
+    jac.flat[:: 2 * modes + 1] += (_linear(np.ones((2, modes)), model.lam) / t.weights).ravel()
     return jac
 
 
@@ -215,15 +213,8 @@ def _check_modes(n_modes: int) -> None:
         )
 
 
-def _negative_count(n_modes: int, lam: float) -> int:
-    """Negative eigenvalues of the trivial-branch linearization, with multiplicity (2 at mode 0, 4 above)."""
-    import numpy as np
-    neg = trivial_branch_eigenvalues(n_modes, lam) < 0.0
-    return 4 * int(np.count_nonzero(neg)) - 2 * int(neg[0])
-
-
 def _negative_counts(n_modes: int, lams: np.ndarray) -> np.ndarray:
-    """``_negative_count`` at every parameter of ``lams``, in one evaluation of the formula."""
+    """Negative trivial-branch eigenvalues at each of ``lams``, with multiplicity (2 at mode 0, 4 above)."""
     import numpy as np
     neg = trivial_branch_eigenvalues(n_modes, lams[:, None]) < 0.0
     return 4 * np.count_nonzero(neg, axis=1) - 2 * neg[:, 0]
@@ -256,27 +247,31 @@ def stability_scan(
         )
     import numpy as np
 
-    # one count per grid point, all in one batch, and one per bisection
-    # midpoint; each interval on the explicit stack carries the counts at its
-    # ends (a wide interval can take more halvings, about 1,000 from 1e300,
-    # than Python's recursion limit)
+    # a bracket is (lo, count at lo, hi, count at hi); one batch counts the
+    # grid, then each round halves every bracket whose counts differ, one
+    # batch for all their midpoints (from 1e300 this takes about 1,000 rounds)
     points = np.linspace(lam_lo, lam_hi, steps + 1)
     grid = points.tolist()
     ends = _negative_counts(n_modes, points).tolist()
+    brackets = list(zip(grid, ends, grid[1:], ends[1:]))
     crossings: list[float] = []
-    for i in range(steps):
-        todo = [(grid[i], ends[i], grid[i + 1], ends[i + 1])]
-        while todo:  # left half first
-            lo, c_lo, hi, c_hi = todo.pop()
+    while brackets:
+        halve = []
+        for lo, c_lo, hi, c_hi in brackets:
             if c_lo == c_hi:
                 continue
             mid = 0.5 * (lo + hi)
             if hi - lo < 0.1 * CROSSING_TOL:
                 crossings.append(mid)
             else:
-                c_mid = _negative_count(n_modes, mid)
-                todo += [(mid, c_mid, hi, c_hi), (lo, c_lo, mid, c_mid)]
-    return crossings
+                halve.append((lo, c_lo, mid, hi, c_hi))
+        if not halve:
+            break
+        mids = np.array([mid for _, _, mid, _, _ in halve])
+        brackets = []
+        for (lo, c_lo, mid, hi, c_hi), c_mid in zip(halve, _negative_counts(n_modes, mids).tolist()):
+            brackets += [(lo, c_lo, mid, c_mid), (mid, c_mid, hi, c_hi)]
+    return sorted(crossings)  # disjoint brackets narrow in different rounds
 
 
 def initial_guess(k: int, n_modes: int, amplitude: float = 0.1) -> np.ndarray:
@@ -351,28 +346,30 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
     model = CircleModel(n, float(lam), initial_guess(k, n))
     pin = 2 * k  # flat index of the sine coefficient of mode k, component 0
     iterations = 0
-    res = residual(model).ravel()
-    while not float(np.abs(res).max()) < RESIDUAL_TOL:  # a NaN residual has not converged
+    while True:
+        u = synthesize(model.coeffs, n)
+        res = _residual(model, u).ravel()
+        sup = float(np.abs(res).max())
+        if sup < RESIDUAL_TOL:  # a NaN residual has not converged
+            return NewtonResult(True, iterations, model, amplitude(model), sup)
         if iterations >= NEWTON_MAX_ITER:
-            return NewtonResult(False, iterations, model, amplitude(model), float(np.abs(res).max()))
-        jac = _jacobian(model)
+            break
+        jac = _jacobian(model, u)
         jac[pin, :] = 0.0
         jac[pin, pin] = 1.0
-        rhs = res.copy()
-        rhs[pin] = model.coeffs.flat[pin]
+        res[pin] = model.coeffs.flat[pin]
         try:
-            delta = np.linalg.solve(jac, -rhs)
+            delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
-            return NewtonResult(False, iterations, model, amplitude(model), float(np.abs(res).max()))
+            break
         x = model.coeffs.ravel()
         norm_sq = float(x @ x)
         deflate = 1.0 / norm_sq + 1.0
         slope = -2.0 * float(x @ delta) / norm_sq ** 2
         denom = deflate - slope
         if abs(denom) < 1e-300:
-            return NewtonResult(False, iterations, model, amplitude(model), float(np.abs(res).max()))
+            break
         gamma = deflate / denom
         model.coeffs = (x + gamma * delta).reshape(model.coeffs.shape)
         iterations += 1
-        res = residual(model).ravel()
-    return NewtonResult(True, iterations, model, amplitude(model), float(np.abs(res).max()))
+    return NewtonResult(False, iterations, model, amplitude(model), sup)

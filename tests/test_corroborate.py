@@ -11,7 +11,6 @@ from torbif.corroborate import (
     SCAN_MAX_STEPS,
     CircleModel,
     _jacobian,
-    _negative_count,
     amplitude,
     coefficient_inner,
     energy,
@@ -61,15 +60,21 @@ def test_galerkin_limits_admit_the_verify_sizes():
         newton_branch(1, 1.5, n_modes=GALERKIN_MAX_MODES + 1)
 
 
+def scalar_count(n_modes, lam):
+    """Negative trivial-branch eigenvalues at one parameter, with multiplicity."""
+    neg = trivial_branch_eigenvalues(n_modes, lam) < 0.0
+    return 4 * int(np.count_nonzero(neg)) - 2 * int(neg[0])
+
+
 def two_count_scan(n_modes, lam_lo, lam_hi, steps):
-    """The scan that counts at both ends of every interval it bisects."""
+    """The scan that counts at both ends of every interval it bisects, one point at a time."""
     crossings = []
     grid = np.linspace(lam_lo, lam_hi, steps + 1)
     for a, b in zip(grid[:-1], grid[1:]):
         todo = [(float(a), float(b))]
         while todo:
             lo, hi = todo.pop()
-            if _negative_count(n_modes, lo) == _negative_count(n_modes, hi):
+            if scalar_count(n_modes, lo) == scalar_count(n_modes, hi):
                 continue
             mid = 0.5 * (lo + hi)
             if hi - lo < 0.1 * CROSSING_TOL:
@@ -86,21 +91,32 @@ def test_scan_crossings_equal_the_two_count_scan(args):
     assert stability_scan(*args) == two_count_scan(*args)
 
 
-def test_scan_counts_each_point_once(monkeypatch):
-    calls = []
+def recorded_batches(monkeypatch):
     batches = []
-    count = corroborate._negative_count
     counts = corroborate._negative_counts
-    monkeypatch.setattr(corroborate, "_negative_count", lambda n, lam: calls.append(lam) or count(n, lam))
-    monkeypatch.setattr(corroborate, "_negative_counts", lambda n, lams: batches.append(lams) or counts(n, lams))
+    monkeypatch.setattr(corroborate, "_negative_counts", lambda n, lams: batches.append(lams.tolist()) or counts(n, lams))
+    return batches
+
+
+def test_scan_counts_each_point_once(monkeypatch):
+    batches = recorded_batches(monkeypatch)
     crossings = stability_scan(40, 0.5, 1000.0, 2000)
-    # the 2,001 grid points in one batch, then 713 midpoints one by one: 31
-    # crossings of 23 halvings each; counting at both ends of every bisected
-    # interval took 6,852
+    # the 2,001 grid points in one batch, then 23 rounds that halve all 31
+    # brackets together: 713 midpoints, each counted once; counting at both
+    # ends of every bisected interval took 6,852 counts
     assert len(crossings) == 31
-    assert [len(lams) for lams in batches] == [2001]
-    assert len(calls) == len(set(calls)) == 31 * 23
-    assert not set(calls) & set(batches[0].tolist())
+    assert [len(lams) for lams in batches] == [2001] + [31] * 23
+    mids = [lam for lams in batches[1:] for lam in lams]
+    assert len(mids) == len(set(mids)) == 31 * 23
+    assert not set(mids) & set(batches[0])
+
+
+@pytest.mark.parametrize("args", [(8, 0.5, 0.9, 60), (8, -1.0, 0.5, 7), (12, -1e300, 5.0, 60)])
+def test_scan_makes_no_empty_batch(monkeypatch, args):
+    batches = recorded_batches(monkeypatch)
+    stability_scan(*args)
+    assert len(batches[0]) == args[3] + 1
+    assert all(batches)
 
 
 @pytest.mark.parametrize("args", [(40, 0.5, 1000.0, 2000), (12, -1e300, 5.0, 60), (8, -1.0, 0.5, 7)])
@@ -108,7 +124,7 @@ def test_batch_count_equals_the_scalar_count(args):
     n_modes, lo, hi, steps = args
     points = np.linspace(lo, hi, steps + 1)
     assert corroborate._negative_counts(n_modes, points).tolist() == [
-        _negative_count(n_modes, x) for x in points.tolist()
+        scalar_count(n_modes, x) for x in points.tolist()
     ]
 
 
@@ -202,7 +218,15 @@ def test_jacobian_matches_central_differences(n_modes):
         up = residual(CircleModel(n_modes, model.lam, (x + step).reshape(model.coeffs.shape)))
         down = residual(CircleModel(n_modes, model.lam, (x - step).reshape(model.coeffs.shape)))
         columns.append(((up - down) / (2 * h)).ravel())
-    assert np.abs(_jacobian(model) - np.column_stack(columns)).max() < 1e-8
+    jac = _jacobian(model, corroborate.synthesize(model.coeffs, n_modes))
+    assert np.abs(jac - np.column_stack(columns)).max() < 1e-8
+
+
+def mode_weights(n_modes):
+    k = np.arange(1, n_modes + 1)
+    w = np.ones(2 * n_modes + 1)
+    w[1::2] = w[2::2] = 1.0 + k * k
+    return w
 
 
 def basis_jacobian(model):
@@ -216,7 +240,7 @@ def basis_jacobian(model):
     dot = u[0] * v[:, 0] + u[1] * v[:, 1]
     nl = corroborate.analyze(sq * v + 2.0 * dot[:, None] * u, n)
     lin = corroborate._linear(basis, model.lam)
-    return ((lin + nl) / corroborate._mode_weights(n)).reshape(size, size).T
+    return ((lin + nl) / mode_weights(n)).reshape(size, size).T
 
 
 @pytest.mark.parametrize("n_modes", [3, 8, 32, 128])
@@ -225,7 +249,8 @@ def test_jacobian_equals_the_basis_synthesis(n_modes):
     for lam in (0.7, 5.5, 40.0):
         model = CircleModel(n_modes, lam, 0.5 * rng.normal(size=(2, 2 * n_modes + 1)))
         want = basis_jacobian(model)
-        assert np.abs(_jacobian(model) - want).max() <= 1e-12 * np.abs(want).max()
+        got = _jacobian(model, corroborate.synthesize(model.coeffs, n_modes))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # one lambda per plateau of equal Newton step counts, per verify stratum (k, N)
@@ -245,12 +270,26 @@ def test_verify_strata_step_counts():
     assert steps == [6, 8, 10, 7, 9, 11, 11, 7, 9]
 
 
+def test_newton_synthesizes_each_iterate_once(monkeypatch):
+    calls = []
+    synthesize = corroborate.synthesize
+    monkeypatch.setattr(corroborate, "synthesize", lambda c, n: calls.append(n) or synthesize(c, n))
+    for k, n_modes, lam in VERIFY_STRATA:
+        calls.clear()
+        result = newton_branch(k, lam, n_modes)
+        # one synthesis per iterate, the start and the converged one included,
+        # shared by the residual and the Jacobian
+        assert calls == [n_modes] * (result.iterations + 1)
+
+
 @pytest.mark.parametrize("n_modes", [3, 16])
 def test_cached_tables_are_read_only(n_modes):
-    for table in corroborate._tables(n_modes):
+    tables = corroborate._tables(n_modes)
+    assert tables._fields == ("cos", "sin", "synth", "analysis", "weights")
+    for table in tables:
         with pytest.raises(ValueError):
-            table[0, 0] = 1.0
-    assert corroborate._tables(n_modes)[0] is corroborate._tables(n_modes)[0]
+            table[(0,) * table.ndim] = 1.0
+    assert all(a is b for a, b in zip(corroborate._tables(n_modes), tables))
 
 
 def test_equivariance_of_residual_norm():
