@@ -28,7 +28,6 @@ from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
     SmithDecomposition,
     TorusSubgroup,
-    codim_generators,
     contains,
     extend_by_full_torus,
     snf,
@@ -68,7 +67,6 @@ __all__ = [
     "analyze_levels",
     "candidate_levels",
     "character",
-    "codim_generators",
     "codim_part",
     "contains",
     "deg_minus_id",

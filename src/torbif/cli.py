@@ -18,7 +18,6 @@ from .errors import ConsistencyError, CutoffError, InputError, RefusalError
 from .oracle import run_selftest
 from .problemfile import (
     build_report,
-    format_rational,
     parse_problem,
     parse_rational,
     render_text,
@@ -59,10 +58,10 @@ def candidates(problem: str) -> None:
         spec = parse_problem(problem)
         for cand in candidate_levels(spec):
             witnesses = ", ".join(
-                f"(alpha={format_rational(a)}, beta={format_rational(b)})"
+                f"(alpha={a!s}, beta={b!s})"
                 for a, b in cand.witnesses
             )
-            click.echo(f"{format_rational(cand.lambda0)}: {witnesses}")
+            click.echo(f"{cand.lambda0!s}: {witnesses}")
 
     _dispatch(run)
 

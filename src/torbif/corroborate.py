@@ -146,30 +146,6 @@ def _residual(model: CircleModel, u: np.ndarray) -> np.ndarray:
     return (_linear(model.coeffs, model.lam) + cubic) / _tables(n).weights
 
 
-def energy(model: CircleModel) -> float:
-    """Discretized energy whose normalized gradient is ``residual``."""
-    import numpy as np
-    n = model.n_modes
-    u = synthesize(model.coeffs, n)
-    du = np.empty_like(model.coeffs)
-    du[:, 0] = 0.0
-    k = np.arange(1, n + 1)
-    du[:, 1::2] = k * model.coeffs[:, 2::2]
-    du[:, 2::2] = -k * model.coeffs[:, 1::2]
-    uprime = synthesize(du, n)
-    sq = u[0] ** 2 + u[1] ** 2
-    dens = 0.5 * (uprime[0] ** 2 + uprime[1] ** 2) - 0.5 * model.lam * sq + 0.25 * sq ** 2
-    return float(dens.mean() * 2.0 * np.pi)
-
-
-def coefficient_inner(n_modes: int, x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product under which ``residual`` is the gradient of ``energy``."""
-    import numpy as np
-    w = _tables(n_modes).weights * np.pi
-    w[0] = 2.0 * np.pi
-    return float(np.sum(x * y * w))
-
-
 def _jacobian(model: CircleModel, u: np.ndarray) -> np.ndarray:
     """Derivative of ``residual`` in the flattened coefficients, at grid values ``u``.
 
@@ -274,35 +250,13 @@ def stability_scan(
     return sorted(crossings)  # disjoint brackets narrow in different rounds
 
 
-def initial_guess(k: int, n_modes: int, amplitude: float = 0.1) -> np.ndarray:
+def initial_guess(k: int, n_modes: int) -> np.ndarray:
+    """Newton's start on mode k: 0.1 (cos k theta, sin k theta)."""
     import numpy as np
     coeffs = np.zeros((2, 2 * n_modes + 1))
-    coeffs[0, 2 * k - 1] = amplitude  # cos(k*theta) in the first component
-    coeffs[1, 2 * k] = amplitude  # sin(k*theta) in the second
+    coeffs[0, 2 * k - 1] = 0.1  # cos(k*theta) in the first component
+    coeffs[1, 2 * k] = 0.1  # sin(k*theta) in the second
     return coeffs
-
-
-def exact_branch_state(k: int, lam: float, n_modes: int) -> CircleModel:
-    """The closed-form branch state sqrt(lam - k^2)(cos k0, sin k0)."""
-    if not lam > k * k:
-        raise RefusalError(f"branch state needs lambda > k^2 = {shown(k * k)}")
-    amp = math.sqrt(lam - k * k)
-    return CircleModel(n_modes, lam, initial_guess(k, n_modes, amp))
-
-
-def rotate_state(model: CircleModel, phi: float, psi: float) -> CircleModel:
-    """Act by the plane rotation phi and the domain shift psi."""
-    import numpy as np
-    n = model.n_modes
-    c = model.coeffs
-    shifted = np.empty_like(c)
-    shifted[:, 0] = c[:, 0]
-    k = np.arange(1, n + 1)
-    ck, sk = np.cos(k * psi), np.sin(k * psi)
-    shifted[:, 1::2] = c[:, 1::2] * ck - c[:, 2::2] * sk
-    shifted[:, 2::2] = c[:, 1::2] * sk + c[:, 2::2] * ck
-    rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
-    return CircleModel(n, model.lam, rot @ shifted)
 
 
 def amplitude(model: CircleModel) -> float:

@@ -207,18 +207,6 @@ def _wedge_sign(i: int, k: int) -> int:
     return -1 if swaps % 2 else 1
 
 
-def plucker_star(a: PluckerImage, b: PluckerImage) -> PluckerImage:
-    """Product of the image algebra: (e_I (x) e_J)(e_K (x) e_L) = +-e_(I u K) (x) e_(J u L)."""
-    acc: dict[tuple[int, int], int] = {}
-    for (i, j), x in a.items():
-        for (k, l), y in b.items():
-            if i & k or j & l:
-                continue
-            key = (i | k, j | l)
-            acc[key] = acc.get(key, 0) + _wedge_sign(i, k) * _wedge_sign(j, l) * x * y
-    return {key: c for key, c in acc.items() if c}
-
-
 def plucker_sub(a: PluckerImage, b: PluckerImage) -> PluckerImage:
     """a - b."""
     acc = dict(a)

@@ -358,23 +358,6 @@ def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
     return _interned(r, _hermite(r, [*h.annihilator.basis, *h2.annihilator.basis]))
 
 
-def codim_generators(h: TorusSubgroup) -> tuple[Vector, ...]:
-    """Exactly codim(h) characters whose kernels intersect to ``h``.
-
-    Uses the Smith form P R Q = D of the stored annihilator basis R: the
-    rows of P R = D Q^-1 are the invariant factors times the rows of the
-    unimodular Q^-1, and they span the same lattice as R.
-    """
-    if h.is_full:
-        return ()
-    basis = h.annihilator.basis
-    columns = tuple(zip(*basis))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(prow, col)) for col in columns)
-        for prow in snf(h.ambient_rank, basis).P
-    )
-
-
 def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:
     """Membership of the torus element exp(2*pi*i*q) in ``h``, exactly."""
     if len(q) != h.ambient_rank:

@@ -23,7 +23,6 @@ from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
 from .intlat import (
     TorusSubgroup,
     Vector,
-    codim_generators,
     contains,
     det,
     extend_by_full_torus,
@@ -295,9 +294,6 @@ def _suite_hnf(rng: random.Random) -> Trial:
         coeffs = [rng.randint(-2, 2) for _ in chars]
         combo = tuple(sum(co * c[i] for co, c in zip(coeffs, chars)) for i in range(r))
         ok = ok and subgroup_canonical(r, chars + [combo]) == h
-    if not h.is_full:
-        ok = ok and subgroup_canonical(r, codim_generators(h)) == h
-        ok = ok and len(codim_generators(h)) == h.codim
     return (lambda: f"characters {chars} in rank {r}"), ok
 
 

@@ -60,10 +60,6 @@ def parse_rational(value: Any, where: str) -> Fraction:
     raise InputError(f"{where}: expected a rational, got {type(value).__name__}", code="SCHEMA")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _expect_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{where}: expected an integer", code="SCHEMA")
@@ -282,12 +278,12 @@ def _verdict_doc(v: Verdict) -> dict:
             "witness": None
             if c.witness is None
             else {
-                "alpha": format_rational(c.witness[0]),
-                "beta": format_rational(c.witness[1]),
+                "alpha": str(c.witness[0]),
+                "beta": str(c.witness[1]),
                 "marker": list(c.witness[2]),
                 "highest_weight": list(c.witness[3]),
             },
-            "excluded_levels": [format_rational(x) for x in c.excluded_levels],
+            "excluded_levels": [str(x) for x in c.excluded_levels],
         }
     return {
         "global_bifurcation": v.global_bifurcation,
@@ -302,8 +298,8 @@ def _verdict_doc(v: Verdict) -> dict:
 
 def _analysis_doc(a: LevelAnalysis, witnesses) -> dict:
     return {
-        "lambda0": format_rational(a.lambda0),
-        "witnesses": [[format_rational(al), format_rational(be)] for al, be in witnesses],
+        "lambda0": str(a.lambda0),
+        "witnesses": [[str(al), str(be)] for al, be in witnesses],
         "kernel": {**_rep_doc(a.kernel), "dim": a.kernel.dim},
         "negative_below": {**_rep_doc(a.negative_below), "dim": a.negative_below.dim},
         "negative_above": {**_rep_doc(a.negative_above), "dim": a.negative_above.dim},
@@ -321,7 +317,7 @@ def _validation_doc(rep: ValidationReport) -> dict:
         "E_witnesses": None
         if rep.e_witnesses is None
         else [
-            {"alpha": format_rational(a), "marker": list(m)} for a, m in rep.e_witnesses
+            {"alpha": str(a), "marker": list(m)} for a, m in rep.e_witnesses
         ],
         # a report exists only for a spec without structural errors; the key is part of the pinned bytes
         "structural_errors": [],
@@ -346,7 +342,7 @@ def build_report(
     records = []
     for lam, outcome in sweep.records:
         if isinstance(outcome, str):
-            records.append({"lambda0": format_rational(lam), "refused": outcome})
+            records.append({"lambda0": str(lam), "refused": outcome})
         else:
             records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
     return {"validation": _validation_doc(spec.validation), "levels": records}
@@ -358,11 +354,32 @@ def report_to_json(report: dict) -> str:
     Written directly, since ``indent`` sends ``json.dumps`` to its
     pure-Python encoder.  Only the vocabulary of a report is accepted:
     dicts with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``;
-    anything else raises ``TypeError``.
+    anything else raises ``TypeError``.  A report that holds an integer
+    too long to print is refused.
     """
     out: list[str] = []
-    _write_json(report, "\n", out)
+    try:
+        _write_json(report, "\n", out)
+    except ValueError:  # only int.__repr__ raises it, past the digit limit
+        raise _unprintable(report) from None
     return "".join(out)
+
+
+def _unprintable(report: dict) -> RefusalError:
+    """The refusal of a report that holds an integer past the digit limit of ``str``."""
+    widest = max(_ints(report), key=int.bit_length)
+    return RefusalError(f"the report holds an {shown(widest)}, too long to print")
+
+
+def _ints(x: Any) -> Iterator[int]:
+    """The integers of a report, depth first."""
+    if type(x) is int:
+        yield x
+    elif type(x) is dict:
+        yield from _ints(list(x.values()))
+    elif type(x) is list:
+        for e in x:
+            yield from _ints(e)
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -425,7 +442,14 @@ def _format_element_terms(terms: list[dict]) -> str:
 
 
 def render_text(report: dict) -> str:
-    """Human-readable summary of a report dict."""
+    """Human-readable summary of a report dict, refused like ``report_to_json``."""
+    try:
+        return "\n".join(_text_lines(report))
+    except ValueError:  # only str() or %d of an integer past the digit limit raises it
+        raise _unprintable(report) from None
+
+
+def _text_lines(report: dict) -> list[str]:
     lines = []
     val = report["validation"]
     lines.append(
@@ -463,4 +487,4 @@ def render_text(report: dict) -> str:
                 lines.append("  unbounded: certified through the zero-level parity route")
         elif v["unbounded_reason"]:
             lines.append(f"  unbounded: no certificate ({v['unbounded_reason']})")
-    return "\n".join(lines)
+    return lines

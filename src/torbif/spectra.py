@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import comb, isqrt
+from math import isqrt
 
 from .errors import InputError, RefusalError, shown
 from .eulerring import EulerElement
@@ -272,15 +272,6 @@ def sphere_spectrum(n: int, cutoff_k: int) -> tuple[LaplaceEigenData, ...]:
             )
         )
     return tuple(entries)
-
-
-def sphere_harmonic_dim(n: int, k: int) -> int:
-    """Closed-form dimension of the level-k eigenspace on S^(n-1), n >= 3."""
-    if n < 3:
-        raise InputError("closed form requires n >= 3")
-    if k == 0:
-        return 1
-    return comb(n - 2 + k, k) * (n - 2 + 2 * k) // (n - 2 + k)
 
 
 def validate(spec: ProblemSpec) -> ValidationReport:

@@ -11,11 +11,13 @@ from math import comb
 import numpy as np
 
 from torbif.bifurcation import REASON_ODD, analyze_levels, candidate_levels, kernel_rep
-from torbif.corroborate import exact_branch_state, newton_branch, residual, stability_scan
+from torbif.corroborate import newton_branch, residual, stability_scan
 from torbif.eulerring import EulerElement, deg_minus_id, lift, star
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import run_selftest, star_dimension_flipped, tensor_sign_flipped
 from torbif.spectra import sphere_spectrum
+
+from circle_reference import exact_branch_state
 
 
 def _announce(number: int, label: str) -> None:

@@ -133,6 +133,32 @@ def test_oversized_sphere_is_refused(runner, tmp_path, cutoff_k):
     assert len(result.output) < 300
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["report", "--format", "json"], ["report"], ["analyze", "--level", "1"]],
+    ids=["report-json", "report-text", "analyze"],
+)
+def test_report_with_integers_past_the_digit_limit_is_refused(runner, tmp_path, args):
+    # 4,300-digit weights, the most json reads; the Hermite entries of their meets reach about 8,600
+    big = 10**4299
+    weights = [[big + 7, 3 * big + 11], [7 * big + 1, 10**4298 + 3]]
+    problem = _write_problem(
+        tmp_path,
+        r=2,
+        p=4,
+        matrix_spectrum=[
+            {"alpha": str(alpha), "weights": [{"m": m}], "marker": m} for alpha, m in zip((1, 2), weights)
+        ],
+        laplace={"provider": "flat_torus", "params": {"d": 1, "cutoff": 9}},
+        beta_cutoff="9",
+    )
+    result = runner.invoke(cli.main, [args[0], str(problem), *args[1:]])
+    assert result.exit_code == 3
+    assert result.output.startswith("refused: the report holds an <integer of ")
+    assert result.output.endswith(" bits>, too long to print\n")
+    assert result.output.count("\n") == 1
+
+
 _HUGE = 10**3999  # 4,000 digits: json reads it, and str() of it still works
 
 

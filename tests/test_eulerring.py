@@ -18,18 +18,30 @@ from torbif.eulerring import (
     EulerElement,
     _annihilator_wedge,
     _wedge,
+    _wedge_sign,
     codim_part,
     deg_minus_id,
     lift,
     plucker_degree,
     plucker_image,
-    plucker_star,
     star,
 )
 from torbif.intlat import TorusSubgroup, det, subgroup_canonical, subgroup_intersect
 from torbif.oracle import star_dimension_flipped
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.torusrep import TorusRep, direct_sum
+
+
+def plucker_star(a, b):
+    """Product of the image algebra: (e_I (x) e_J)(e_K (x) e_L) = +-e_(I u K) (x) e_(J u L)."""
+    acc = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            if i & k or j & l:
+                continue
+            key = (i | k, j | l)
+            acc[key] = acc.get(key, 0) + _wedge_sign(i, k) * _wedge_sign(j, l) * x * y
+    return {key: c for key, c in acc.items() if c}
 
 
 def gen(r, *chars):

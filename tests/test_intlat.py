@@ -19,7 +19,6 @@ from torbif.intlat import (
     Lattice,
     TorusSubgroup,
     _INTERNED,
-    codim_generators,
     contains,
     det,
     extend_by_full_torus,
@@ -394,50 +393,6 @@ def test_every_subgroup_of_a_benchmark_cycle_is_interned_canonical(monkeypatch, 
 def test_intersect_rank_mismatch():
     with pytest.raises(InputError):
         subgroup_intersect(subgroup_canonical(1, [(1,)]), subgroup_canonical(2, [(1, 0)]))
-
-
-# --- codimension generators -------------------------------------------------------
-
-
-def test_codim_generators_codim_one():
-    h = subgroup_canonical(2, [(1, 1)])
-    gens = codim_generators(h)
-    assert len(gens) == 1
-    assert subgroup_canonical(2, gens) == h
-
-
-def test_codim_generators_two_characters():
-    h = subgroup_canonical(2, [(2, 0), (0, 3)])
-    gens = codim_generators(h)
-    assert len(gens) == 2
-    assert subgroup_canonical(2, gens) == h
-
-
-def test_codim_generators_trivial_subgroup():
-    h = subgroup_canonical(2, [(1, 0), (0, 1)])
-    gens = codim_generators(h)
-    assert len(gens) == 2
-    assert subgroup_canonical(2, gens) == h
-    assert h.annihilator.basis == ((1, 0), (0, 1))
-
-
-def test_codim_generators_full_torus_empty():
-    assert codim_generators(TorusSubgroup.full_torus(3)) == ()
-
-
-def test_codim_generators_smith_structure():
-    # row j is the j-th invariant factor times a primitive row of Q^-1; a
-    # Hermite basis has the right count and span but not these gcds
-    rng = random.Random(12)
-    for _ in range(300):
-        r = rng.randint(1, 5)
-        chars = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(rng.randint(1, r + 1))]
-        h = subgroup_canonical(r, chars)
-        gens = codim_generators(h)
-        assert len(gens) == h.codim
-        assert subgroup_canonical(r, gens) is h
-        factors = snf(r, h.annihilator.basis).invariant_factors
-        assert [math.gcd(*row) for row in gens] == list(factors), chars
 
 
 # --- membership --------------------------------------------------------------------

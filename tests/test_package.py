@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,52 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_modules_use_every_import(path):
     # no linter runs here; a deletion that strands an import should still fail
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# Public functions that nothing in src/torbif names, each kept for a reason.
+UNNAMED_PUBLIC = {
+    "oracle.star_dimension_flipped",  # the mutation gate's documented fake star rule
+    "oracle.tensor_sign_flipped",  # the mutation gate's documented fake tensor rule
+    "corroborate.residual",  # the model's residual for callers; Newton calls _residual to share grid values with its Jacobian
+    "oracle.SelfTestReport.suite",  # a selftest result looked up by suite name, for callers of run_selftest
+}
+# click registers a command with its group through these decorators
+_REGISTERING = {"command", "group"}
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function and public method, unless click registers it."""
+    for node in tree.body:
+        defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{d.name}", d) for d in node.body if isinstance(d, ast.FunctionDef)]
+        for qualname, d in defs:
+            registered = any(
+                isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute) and dec.func.attr in _REGISTERING
+                for dec in d.decorator_list
+            )
+            if not d.name.startswith("_") and not registered:
+                yield qualname, d
+
+
+def _names(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_function_is_named_in_the_package():
+    # library code is what a command runs: a function only tests call belongs in tests/
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted((ROOT / "src" / "torbif").glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    unnamed = {
+        f"{module}.{qualname}"
+        for module, tree in trees.items()
+        for qualname, d in _public_functions(tree)
+        if named[d.name] == _names(d)[d.name]
+    }
+    assert unnamed == UNNAMED_PUBLIC

@@ -14,7 +14,6 @@ from torbif.spectra import (
     MatrixEigenData,
     ProblemSpec,
     flat_torus_spectrum,
-    sphere_harmonic_dim,
     sphere_spectrum,
     validate,
 )
@@ -25,6 +24,13 @@ def harmonic_dim_by_sym_difference(n: int, k: int) -> int:
     """Independent count: monomials of degree k minus degree k-2."""
     total = comb(n + k - 1, k)
     return total - (comb(n + k - 3, k - 2) if k >= 2 else 0)
+
+
+def sphere_harmonic_dim(n: int, k: int) -> int:
+    """Closed-form dimension of the level-k eigenspace on S^(n-1), n >= 3."""
+    if k == 0:
+        return 1
+    return comb(n - 2 + k, k) * (n - 2 + 2 * k) // (n - 2 + k)
 
 
 # --- flat torus provider -----------------------------------------------------
