@@ -15,10 +15,9 @@ the defining difference of degrees depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConsistencyError, CutoffError, InputError, shown
 from .eulerring import (
@@ -42,14 +41,12 @@ ALTERNATIVE_LOCAL_OR_GLOBAL = "local-or-global"
 ALTERNATIVE_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CandidateLevel:
+class CandidateLevel(NamedTuple):
     lambda0: Fraction
     witnesses: tuple[tuple[Fraction, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class UnboundednessCertificate:
+class UnboundednessCertificate(NamedTuple):
     """Machine-checked evidence that the continuum at a level is unbounded.
 
     For nonzero levels this pins the subgroup cut out by the combined
@@ -67,8 +64,7 @@ class UnboundednessCertificate:
     excluded_levels: tuple[Fraction, ...] = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome record for one level.
 
     ``global_bifurcation`` is exactly nonvanishing of the index; the reason
@@ -87,8 +83,7 @@ class Verdict:
     zero_level_parity: str | None
 
 
-@dataclass(frozen=True)
-class LevelAnalysis:
+class LevelAnalysis(NamedTuple):
     """One level's kernel, index and verdict, and the negative spaces just below and above it.
 
     For a positive level these accumulate the kernels at candidates in
@@ -105,8 +100,7 @@ class LevelAnalysis:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class LevelSweep:
+class LevelSweep(NamedTuple):
     """Outcome of :func:`analyze_levels`, with one record per requested level.
 
     A record is the level's analysis, or the message of its cutoff refusal.
@@ -123,8 +117,7 @@ class LevelSweep:
         return [outcome for _, outcome in self.records]
 
 
-@dataclass(frozen=True)
-class HessianEigenvalue:
+class HessianEigenvalue(NamedTuple):
     value: Fraction
     multiplicity: int
     rep: TorusRep
@@ -152,12 +145,12 @@ def _pairs(spec: ProblemSpec) -> dict[Fraction, _Witnesses]:
     return acc
 
 
-@dataclass(frozen=True)
 class _SweepFacts:
     """What every level of one sweep reads from the spec, each worked out at most once."""
 
-    spec: ProblemSpec
-    pairs: dict[Fraction, _Witnesses]
+    def __init__(self, spec: ProblemSpec, pairs: dict[Fraction, _Witnesses]):
+        self.spec = spec
+        self.pairs = pairs
 
     @cached_property
     def certificate_obstacle(self) -> str | None:

@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 refusal (insufficient spectral
-coverage or an out-of-range numerical request), 4 internal consistency
-defect (two computation routes disagree).
+Exit codes: 0 success, 2 input error (a usage error too), 3 refusal
+(insufficient spectral coverage or an out-of-range numerical request), 4
+internal consistency defect (two computation routes disagree).
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from typing import Callable
-
-import click
 
 from .bifurcation import candidate_levels
 from .corroborate import newton_branch, stability_scan
@@ -18,6 +18,7 @@ from .errors import ConsistencyError, CutoffError, InputError, RefusalError
 from .oracle import run_selftest
 from .problemfile import (
     build_report,
+    level_text,
     parse_problem,
     parse_rational,
     render_text,
@@ -32,134 +33,162 @@ EXIT_DEFECT = 4
 def _dispatch(fn: Callable[[], int | None]) -> None:
     try:
         code = fn()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except InputError as exc:
-        click.echo(f"error[{exc.code}]: {exc}", err=True)
+        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         sys.exit(EXIT_INPUT)
     except RefusalError as exc:
-        click.echo(f"refused: {exc}", err=True)
+        print(f"refused: {exc}", file=sys.stderr)
         sys.exit(EXIT_REFUSAL)
     except ConsistencyError as exc:
-        click.echo(f"internal defect: {exc}", err=True)
+        print(f"internal defect: {exc}", file=sys.stderr)
         sys.exit(EXIT_DEFECT)
     sys.exit(code or 0)
 
 
-@click.group()
-def main() -> None:
-    """Equivariant bifurcation indices from exact spectral data."""
-
-
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-def candidates(problem: str) -> None:
+def candidates(args: argparse.Namespace) -> None:
     """List candidate parameter levels with their witnesses."""
-
-    def run() -> None:
-        spec = parse_problem(problem)
-        for cand in candidate_levels(spec):
-            witnesses = ", ".join(
-                f"(alpha={a!s}, beta={b!s})"
-                for a, b in cand.witnesses
-            )
-            click.echo(f"{cand.lambda0!s}: {witnesses}")
-
-    _dispatch(run)
+    lines = [
+        f"{level_text(cand.lambda0)}: " + ", ".join(f"(alpha={a!s}, beta={b!s})" for a, b in cand.witnesses)
+        for cand in candidate_levels(parse_problem(args.problem))
+    ]
+    for line in lines:  # all built first: a refused level leaves no partial listing
+        print(line)
 
 
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--level", required=True, help="exact rational level, e.g. 4 or 1/2")
-def analyze(problem: str, level: str) -> None:
+def analyze(args: argparse.Namespace) -> None:
     """Analyze a single candidate level."""
-
-    def run() -> None:
-        spec = parse_problem(problem)
-        lam = parse_rational(level, "--level")
-        report = build_report(spec, levels=[lam])
-        refused = report["levels"][0].get("refused")
-        if refused is not None:
-            raise CutoffError(refused)
-        click.echo(render_text(report))
-
-    _dispatch(run)
+    spec = parse_problem(args.problem)
+    lam = parse_rational(args.level, "--level")
+    doc = build_report(spec, levels=[lam])
+    refused = doc["levels"][0].get("refused")
+    if refused is not None:
+        raise CutoffError(refused)
+    print(render_text(doc))
 
 
-@main.command("analyze-all")
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-def analyze_all(problem: str) -> None:
+def analyze_all(args: argparse.Namespace) -> None:
     """Analyze every candidate level in one sorted sweep, ordered by level."""
-
-    def run() -> None:
-        spec = parse_problem(problem)
-        click.echo(render_text(build_report(spec)))
-
-    _dispatch(run)
+    print(render_text(build_report(parse_problem(args.problem))))
 
 
-@main.command()
-@click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")
-def report(problem: str, fmt: str) -> None:
+def report(args: argparse.Namespace) -> None:
     """Emit the full analysis report."""
-
-    def run() -> None:
-        spec = parse_problem(problem)
-        doc = build_report(spec)
-        click.echo(report_to_json(doc) if fmt == "json" else render_text(doc))
-
-    _dispatch(run)
+    doc = build_report(parse_problem(args.problem))
+    print(report_to_json(doc) if args.fmt == "json" else render_text(doc))
 
 
-@main.command("corroborate-circle")
-@click.option("--k", type=int, required=True, help="branch mode index")
-@click.option("--lambda", "lam", type=float, required=True, help="parameter level")
-@click.option("--modes", type=int, default=None, help="Fourier cutoff (default max(k+2, 8))")
-def corroborate_circle(k: int, lam: float, modes: int | None) -> None:
+def corroborate_circle(args: argparse.Namespace) -> int:
     """Newton-converge onto the mode-k branch of the circle model."""
-
-    def run() -> int:
-        result = newton_branch(k, lam, n_modes=modes)
-        expected = (lam - k * k) ** 0.5
-        click.echo(
-            "converged=%s iterations=%d amplitude=%.12f expected=%.12f residual=%.3e"
-            % (result.converged, result.iterations, result.amplitude, expected, result.residual_sup)
-        )
-        return 0 if result.converged else 1
-
-    _dispatch(run)
+    result = newton_branch(args.k, args.lam, n_modes=args.modes)
+    expected = (args.lam - args.k * args.k) ** 0.5
+    print(
+        "converged=%s iterations=%d amplitude=%.12f expected=%.12f residual=%.3e"
+        % (result.converged, result.iterations, result.amplitude, expected, result.residual_sup)
+    )
+    return 0 if result.converged else 1
 
 
-@main.command()
-@click.option("--lo", type=float, required=True)
-@click.option("--hi", type=float, required=True)
-@click.option("--steps", type=int, default=60)
-@click.option("--modes", type=int, default=8)
-def scan(lo: float, hi: float, steps: int, modes: int) -> None:
+def scan(args: argparse.Namespace) -> None:
     """Locate trivial-branch eigenvalue crossings in [lo, hi]."""
-
-    def run() -> None:
-        for crossing in stability_scan(modes, lo, hi, steps):
-            click.echo(f"{crossing:.6f}")
-
-    _dispatch(run)
+    for crossing in stability_scan(args.modes, args.lo, args.hi, args.steps):
+        print(f"{crossing:.6f}")
 
 
-@main.command()
-@click.option("--seed", type=int, default=1)
-@click.option("--trials", type=int, default=100)
-def selftest(seed: int, trials: int) -> None:
+def selftest(args: argparse.Namespace) -> int:
     """Run every verification suite with a deterministic seed."""
+    outcome = run_selftest(args.seed, args.trials)
+    for name, res in outcome.suites:
+        line = f"{name}: {'PASS' if res.ok else 'FAIL'} ({res.trials} trials)"
+        if not res.ok:
+            line += f" first counterexample: {res.first_counterexample}"
+        print(line)
+    return 0 if outcome.ok else EXIT_DEFECT
 
-    def run() -> int:
-        report = run_selftest(seed, trials)
-        for name, res in report.suites:
-            line = f"{name}: {'PASS' if res.ok else 'FAIL'} ({res.trials} trials)"
-            if not res.ok:
-                line += f" first counterexample: {res.first_counterexample}"
-            click.echo(line)
-        return 0 if report.ok else EXIT_DEFECT
 
-    _dispatch(run)
+def _problem_file(path: str) -> str:
+    """A problem path that exists and is not a directory; otherwise a usage error."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the options that take a value."""
+    parser = argparse.ArgumentParser(
+        prog="torbif", description="Equivariant bifurcation indices from exact spectral data.", allow_abbrev=False
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    valued: set[str] = set()
+
+    def command(run: Callable[[argparse.Namespace], int | None], problem: bool = False) -> Callable[..., None]:
+        """Add the command ``run`` runs, named after it; returns the function that adds its options."""
+        summary = run.__doc__.splitlines()[0]
+        sub = commands.add_parser(
+            run.__name__.replace("_", "-"), help=summary, description=summary, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        if problem:
+            sub.add_argument("problem", metavar="PROBLEM", type=_problem_file)
+
+        def option(flag: str, **kwargs) -> None:
+            valued.add(flag)
+            sub.add_argument(flag, **kwargs)
+
+        return option
+
+    command(candidates, problem=True)
+    command(analyze, problem=True)("--level", required=True, help="exact rational level, e.g. 4 or 1/2")
+    command(analyze_all, problem=True)
+    command(report, problem=True)("--format", dest="fmt", choices=["json", "text"], default="text")
+    option = command(corroborate_circle)
+    option("--k", type=int, required=True, help="branch mode index")
+    option("--lambda", dest="lam", type=float, required=True, help="parameter level")
+    option("--modes", type=int, default=None, help="Fourier cutoff (default max(k+2, 8))")
+    option = command(scan)
+    option("--lo", type=float, required=True)
+    option("--hi", type=float, required=True)
+    option("--steps", type=int, default=60)
+    option("--modes", type=int, default=8)
+    option = command(selftest)
+    option("--seed", type=int, default=1)
+    option("--trials", type=int, default=100)
+    return parser, valued
+
+
+def _attach_values(argv: list[str], valued: set[str]) -> list[str]:
+    """``argv`` with each value written ``--option=value``.
+
+    argparse reads a separate value that starts with ``-``, such as
+    ``--level -1/2``, as an option; attached, it stays a value.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return out + argv[i:]
+        if token in valued and i + 1 < len(argv):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run one command; always ends in ``SystemExit`` with the command's exit code."""
+    parser, valued = _parser()
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else list(argv), valued))
+    try:
+        _dispatch(lambda: args.run(args))
+    except BrokenPipeError:
+        # the reader closed standard output; send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

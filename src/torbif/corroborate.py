@@ -267,8 +267,7 @@ def amplitude(model: CircleModel) -> float:
     return math.sqrt(total)
 
 
-@dataclass
-class NewtonResult:
+class NewtonResult(NamedTuple):
     converged: bool
     iterations: int
     state: CircleModel

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
 from operator import mul, neg
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -79,8 +80,7 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """``P R Q = diag(invariant_factors)``, zero-padded to the shape of R.
 
     P and Q are unimodular, and like R they are tuples of row tuples.
@@ -263,8 +263,7 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
     return tuple(map(tuple, mat[:nr]))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Integer sublattice of Z^r with the canonical Hermite basis ``basis``.
 
     Built only by the intern table, around a basis that is canonical

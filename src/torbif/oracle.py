@@ -12,10 +12,9 @@ against vacuity.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bifurcation as bif
 from .errors import InputError, RefusalError, shown
@@ -49,8 +48,7 @@ Trial = tuple[Callable[[], str], bool]
 SELFTEST_MAX_TRIALS = 10_000
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     trials: int
     failures: int
     first_counterexample: str | None
@@ -60,8 +58,7 @@ class SuiteResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     seed: int
     suites: tuple[tuple[str, SuiteResult], ...]
 

@@ -266,6 +266,14 @@ def _element_doc(x: EulerElement) -> list[dict]:
     return [{"characters": _subgroup_doc(h), "coeff": c} for h, c in x.terms]
 
 
+def level_text(lam: Fraction) -> str:
+    """``str(lam)``; a level past the digit limit of ``str`` is refused, shown by its size."""
+    try:
+        return str(lam)
+    except ValueError:
+        raise RefusalError(f"level {shown(lam)} is too long to print") from None
+
+
 def _verdict_doc(v: Verdict) -> dict:
     cert = None
     if v.unbounded is not None:
@@ -283,7 +291,7 @@ def _verdict_doc(v: Verdict) -> dict:
                 "marker": list(c.witness[2]),
                 "highest_weight": list(c.witness[3]),
             },
-            "excluded_levels": [str(x) for x in c.excluded_levels],
+            "excluded_levels": [level_text(x) for x in c.excluded_levels],
         }
     return {
         "global_bifurcation": v.global_bifurcation,
@@ -298,7 +306,7 @@ def _verdict_doc(v: Verdict) -> dict:
 
 def _analysis_doc(a: LevelAnalysis, witnesses) -> dict:
     return {
-        "lambda0": str(a.lambda0),
+        "lambda0": level_text(a.lambda0),
         "witnesses": [[str(al), str(be)] for al, be in witnesses],
         "kernel": {**_rep_doc(a.kernel), "dim": a.kernel.dim},
         "negative_below": {**_rep_doc(a.negative_below), "dim": a.negative_below.dim},
@@ -342,7 +350,7 @@ def build_report(
     records = []
     for lam, outcome in sweep.records:
         if isinstance(outcome, str):
-            records.append({"lambda0": str(lam), "refused": outcome})
+            records.append({"lambda0": level_text(lam), "refused": outcome})
         else:
             records.append(_analysis_doc(outcome, witness_map.get(lam, ())))
     return {"validation": _validation_doc(spec.validation), "levels": records}

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InputError, RefusalError, shown
 from .eulerring import EulerElement
@@ -128,8 +129,7 @@ class ProblemSpec:
         return max((abs(e.alpha) for e in self.matrix_spectrum), default=Fraction(0))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     n1: bool
     n2: bool
     n2_method: str | None

@@ -7,12 +7,10 @@ import random
 from types import MappingProxyType
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torbif.bifurcation as bifurcation
-from torbif import cli
 from torbif.errors import ConsistencyError, InputError
 from torbif.eulerring import (
     EulerElement,
@@ -30,6 +28,8 @@ from torbif.intlat import TorusSubgroup, det, subgroup_canonical, subgroup_inter
 from torbif.oracle import star_dimension_flipped
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, report_to_json
 from torbif.torusrep import TorusRep, direct_sum
+
+from clirun import run_cli
 
 
 def plucker_star(a, b):
@@ -243,7 +243,7 @@ def test_p3_report_bytes_pinned(cutoff, digest):
 def test_analyze_all_prints_a_refused_level(tmp_path):
     problem = tmp_path / "p3.json"
     problem.write_text(json.dumps(p3_problem(5)))
-    result = CliRunner().invoke(cli.main, ["analyze-all", str(problem)])
+    result = run_cli(["analyze-all", str(problem)])
     assert result.exit_code == 0
     assert "level 5: refused (analysis at level 5 needs Laplace data up to 15, declared cutoff is 5)" in (
         result.output.splitlines()

@@ -62,22 +62,16 @@ UNNAMED_PUBLIC = {
     "corroborate.residual",  # the model's residual for callers; Newton calls _residual to share grid values with its Jacobian
     "oracle.SelfTestReport.suite",  # a selftest result looked up by suite name, for callers of run_selftest
 }
-# click registers a command with its group through these decorators
-_REGISTERING = {"command", "group"}
 
 
 def _public_functions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function and public method, unless click registers it."""
+    """(qualified name, node) of each public top-level function and public method."""
     for node in tree.body:
         defs = [(node.name, node)] if isinstance(node, ast.FunctionDef) else []
         if isinstance(node, ast.ClassDef):
             defs = [(f"{node.name}.{d.name}", d) for d in node.body if isinstance(d, ast.FunctionDef)]
         for qualname, d in defs:
-            registered = any(
-                isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute) and dec.func.attr in _REGISTERING
-                for dec in d.decorator_list
-            )
-            if not d.name.startswith("_") and not registered:
+            if not d.name.startswith("_"):
                 yield qualname, d
 
 
