@@ -14,14 +14,17 @@ the trivial root altogether.  The angular degeneracy along the group
 orbit is pinned by freezing the sine coefficient of mode k of the first
 component.
 
-The Newton matrix is assembled in product form: the derivative of the
-cubic term is A diag(g) S^T for each pair of field components, with S the
-synthesis and A the analysis table on the grid, three (2N+1) x m products
-in all.  S (whose rows are the cos/sin tables), A (scaled by the mode
-weights) and the mode weights are built once per cutoff and kept,
-read-only, in a cache of ``TABLE_CACHE_SIZE`` cutoffs.  Newton synthesizes
-each iterate once, for both the residual and the Jacobian.  The scan
-counts negative eigenvalues at all its grid points in one array
+The discretized model is written in three arrays: S, the synthesis table
+(rows 1, cos k theta, sin k theta on the grid), A, the analysis table (S
+scaled by 1/m for mode 0 and 2/m above, and by the mode weights), and
+lin, the trivial-branch eigenvalues laid out on the coefficients.  Grid
+values are c S, the residual is lin * c + (|u|^2 u) A^T, and the Newton matrix is
+the cubic term's derivative A diag(g) S^T for each pair of field
+components, three (2N+1) x m products in all, with lin added to its
+diagonal.  S, A and the mode weights are built once per cutoff and kept,
+read-only, in a cache of ``TABLE_CACHE_SIZE`` cutoffs.  Newton
+synthesizes each iterate once, for both the residual and the Jacobian.
+The scan counts negative eigenvalues at all its grid points in one array
 evaluation, then halves all open brackets together, one evaluation of
 their midpoints per round.
 
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, RefusalError, shown
@@ -61,8 +63,7 @@ TABLE_CACHE_SIZE = 8
 SCAN_MAX_STEPS = 20_000
 
 
-@dataclass
-class CircleModel:
+class CircleModel(NamedTuple):
     """Truncated Fourier state: coeffs[c] = [a0, a1, b1, ..., aN, bN]."""
 
     n_modes: int
@@ -73,9 +74,7 @@ class CircleModel:
 class _Tables(NamedTuple):
     """What a Galerkin step at cutoff N needs that depends on N alone; shared, so read-only."""
 
-    cos: np.ndarray  # cos(k theta), k = 1..N, on the m = 4(N+1) grid points: rows of S
-    sin: np.ndarray  # sin(k theta): rows of S
-    synth: np.ndarray  # S: rows 1, cos(theta), sin(theta), ..., cos(N theta), sin(N theta)
+    synth: np.ndarray  # S: rows 1, cos(theta), sin(theta), ..., cos(N theta), sin(N theta) on m = 4(N+1) points
     analysis: np.ndarray  # S scaled by 1/m (mode 0) or 2/m, over the mode weights
     weights: np.ndarray  # mode weights 1, 1 + k^2, 1 + k^2, ...
 
@@ -95,7 +94,7 @@ def _tables(n_modes: int) -> _Tables:
     weights = np.concatenate([[1.0], np.repeat(1.0 + k * k, 2)])
     scale = np.full((modes, 1), 2.0 / m)
     scale[0] = 1.0 / m
-    tables = _Tables(synth[1::2], synth[2::2], synth, synth * (scale / weights[:, None]), weights)
+    tables = _Tables(synth, synth * (scale / weights[:, None]), weights)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -107,31 +106,13 @@ def synthesize(coeffs: np.ndarray, n_modes: int) -> np.ndarray:
     Axes before the last two of ``coeffs`` (shape ``(..., 2, 2N+1)``) are
     batch axes and are kept.
     """
-    t = _tables(n_modes)
-    return coeffs[..., :1] + coeffs[..., 1::2] @ t.cos + coeffs[..., 2::2] @ t.sin
+    return coeffs @ _tables(n_modes).synth
 
 
-def analyze(values: np.ndarray, n_modes: int) -> np.ndarray:
-    """Fourier coefficients (modes 0..N) from grid values, batched like ``synthesize``."""
+def _linear(model: CircleModel) -> np.ndarray:
+    """``trivial_branch_eigenvalues`` on the coefficient layout: mode 0 once, each k >= 1 twice."""
     import numpy as np
-    m = values.shape[-1]
-    t = _tables(n_modes)
-    out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
-    out[..., 0] = values.mean(axis=-1)
-    out[..., 1::2] = 2.0 / m * values @ t.cos.T
-    out[..., 2::2] = 2.0 / m * values @ t.sin.T
-    return out
-
-
-def _linear(coeffs: np.ndarray, lam: float) -> np.ndarray:
-    """Linear part (k^2 - lam) * c_k of the discretized equation, before normalization."""
-    import numpy as np
-    k = np.arange(1, coeffs.shape[-1] // 2 + 1)
-    lin = np.empty_like(coeffs)
-    lin[..., 0] = -lam * coeffs[..., 0]
-    lin[..., 1::2] = (k * k - lam) * coeffs[..., 1::2]
-    lin[..., 2::2] = (k * k - lam) * coeffs[..., 2::2]
-    return lin
+    return np.repeat(trivial_branch_eigenvalues(model.n_modes, model.lam), 2)[1:]
 
 
 def residual(model: CircleModel) -> np.ndarray:
@@ -141,21 +122,18 @@ def residual(model: CircleModel) -> np.ndarray:
 
 def _residual(model: CircleModel, u: np.ndarray) -> np.ndarray:
     """``residual`` from the grid values ``u`` of ``model``."""
-    n = model.n_modes
-    cubic = analyze((u[0] ** 2 + u[1] ** 2) * u, n)
-    return (_linear(model.coeffs, model.lam) + cubic) / _tables(n).weights
+    cubic = (u[0] ** 2 + u[1] ** 2) * u
+    return _linear(model) * model.coeffs + cubic @ _tables(model.n_modes).analysis.T
 
 
 def _jacobian(model: CircleModel, u: np.ndarray) -> np.ndarray:
     """Derivative of ``residual`` in the flattened coefficients, at grid values ``u``.
 
     The cubic term's derivative in component j of component i is
-    A diag(g_ij) S^T, with S the synthesis table (rows 1, cos k theta,
-    sin k theta), A the analysis table of ``analyze`` (S scaled by 1/m
-    for mode 0 and 2/m above, here also by the mode weights) and
+    A diag(g_ij) S^T, with S the synthesis and A the analysis table and
     g_ij = 2 u_i u_j + delta_ij |u|^2 on the grid.  g_01 = g_10, so the
     four blocks take three products, made in one batched matmul.  The
-    linear part is diagonal.
+    linear part is diagonal: lin, once per component.
     """
     import numpy as np
     t = _tables(model.n_modes)
@@ -168,7 +146,7 @@ def _jacobian(model: CircleModel, u: np.ndarray) -> np.ndarray:
     jac[0, :, 1] = jac[1, :, 0] = blocks[1]
     jac[1, :, 1] = blocks[2]
     jac = jac.reshape(2 * modes, 2 * modes)
-    jac.flat[:: 2 * modes + 1] += (_linear(np.ones((2, modes)), model.lam) / t.weights).ravel()
+    jac.flat[:: 2 * modes + 1] += np.tile(_linear(model), 2)
     return jac
 
 
@@ -323,6 +301,6 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
         if abs(denom) < 1e-300:
             break
         gamma = deflate / denom
-        model.coeffs = (x + gamma * delta).reshape(model.coeffs.shape)
+        model = model._replace(coeffs=(x + gamma * delta).reshape(model.coeffs.shape))
         iterations += 1
     return NewtonResult(False, iterations, model, amplitude(model), sup)

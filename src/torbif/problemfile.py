@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable

@@ -227,6 +227,28 @@ def mode_weights(n_modes):
     return w
 
 
+def analyze(values, n_modes):
+    """Fourier coefficients (modes 0..N) from grid values, with its own cos/sin products."""
+    m = values.shape[-1]
+    theta = 2.0 * np.pi * np.arange(m) / m
+    k = np.arange(1, n_modes + 1)
+    out = np.empty(values.shape[:-1] + (2 * n_modes + 1,))
+    out[..., 0] = values.mean(axis=-1)
+    out[..., 1::2] = 2.0 / m * values @ np.cos(k[:, None] * theta).T
+    out[..., 2::2] = 2.0 / m * values @ np.sin(k[:, None] * theta).T
+    return out
+
+
+def linear_part(coeffs, lam):
+    """Linear part (k^2 - lam) * c_k of the discretized equation, before normalization."""
+    k = np.arange(1, coeffs.shape[-1] // 2 + 1)
+    lin = np.empty_like(coeffs)
+    lin[..., 0] = -lam * coeffs[..., 0]
+    lin[..., 1::2] = (k * k - lam) * coeffs[..., 1::2]
+    lin[..., 2::2] = (k * k - lam) * coeffs[..., 2::2]
+    return lin
+
+
 def basis_jacobian(model):
     """The derivative of ``residual`` from the synthesis of every unit coefficient vector."""
     n = model.n_modes
@@ -236,8 +258,8 @@ def basis_jacobian(model):
     basis = np.eye(size).reshape(size, 2, 2 * n + 1)  # basis[col] perturbs coefficient col
     v = corroborate.synthesize(basis, n)
     dot = u[0] * v[:, 0] + u[1] * v[:, 1]
-    nl = corroborate.analyze(sq * v + 2.0 * dot[:, None] * u, n)
-    lin = corroborate._linear(basis, model.lam)
+    nl = analyze(sq * v + 2.0 * dot[:, None] * u, n)
+    lin = linear_part(basis, model.lam)
     return ((lin + nl) / mode_weights(n)).reshape(size, size).T
 
 
@@ -249,6 +271,20 @@ def test_jacobian_equals_the_basis_synthesis(n_modes):
         want = basis_jacobian(model)
         got = _jacobian(model, corroborate.synthesize(model.coeffs, n_modes))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_modes,lam", [(3, 0.7), (8, -2.5), (16, 4.0), (32, 99.3), (128, 1e4)])
+def test_linearization_at_zero_is_the_scan_spectrum(n_modes, lam):
+    # Newton's matrix at u = 0 is diagonal, and its diagonal is the spectrum
+    # the scan counts: mode 0 once, each k >= 1 twice, once per component
+    coeffs = np.zeros((2, 2 * n_modes + 1))
+    model = CircleModel(n_modes, lam, coeffs)
+    jac = _jacobian(model, corroborate.synthesize(coeffs, n_modes))
+    diag = np.diag(jac)
+    assert np.array_equal(jac, np.diag(diag))
+    eigs = trivial_branch_eigenvalues(n_modes, lam)
+    layout = np.concatenate([[eigs[0]], np.repeat(eigs[1:], 2)])
+    assert np.array_equal(diag, np.concatenate([layout, layout]))
 
 
 # one lambda per plateau of equal Newton step counts, per verify stratum (k, N)
@@ -283,7 +319,7 @@ def test_newton_synthesizes_each_iterate_once(monkeypatch):
 @pytest.mark.parametrize("n_modes", [3, 16])
 def test_cached_tables_are_read_only(n_modes):
     tables = corroborate._tables(n_modes)
-    assert tables._fields == ("cos", "sin", "synth", "analysis", "weights")
+    assert tables._fields == ("synth", "analysis", "weights")
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0

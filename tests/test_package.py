@@ -1,4 +1,5 @@
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,21 @@ def test_sources_parse_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names read by the annotations of ``tree``."""
+    annotations = [
+        n.annotation if isinstance(n, (ast.arg, ast.AnnAssign)) else n.returns
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    annotations = [a for a in annotations if a is not None]
+    # a quoted annotation names its types inside a string
+    quoted = [
+        ast.parse(a.value, mode="eval") for a in annotations if isinstance(a, ast.Constant) and isinstance(a.value, str)
+    ]
+    return {n.id for a in [*annotations, *quoted] for n in ast.walk(a) if isinstance(n, ast.Name)}
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
@@ -32,16 +48,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    annotations = [
-        n.annotation if isinstance(n, (ast.arg, ast.AnnAssign)) else n.returns
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.arg, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    # a quoted annotation names its types inside a string
-    quoted = [
-        ast.parse(a.value, mode="eval") for a in annotations if isinstance(a, ast.Constant) and isinstance(a.value, str)
-    ]
-    used = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _annotation_names(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -53,6 +60,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_modules_use_every_import(path):
     # no linter runs here; a deletion that strands an import should still fail
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _module_bindings(body: list[ast.stmt]) -> set[str]:
+    """Names bound at module level: imports, definitions and assignments, also under ``if TYPE_CHECKING``."""
+    bound = set()
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.If):
+            bound |= _module_bindings(node.body) | _module_bindings(node.orelse)
+    return bound
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "torbif").glob("*.py")), ids=lambda p: p.name)
+def test_annotations_name_only_bound_names(path):
+    # annotations are strings at run time, so an unimported name in one
+    # fails only when something resolves it, as typing.get_type_hints does
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(_annotation_names(tree) - _module_bindings(tree.body) - set(dir(builtins))) == []
 
 
 # Public functions that nothing in src/torbif names, each kept for a reason.
