@@ -46,8 +46,11 @@ from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, sub
 from .torusrep import TorusRep
 
 
-def _term_order(term: tuple[TorusSubgroup, int]) -> tuple:
-    return term[0].sort_key
+def _term_order(term: tuple[TorusSubgroup, int]) -> tuple[int, ...]:
+    # (codim, basis) with the rows flattened: in one ring, equal codimensions mean
+    # equal basis shapes, so the order is the same, and flat keys compare faster
+    basis = term[0].annihilator.basis
+    return (len(basis),) + sum(basis, ())
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,10 @@ class EulerElement:
     """Integer combination of generators chi(T^r/H+).
 
     The constructor takes terms as a mapping or as (subgroup, coefficient)
-    pairs in any order and stores them merged, without zero coefficients,
-    sorted by ``sort_key``, so equal elements have equal terms.
+    pairs in any order and stores them merged by subgroup value, without
+    zero coefficients, sorted by codimension and then annihilator basis, so
+    equal elements have equal terms and the full-torus term, if any, comes
+    first.
     """
 
     ambient_rank: int
@@ -86,10 +91,10 @@ class EulerElement:
         return not self.terms
 
     def coefficient(self, h: TorusSubgroup) -> int:
-        return dict(self.terms).get(h, 0)
+        return next((c for g, c in self.terms if g == h), 0)
 
     def unit_coefficient(self) -> int:
-        return self.coefficient(TorusSubgroup.full_torus(self.ambient_rank))
+        return self.terms[0][1] if self.terms and self.terms[0][0].is_full else 0
 
     def __add__(self, other: "EulerElement") -> "EulerElement":
         if self.ambient_rank != other.ambient_rank:

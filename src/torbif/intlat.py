@@ -4,32 +4,21 @@ Hermite and Smith normal forms of integer matrices, each given as a tuple of
 row tuples, and closed subgroups of a torus encoded by their annihilator
 character lattice, stored by its row-style Hermite basis.
 
-Subgroups have no public constructor: ``subgroup_canonical``,
-``subgroup_intersect``, ``extend_by_full_torus`` and
-``TorusSubgroup.full_torus`` canonicalise the annihilator and intern the
-result, and copying or unpickling a subgroup interns it again.  While a
-subgroup is alive, an equal one built by any of these is the same object, so
-subgroups compare and hash by identity and each instance computes its
-codimension and sort key once.
-
-Each constructor hands the intern table a basis that is already in Hermite
-form: ``subgroup_canonical`` from ``hermite_basis``; a meet from the
-elimination core run on the two stored canonical bases together, with no
-input checks; the zero-padded extension and the full torus as they are.  The
-table is keyed by that basis, so a subgroup that is alive costs one look-up,
-and its ``Lattice`` is assembled once, for a new subgroup only, around the
-basis it was keyed by.  The table holds its values weakly and lives as long
-as the process.  One lock covers the look-up and insert, so two threads that
-build the same new subgroup at once get the same object; the Hermite basis
-is computed outside the lock.
+A subgroup is the plain value ``(ambient_rank, annihilator)``: it compares
+and hashes as that tuple, so two subgroups are equal iff they are the same
+subgroup.  That holds only for canonical bases, so subgroups have no public
+constructor: ``subgroup_canonical``, ``subgroup_intersect``,
+``extend_by_full_torus`` and ``TorusSubgroup.full_torus`` each hand the one
+private builder a basis that is already in Hermite form (from
+``hermite_basis``; for a meet, from the elimination core run on the two
+stored canonical bases together, with no input checks; the zero-padded
+extension and the full torus as they are), and copying or unpickling a
+subgroup goes through ``subgroup_canonical``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
 from operator import mul, neg
@@ -266,42 +255,53 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
 class Lattice(NamedTuple):
     """Integer sublattice of Z^r with the canonical Hermite basis ``basis``.
 
-    Built only by the intern table, around a basis that is canonical
+    Built only as a subgroup's annihilator, around a basis that is canonical
     already, so two lattices are equal iff they span the same sublattice.
     """
 
     ambient_rank: int
-    basis: tuple[Vector, ...] = ()
+    basis: tuple[Vector, ...]
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TorusSubgroup:
+class _SubgroupValue(NamedTuple):
+    ambient_rank: int
+    annihilator: Lattice
+
+
+class TorusSubgroup(_SubgroupValue):
     """Closed subgroup of T^r, identified by its annihilator lattice.
 
     The annihilator holds all characters k with <k, phi> in 2*pi*Z on the
     subgroup; it determines the subgroup uniquely, and the full torus is
-    the zero lattice.  Instances are interned (see the module docstring):
-    they are built only by ``subgroup_canonical``, ``subgroup_intersect``,
-    ``extend_by_full_torus`` and ``TorusSubgroup.full_torus``, and equality
-    and hashing are by identity.  ``codim`` and ``sort_key`` are computed
-    once per instance.
+    the zero lattice.  A subgroup is the tuple ``(ambient_rank,
+    annihilator)`` and compares and hashes as that tuple (see the module
+    docstring); it is built only by ``subgroup_canonical``,
+    ``subgroup_intersect``, ``extend_by_full_torus`` and
+    ``TorusSubgroup.full_torus``.
     """
 
-    ambient_rank: int
-    annihilator: Lattice
+    __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
         raise TypeError(
             "TorusSubgroup is built by subgroup_canonical, subgroup_intersect, "
             "extend_by_full_torus or TorusSubgroup.full_torus"
         )
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls()  # raises, as direct construction does; _replace goes through here
 
     def __reduce__(self):
         return subgroup_canonical, (self.ambient_rank, self.annihilator.basis)
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
-        return _interned(r, ())
+        return _subgroup(r, ())
+
+    @property
+    def codim(self) -> int:
+        return len(self.annihilator.basis)
 
     @property
     def dim(self) -> int:
@@ -318,31 +318,20 @@ class TorusSubgroup:
         return f"H[{rows}]"
 
 
-# (ambient rank, Hermite basis of the annihilator) -> the live subgroup
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_INTERN_LOCK = threading.Lock()
-
-
-def _interned(r: int, basis: tuple[Vector, ...]) -> TorusSubgroup:
-    """The one live subgroup of T^r whose annihilator has the Hermite basis ``basis``.
+def _subgroup(r: int, basis: tuple[Vector, ...]) -> TorusSubgroup:
+    """The subgroup of T^r whose annihilator has the Hermite basis ``basis``.
 
     Callers pass a basis that is canonical already (the invariant
-    ``hermite_basis(r, basis) == basis``), so a new subgroup's lattice is
-    assembled around it without running the elimination again.
+    ``hermite_basis(r, basis) == basis``), so equal subgroups are equal
+    tuples, with no second elimination.  Both tuples are made the way a
+    NamedTuple's own ``__new__`` makes them, without its Python frame.
     """
-    key = (r, basis)
-    with _INTERN_LOCK:
-        h = _INTERNED.get(key)
-        if h is None:
-            h = object.__new__(TorusSubgroup)
-            h.__dict__.update(ambient_rank=r, annihilator=Lattice(r, basis), codim=len(basis), sort_key=(len(basis), basis))
-            _INTERNED[key] = h
-    return h
+    return tuple.__new__(TorusSubgroup, (r, tuple.__new__(Lattice, (r, basis))))
 
 
 def subgroup_canonical(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
     """Subgroup cut out by the given characters, canonically encoded."""
-    return _interned(r, hermite_basis(r, characters))
+    return _subgroup(r, hermite_basis(r, characters))
 
 
 def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
@@ -354,7 +343,7 @@ def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
     if h.ambient_rank != h2.ambient_rank:
         raise InputError("cannot intersect subgroups of different tori")
     r = h.ambient_rank
-    return _interned(r, _hermite(r, [*h.annihilator.basis, *h2.annihilator.basis]))
+    return _subgroup(r, _hermite(r, [*h.annihilator.basis, *h2.annihilator.basis]))
 
 
 def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:
@@ -379,4 +368,4 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     # zero columns after the last keep a Hermite basis canonical
     pad = (0,) * l
     padded = tuple([row + pad for row in h.annihilator.basis])
-    return _interned(h.ambient_rank + l, padded)
+    return _subgroup(h.ambient_rank + l, padded)

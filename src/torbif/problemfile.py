@@ -67,6 +67,12 @@ def _expect_int(value: Any, where: str) -> int:
     return value
 
 
+def _expect_bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"{where}: expected a boolean", code="SCHEMA")
+    return value
+
+
 def _expect_list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{where}: expected a list", code="SCHEMA")
@@ -163,15 +169,13 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
             raise InputError(f"{where}: expected an object", code="SCHEMA")
         beta = parse_rational(item.get("beta"), f"{where}.beta")
         rep = _parse_rep(item, l, where)
+        irreducible = _expect_bool(item.get("irreducible", False), f"{where}.irreducible")
         hw = item.get("highest_weight")
+        if hw is not None:
+            hw = _int_vector(hw, f"{where}.highest_weight")
         try:
             out.append(
-                LaplaceEigenData(
-                    beta=beta,
-                    eigenspace=rep,
-                    irreducible_nontrivial=bool(item.get("irreducible", False)),
-                    highest_weight=_int_vector(hw, f"{where}.highest_weight") if hw is not None else None,
-                )
+                LaplaceEigenData(beta=beta, eigenspace=rep, irreducible_nontrivial=irreducible, highest_weight=hw)
             )
         except InputError as exc:
             raise InputError(f"{where}: {exc}", code="SCHEMA")

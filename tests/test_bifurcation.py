@@ -231,6 +231,31 @@ def test_index_negative_levels():
     assert a.index.coefficient(subgroup_canonical(2, [(1, 1)])) == 1
 
 
+def test_single_scalar_equation_indices_by_hand():
+    # r = 0: one equation with no system symmetry, on the flat T^1, where Fourier
+    # mode k is the rotation of weight k and brings the factor I - chi(H_k) of
+    # deg(-Id) into the negative space past level k^2
+    spec = parse_problem_dict({
+        "r": 0, "l": 1, "p": 1,
+        "matrix_spectrum": [{"alpha": "1", "trivial_mult": 1}],
+        "laplace": {"provider": "flat_torus", "params": {"d": 1, "cutoff": 4}},
+        "beta_cutoff": "4",
+        "degF_pos": [{"characters": [], "coeff": 1}],
+        "degF_neg": [{"characters": [], "coeff": -1}],
+    })
+    unit, h1, h2 = EulerElement.unit(1), gen(1, (1,)), gen(1, (2,))
+    # two codimension-1 subgroups of T^1 are never transversal
+    assert star(h1, h2).is_zero and star(unit - h1, unit - h2) == unit - h1 - h2
+    analyses = analyze_levels(spec).analyses()
+    assert [a.lambda0 for a in analyses] == [0, 1, 4]
+    # the index is D(above) - D(below), with D = degF deg(-Id)(negative space)
+    # and degF = degF_neg only below 0
+    assert [a.index for a in analyses] == [unit - (-unit), (unit - h1) - unit, (unit - h1 - h2) - (unit - h1)]
+    assert [a.index for a in analyses] == [2 * unit, -h1, -h2]
+    assert all(a.verdict.global_bifurcation for a in analyses)
+    assert [a.verdict.symmetry_breaking for a in analyses] == [False, True, True]
+
+
 def test_sum_indices(circle_spec):
     zero = EulerElement(2)
     analyses = analyze_levels(circle_spec, [1, 4]).analyses()

@@ -110,6 +110,19 @@ def test_malformed_file_exit_code(tmp_path):
     assert "MALFORMED_JSON" in result.output
 
 
+def test_string_irreducible_flag_exits_2(tmp_path, circle_fixture_path):
+    doc = json.loads(circle_fixture_path.read_text())
+    doc["laplace"] = [
+        {"beta": "0", "trivial_mult": 1},
+        {"beta": "1", "weights": [{"m": [1]}], "irreducible": "false", "highest_weight": [1]},
+    ]
+    doc["beta_cutoff"] = "1"
+    problem = tmp_path / "string_flag.json"
+    problem.write_text(json.dumps(doc))
+    result = run_cli(["report", str(problem)])
+    assert result == (2, "error[SCHEMA]: laplace[1].irreducible: expected a boolean\n")
+
+
 def test_oversized_flat_torus_is_refused(tmp_path):
     # (2*8+1)^6 = 24,137,569 lattice points: refused before any is walked
     problem = tmp_path / "flat_t6.json"

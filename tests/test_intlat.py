@@ -1,12 +1,8 @@
 import copy
-import gc
 import itertools
 import math
 import pickle
 import random
-import threading
-import time
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +14,6 @@ from torbif.errors import InputError
 from torbif.intlat import (
     Lattice,
     TorusSubgroup,
-    _INTERNED,
     contains,
     det,
     extend_by_full_torus,
@@ -370,19 +365,19 @@ def test_meet_core_matches_hermite_basis_on_random_pairs():
         rows = h.annihilator.basis + k.annihilator.basis
         meet = subgroup_intersect(h, k)
         assert meet.annihilator.basis == hermite_basis(r, rows), (h, k)
-        assert meet is subgroup_canonical(r, rows)
+        assert meet == subgroup_canonical(r, rows)
         assert_hermite_of(r, meet.annihilator.basis, rows)
         counts["big"] += any(abs(e) > 2**64 for row in rows for e in row)
         counts["transversal" if meet.codim == h.codim + k.codim else "other"] += 1
     assert counts["big"] >= 60 and counts["transversal"] >= 100 and counts["other"] >= 100, counts
 
 
-def test_every_subgroup_of_a_benchmark_cycle_is_interned_canonical(monkeypatch, bench_workloads):
-    # the intern table assembles a new subgroup's lattice around the basis it is
-    # handed, with no second elimination: every constructor must hand it a Hermite basis
+def test_every_subgroup_of_a_benchmark_cycle_is_built_canonical(monkeypatch, bench_workloads):
+    # the builder wraps the basis it is handed with no second elimination, and
+    # equality compares bases: every constructor must hand it a Hermite basis
     handed = set()
-    interned = intlat._interned
-    monkeypatch.setattr(intlat, "_interned", lambda r, basis: handed.add((r, basis)) or interned(r, basis))
+    build = intlat._subgroup
+    monkeypatch.setattr(intlat, "_subgroup", lambda r, basis: handed.add((r, basis)) or build(r, basis))
     for op in bench_workloads.cycle("report", 1, 0):
         bench_workloads.render_report(op["problem"])
     assert len(handed) >= 500 and {len(basis) for _, basis in handed} >= {0, 1, 2, 3}
@@ -437,78 +432,45 @@ def test_extend_examples():
     assert extend_by_full_torus(point, 3).dim == 3
 
 
-# --- interning -----------------------------------------------------------------
+# --- value semantics -------------------------------------------------------------
 
 
-def test_equal_subgroups_from_every_constructor_are_one_object():
-    # the subgroup {phi_1 = 0} of T^2 built four ways, all alive at once
+def test_equal_subgroups_from_every_constructor_are_equal():
+    # the subgroup {phi_1 = 0} of T^2 built three ways, and the full torus T^3 four ways
     canonical = subgroup_canonical(2, [(2, 0), (3, 0)])
     met = subgroup_intersect(TorusSubgroup.full_torus(2), subgroup_canonical(2, [(1, 0)]))
     extended = extend_by_full_torus(subgroup_canonical(1, [(1,)]), 1)
-    assert canonical is met is extended
+    assert canonical == met == extended
+    assert hash(canonical) == hash(met) == hash(extended)
     full = TorusSubgroup.full_torus(3)
-    assert full is subgroup_canonical(3, []) is extend_by_full_torus(TorusSubgroup.full_torus(1), 2)
-    assert full is subgroup_intersect(full, full)
-
-
-def test_intern_table_holds_subgroups_weakly():
-    h = subgroup_canonical(3, [(97, 89, 83)])
-    key = (3, h.annihilator.basis)
-    assert _INTERNED[key] is h
-    del h
-    gc.collect()
-    assert key not in _INTERNED
+    for h in (subgroup_canonical(3, []), extend_by_full_torus(TorusSubgroup.full_torus(1), 2),
+              subgroup_intersect(full, full)):
+        assert h == full and hash(h) == hash(full)
+    assert subgroup_canonical(2, [(1, 2)]) != subgroup_canonical(2, [(2, 4)])
 
 
 def test_direct_construction_gives_no_second_instance():
-    h = subgroup_canonical(2, [(1, 2)])
+    # equality compares bases, which is sound only for canonical ones, so no
+    # subgroup is built around a basis that the constructors did not canonicalise
     with pytest.raises(TypeError):
-        TorusSubgroup(2, Lattice(2, ((1, 2),)))
+        TorusSubgroup(2, Lattice(2, ((2, 4),)))
     with pytest.raises(TypeError):
         TorusSubgroup()
-    assert _INTERNED[2, ((1, 2),)] is h
-    # equality and hashing are by identity
-    assert "__eq__" not in vars(TorusSubgroup) and "__hash__" not in vars(TorusSubgroup)
+    h = subgroup_canonical(2, [(1, 2)])
+    with pytest.raises(TypeError):
+        h._replace(annihilator=Lattice(2, ((2, 4),)))
+    with pytest.raises(TypeError):
+        TorusSubgroup._make(h)
+    # equality and hashing are the tuple's own, in C
+    assert TorusSubgroup.__eq__ is tuple.__eq__ and TorusSubgroup.__hash__ is tuple.__hash__
 
 
-def test_copies_and_pickles_are_the_interned_subgroup():
+def test_copies_and_pickles_are_equal_subgroups():
     h = subgroup_canonical(3, [(6, 4, 2)])
-    assert copy.copy(h) is h
-    assert copy.deepcopy(h) is h
-    assert pickle.loads(pickle.dumps(h)) is h
+    for again in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert type(again) is TorusSubgroup
+        assert again == h and hash(again) == hash(h)
     assert copy.deepcopy({h: [h]}) == {h: [h]}
-    # a pickle outlives its subgroup and is interned again when loaded
-    data = pickle.dumps(subgroup_canonical(3, [(89, 97, 101)]))
-    gc.collect()
-    assert pickle.loads(data) is subgroup_canonical(3, [(89, 97, 101)])
-
-
-class _YieldingTable(weakref.WeakValueDictionary):
-    """An intern table that lets the other threads run between a look-up and its answer."""
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        time.sleep(0.001)
-        return found
-
-
-def test_threads_building_the_same_new_subgroups_get_one_object(monkeypatch):
-    monkeypatch.setattr(intlat, "_INTERNED", _YieldingTable())
-    count = 8
-    fresh = [[(1000 + i, 7, 3), (0, 11, 5)] for i in range(20)]
-    barrier = threading.Barrier(count)
-    built: list[list[TorusSubgroup]] = [[] for _ in range(count)]
-
-    def build(slot):
-        barrier.wait()
-        built[slot] = [subgroup_canonical(3, chars) for chars in fresh]
-
-    threads = [threading.Thread(target=build, args=(slot,)) for slot in range(count)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(len({id(h) for h in column}) == 1 for column in zip(*built))
 
 
 # --- randomized structure properties --------------------------------------------------

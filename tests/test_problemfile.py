@@ -233,15 +233,34 @@ def test_explicit_laplace_list():
     assert spec.laplace_spectrum[1].irreducible_nontrivial
 
 
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    # bool("false") is True: a string flag would certify irreducibility
+    [("irreducible", flag, "irreducible: expected a boolean") for flag in ("false", "true", 0, 1, None, [])]
+    + [("highest_weight", ["1"], "highest_weight[0]: expected an integer")],
+)
+def test_laplace_entry_errors_name_the_field_once(field, value, message):
+    doc = circle_doc()
+    doc["laplace"] = [
+        {"beta": "0", "trivial_mult": 1, "irreducible": False},
+        {"beta": "1", "weights": [{"m": [1]}], "irreducible": True, "highest_weight": [1]},
+    ]
+    doc["laplace"][1][field] = value
+    doc["beta_cutoff"] = "1"
+    with pytest.raises(InputError) as err:
+        parse_problem_dict(doc)
+    assert (err.value.code, str(err.value)) == ("SCHEMA", f"laplace[1].{message}")
+
+
 # --- round trip ------------------------------------------------------------------------
 
 
 def test_pickle_roundtrip(circle_spec, sphere_spec):
-    # unpickled subgroups are the interned ones, so the elements inside compare equal
+    # subgroups compare by value, so a copied or unpickled spec and the degrees inside it compare equal
     for spec in (circle_spec, sphere_spec):
-        again = pickle.loads(pickle.dumps(spec))
-        assert again == spec
-        assert [h for h, _ in again.origin_degree_neg.terms] == [h for h, _ in spec.origin_degree_neg.terms]
+        for again in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert again == spec
+            assert [h for h, _ in again.origin_degree_neg.terms] == [h for h, _ in spec.origin_degree_neg.terms]
 
 
 # --- reports ------------------------------------------------------------------------------
