@@ -3,19 +3,28 @@
 Exit codes: 0 success, 2 input error (a usage error too), 3 refusal
 (insufficient spectral coverage or an out-of-range numerical request), 4
 internal consistency defect (two computation routes disagree).
+
+``oracle`` (the selftest suites) and ``corroborate`` (the Galerkin model)
+serve only ``selftest``, ``scan`` and ``corroborate-circle``, yet compiling
+and running their bodies took about a quarter of a cold start.  So this
+module registers both in ``sys.modules`` without running them, and their
+bodies run on the first attribute access, when one of those commands calls
+into them.  They are registered rather than left to a function-level
+import so that every layer module is in ``sys.modules`` after ``import
+torbif.cli``; a layer imported already is reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
+from types import ModuleType
 from typing import Callable
 
 from .bifurcation import candidate_levels
-from .corroborate import newton_branch, stability_scan
 from .errors import ConsistencyError, CutoffError, InputError, RefusalError
-from .oracle import run_selftest
 from .problemfile import (
     build_report,
     level_text,
@@ -24,6 +33,24 @@ from .problemfile import (
     render_text,
     report_to_json,
 )
+
+
+def _lazy_layer(name: str) -> ModuleType:
+    """``torbif.<name>`` in ``sys.modules`` and on the package; its body runs on first attribute access."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[qualified] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+corroborate = _lazy_layer("corroborate")
+oracle = _lazy_layer("oracle")
 
 EXIT_INPUT = 2
 EXIT_REFUSAL = 3
@@ -80,7 +107,7 @@ def report(args: argparse.Namespace) -> None:
 
 def corroborate_circle(args: argparse.Namespace) -> int:
     """Newton-converge onto the mode-k branch of the circle model."""
-    result = newton_branch(args.k, args.lam, n_modes=args.modes)
+    result = corroborate.newton_branch(args.k, args.lam, n_modes=args.modes)
     expected = (args.lam - args.k * args.k) ** 0.5
     print(
         "converged=%s iterations=%d amplitude=%.12f expected=%.12f residual=%.3e"
@@ -91,13 +118,13 @@ def corroborate_circle(args: argparse.Namespace) -> int:
 
 def scan(args: argparse.Namespace) -> None:
     """Locate trivial-branch eigenvalue crossings in [lo, hi]."""
-    for crossing in stability_scan(args.modes, args.lo, args.hi, args.steps):
+    for crossing in corroborate.stability_scan(args.modes, args.lo, args.hi, args.steps):
         print(f"{crossing:.6f}")
 
 
 def selftest(args: argparse.Namespace) -> int:
     """Run every verification suite with a deterministic seed."""
-    outcome = run_selftest(args.seed, args.trials)
+    outcome = oracle.run_selftest(args.seed, args.trials)
     for name, res in outcome.suites:
         line = f"{name}: {'PASS' if res.ok else 'FAIL'} ({res.trials} trials)"
         if not res.ok:

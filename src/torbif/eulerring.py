@@ -38,8 +38,8 @@ included; it is read off the diagonal with no row-by-row wedge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from .errors import InputError
 from .intlat import TorusSubgroup, extend_by_full_torus, subgroup_canonical, subgroup_intersect
@@ -53,30 +53,38 @@ def _term_order(term: tuple[TorusSubgroup, int]) -> tuple[int, ...]:
     return (len(basis),) + sum(basis, ())
 
 
-@dataclass(frozen=True)
-class EulerElement:
+class _EulerValue(NamedTuple):
+    ambient_rank: int
+    terms: tuple[tuple[TorusSubgroup, int], ...]
+
+
+class EulerElement(_EulerValue):
     """Integer combination of generators chi(T^r/H+).
 
     The constructor takes terms as a mapping or as (subgroup, coefficient)
     pairs in any order and stores them merged by subgroup value, without
     zero coefficients, sorted by codimension and then annihilator basis, so
     equal elements have equal terms and the full-torus term, if any, comes
-    first.
+    first.  An element is the tuple ``(ambient_rank, terms)``; ``_make``,
+    and so ``_replace``, copy and pickle, build it through the constructor.
     """
 
-    ambient_rank: int
-    terms: tuple[tuple[TorusSubgroup, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.ambient_rank
-        items = self.terms.items() if hasattr(self.terms, "items") else self.terms
+    def __new__(cls, ambient_rank: int, terms=()):
+        r = ambient_rank
+        items = terms.items() if hasattr(terms, "items") else terms
         acc: dict[TorusSubgroup, int] = {}
         for h, c in items:
             if h.ambient_rank != r:
                 raise InputError("generator subgroup has wrong ambient rank")
             acc[h] = acc.get(h, 0) + int(c)
         cleaned = tuple(sorted([t for t in acc.items() if t[1]], key=_term_order))
-        object.__setattr__(self, "terms", cleaned)
+        return tuple.__new__(cls, (r, cleaned))
+
+    @classmethod
+    def _make(cls, iterable) -> "EulerElement":
+        return cls(*iterable)
 
     @staticmethod
     def unit(r: int) -> "EulerElement":
@@ -113,6 +121,9 @@ class EulerElement:
         if not isinstance(scalar, int):
             return NotImplemented
         return EulerElement(self.ambient_rank, tuple((h, scalar * c) for h, c in self.terms))
+
+    def __mul__(self, other):
+        return NotImplemented  # the ring product is star; a tuple's repetition must not leak in
 
     def __str__(self) -> str:
         if not self.terms:

@@ -9,7 +9,6 @@ of the parameter.  Everything spectral is an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -35,27 +34,40 @@ FLAT_TORUS_MAX_POINTS = 10**6
 SPHERE_MAX_WORK = 10**7
 
 
-@dataclass(frozen=True)
-class MatrixEigenData:
-    """One eigenvalue of the coefficient matrix with its eigenspace."""
-
+class _MatrixEigenValue(NamedTuple):
     alpha: Fraction
     eigenspace: TorusRep
-    marker_weight: Vector | None = None
+    marker_weight: Vector | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.eigenspace.dim < 1:
+
+class MatrixEigenData(_MatrixEigenValue):
+    """One eigenvalue of the coefficient matrix with its eigenspace."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Fraction, eigenspace: TorusRep, marker_weight: Vector | None = None):
+        alpha = Fraction(alpha)
+        if eigenspace.dim < 1:
             raise InputError("eigenspace must have positive dimension")
-        if self.marker_weight is not None:
-            mw = tuple(int(e) for e in self.marker_weight)
-            if len(mw) != self.eigenspace.ambient_rank:
+        if marker_weight is not None:
+            marker_weight = tuple(int(e) for e in marker_weight)
+            if len(marker_weight) != eigenspace.ambient_rank:
                 raise InputError("marker weight length does not match rank")
-            object.__setattr__(self, "marker_weight", mw)
+        return tuple.__new__(cls, (alpha, eigenspace, marker_weight))
+
+    @classmethod
+    def _make(cls, iterable) -> "MatrixEigenData":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LaplaceEigenData:
+class _LaplaceEigenValue(NamedTuple):
+    beta: Fraction
+    eigenspace: TorusRep
+    irreducible_nontrivial: bool
+    highest_weight: Vector | None
+
+
+class LaplaceEigenData(_LaplaceEigenValue):
     """One Laplace-Beltrami eigenvalue with its eigenspace data.
 
     ``irreducible_nontrivial`` is the user's certification that the full
@@ -63,34 +75,32 @@ class LaplaceEigenData:
     the library stores only the torus restriction and cannot check it.
     """
 
-    beta: Fraction
-    eigenspace: TorusRep
-    irreducible_nontrivial: bool = False
-    highest_weight: Vector | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.beta < 0:
+    def __new__(
+        cls,
+        beta: Fraction,
+        eigenspace: TorusRep,
+        irreducible_nontrivial: bool = False,
+        highest_weight: Vector | None = None,
+    ):
+        beta = Fraction(beta)
+        if beta < 0:
             raise InputError("Laplace eigenvalues are nonnegative")
-        if self.eigenspace.dim < 1:
+        if eigenspace.dim < 1:
             raise InputError("eigenspace must have positive dimension")
-        if self.highest_weight is not None:
-            hw = tuple(int(e) for e in self.highest_weight)
-            if len(hw) != self.eigenspace.ambient_rank:
+        if highest_weight is not None:
+            highest_weight = tuple(int(e) for e in highest_weight)
+            if len(highest_weight) != eigenspace.ambient_rank:
                 raise InputError("highest weight length does not match rank")
-            object.__setattr__(self, "highest_weight", hw)
+        return tuple.__new__(cls, (beta, eigenspace, irreducible_nontrivial, highest_weight))
+
+    @classmethod
+    def _make(cls, iterable) -> "LaplaceEigenData":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """A problem, valid by construction: it carries its own ``validation``.
-
-    The constructor (and so ``dataclasses.replace``) raises ``InputError``
-    with code ``SCHEMA`` for a spectrum or degree of the wrong rank, then
-    runs :func:`validate`, which raises the structural errors and whose
-    hypothesis flags are stored once as ``validation``.
-    """
-
+class _ProblemValue(NamedTuple):
     r: int
     l: int
     p: int
@@ -99,31 +109,60 @@ class ProblemSpec:
     beta_cutoff: Fraction
     origin_degree_pos: EulerElement
     origin_degree_neg: EulerElement
-    # a function of the other fields, so left out of equality
-    validation: ValidationReport = field(init=False, compare=False)
+    validation: ValidationReport
 
-    def __post_init__(self):
-        if self.l < 1:
+
+class ProblemSpec(_ProblemValue):
+    """A problem, valid by construction: it carries its own ``validation``.
+
+    The constructor raises ``InputError`` with code ``SCHEMA`` for a
+    spectrum or degree of the wrong rank, then runs :func:`validate`, which
+    raises the structural errors and whose hypothesis flags are stored once
+    as the last field, ``validation``.  That field is never taken from the
+    caller: ``_make``, and so ``_replace``, copy and pickle, drop it and
+    build the spec through the constructor again.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        r: int,
+        l: int,
+        p: int,
+        matrix_spectrum: tuple[MatrixEigenData, ...],
+        laplace_spectrum: tuple[LaplaceEigenData, ...],
+        beta_cutoff: Fraction,
+        origin_degree_pos: EulerElement,
+        origin_degree_neg: EulerElement,
+    ):
+        if l < 1:
             raise InputError("domain torus rank must be at least 1", code="SCHEMA")
-        if self.r < 0:
+        if r < 0:
             raise InputError("system torus rank must be nonnegative", code="SCHEMA")
-        object.__setattr__(self, "beta_cutoff", Fraction(self.beta_cutoff))
-        object.__setattr__(
-            self, "matrix_spectrum", tuple(sorted(self.matrix_spectrum, key=lambda e: e.alpha))
-        )
-        object.__setattr__(
-            self, "laplace_spectrum", tuple(sorted(self.laplace_spectrum, key=lambda e: e.beta))
-        )
-        for e in self.matrix_spectrum:
-            if e.eigenspace.ambient_rank != self.r:
+        beta_cutoff = Fraction(beta_cutoff)
+        matrix_spectrum = tuple(sorted(matrix_spectrum, key=lambda e: e.alpha))
+        laplace_spectrum = tuple(sorted(laplace_spectrum, key=lambda e: e.beta))
+        for e in matrix_spectrum:
+            if e.eigenspace.ambient_rank != r:
                 raise InputError("matrix eigenspace rank differs from r", code="SCHEMA")
-        for e in self.laplace_spectrum:
-            if e.eigenspace.ambient_rank != self.l:
+        for e in laplace_spectrum:
+            if e.eigenspace.ambient_rank != l:
                 raise InputError("Laplace eigenspace rank differs from l", code="SCHEMA")
-        for deg in (self.origin_degree_pos, self.origin_degree_neg):
-            if deg.ambient_rank != self.r:
+        for deg in (origin_degree_pos, origin_degree_neg):
+            if deg.ambient_rank != r:
                 raise InputError("origin degree lives in the wrong ring", code="SCHEMA")
-        object.__setattr__(self, "validation", validate(self))
+        fields = (r, l, p, matrix_spectrum, laplace_spectrum, beta_cutoff, origin_degree_pos, origin_degree_neg)
+        # validate reads every field but its own result
+        return tuple.__new__(cls, (*fields, validate(tuple.__new__(cls, (*fields, None)))))
+
+    @classmethod
+    def _make(cls, iterable) -> "ProblemSpec":
+        *fields, _validation = iterable
+        return cls(*fields)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:-1]
 
     def max_abs_alpha(self) -> Fraction:
         return max((abs(e.alpha) for e in self.matrix_spectrum), default=Fraction(0))

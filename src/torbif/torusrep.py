@@ -9,10 +9,10 @@ canonical map determines the representation up to equivalence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Sequence
 from operator import mul, neg
+from typing import NamedTuple
 
 from .errors import InputError
 from .intlat import Vector, _common_denominator
@@ -25,25 +25,30 @@ def canonical_weight(m: Sequence[int]) -> Vector:
     return tuple(map(neg, m)) if m < (0,) * len(m) else m
 
 
-@dataclass(frozen=True)
-class TorusRep:
+class _RepValue(NamedTuple):
+    ambient_rank: int
+    trivial_mult: int
+    weights: tuple[tuple[Vector, int], ...]
+
+
+class TorusRep(_RepValue):
     """A representation of T^r, stored as the canonical map of the module docstring.
 
     The constructor takes weights as a mapping or as (weight, multiplicity)
     pairs in any order and sign, and merges and sorts them, so two
-    representations are equal iff they are equivalent.
+    representations are equal iff they are equivalent.  A representation
+    is the tuple ``(ambient_rank, trivial_mult, weights)``; ``_make``, and
+    so ``_replace``, copy and pickle, build it through the constructor.
     """
 
-    ambient_rank: int
-    trivial_mult: int = 0
-    weights: tuple[tuple[Vector, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trivial_mult < 0:
+    def __new__(cls, ambient_rank: int, trivial_mult: int = 0, weights=()):
+        if trivial_mult < 0:
             raise InputError("trivial multiplicity must be nonnegative")
-        r = self.ambient_rank
+        r = ambient_rank
         zero = (0,) * r
-        items = self.weights.items() if hasattr(self.weights, "items") else self.weights
+        items = weights.items() if hasattr(weights, "items") else weights
         acc: dict[Vector, int] = {}
         for m, k in items:
             m = tuple(map(int, m))
@@ -57,7 +62,16 @@ class TorusRep:
         for m, k in acc.items():
             if k < 0:
                 raise InputError(f"negative multiplicity at weight {m}")
-        object.__setattr__(self, "weights", tuple(sorted((m, k) for m, k in acc.items() if k)))
+        return tuple.__new__(cls, (r, trivial_mult, tuple(sorted((m, k) for m, k in acc.items() if k))))
+
+    @classmethod
+    def _make(cls, iterable) -> "TorusRep":
+        return cls(*iterable)
+
+    def __add__(self, other):
+        return NotImplemented  # direct_sum and tensor are the operations; no tuple concatenation or repetition
+
+    __mul__ = __rmul__ = __add__
 
     @staticmethod
     def rotation(k: int, m: Sequence[int]) -> "TorusRep":

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 from fractions import Fraction
@@ -136,8 +135,7 @@ def test_huge_levels_give_bounded_messages():
 def test_huge_beta_gives_a_bounded_certificate_reason():
     base = circle_quartic_spec(9)
     huge = 10**5000
-    spec = dataclasses.replace(
-        base,
+    spec = base._replace(
         laplace_spectrum=base.laplace_spectrum + (LaplaceEigenData(huge, TorusRep(1, 1)),),
         beta_cutoff=huge,
     )
@@ -150,9 +148,9 @@ def test_huge_beta_gives_a_bounded_certificate_reason():
 def test_huge_highest_weight_gives_a_bounded_certificate_reason():
     base = circle_quartic_spec(9)
     entries = tuple(
-        dataclasses.replace(le, highest_weight=(10**5000,)) if le.beta == 1 else le for le in base.laplace_spectrum
+        le._replace(highest_weight=(10**5000,)) if le.beta == 1 else le for le in base.laplace_spectrum
     )
-    [analysis] = analyze_levels(dataclasses.replace(base, laplace_spectrum=entries), [1]).analyses()
+    [analysis] = analyze_levels(base._replace(laplace_spectrum=entries), [1]).analyses()
     [honest] = analyze_levels(base, [1]).analyses()
     assert analysis.index == honest.index and analysis.verdict.global_bifurcation
     assert analysis.verdict.unbounded is None
@@ -370,12 +368,12 @@ def test_certificate_weight_leaking_into_an_intermediate_kernel_is_a_defect(monk
     # sits at beta = 1, so the combined weight (1, 2) is in the level-1 kernel
     spec = circle_quartic_spec(9)
     laplace = tuple(
-        dataclasses.replace(le, eigenspace=direct_sum(le.eigenspace, TorusRep.rotation(1, [2]))) if le.beta == 1 else le
+        le._replace(eigenspace=direct_sum(le.eigenspace, TorusRep.rotation(1, [2]))) if le.beta == 1 else le
         for le in spec.laplace_spectrum
     )
     monkeypatch.setattr(bifurcation, "_uniqueness_scan", lambda spec: None)
     with pytest.raises(ConsistencyError, match=r"weight \(1, 2\) leaks"):
-        analyze_levels(dataclasses.replace(spec, laplace_spectrum=laplace), [4])
+        analyze_levels(spec._replace(laplace_spectrum=laplace), [4])
 
 
 def test_certificate_denied_without_markers(circle_spec):
@@ -406,9 +404,9 @@ def test_certificate_denied_zero_unit_coefficient():
 def test_certificate_denied_for_a_highest_weight_outside_its_eigenspace(circle_spec):
     # [3] is not a weight of the circle's beta = 1 eigenspace, so no coefficient can match
     laplace = tuple(
-        dataclasses.replace(le, highest_weight=(3,)) if le.beta == 1 else le for le in circle_spec.laplace_spectrum
+        le._replace(highest_weight=(3,)) if le.beta == 1 else le for le in circle_spec.laplace_spectrum
     )
-    spec = dataclasses.replace(circle_spec, laplace_spectrum=laplace)
+    spec = circle_spec._replace(laplace_spectrum=laplace)
     for a in analyze_levels(spec, [1, 4, 9]).analyses():
         cert, reason = a.verdict.unbounded, a.verdict.unbounded_reason
         assert cert is None and reason == "highest weight (3,) at beta 1 is not a weight of its eigenspace"
@@ -418,11 +416,11 @@ def test_certificate_denied_for_a_highest_weight_that_is_not_new(circle_spec):
     # declare the beta = 4 highest weight as [1], a weight of the beta = 1 eigenspace too
     low = next(le for le in circle_spec.laplace_spectrum if le.beta == 1)
     laplace = tuple(
-        dataclasses.replace(le, eigenspace=direct_sum(le.eigenspace, low.eigenspace), highest_weight=(1,))
+        le._replace(eigenspace=direct_sum(le.eigenspace, low.eigenspace), highest_weight=(1,))
         if le.beta == 4 else le
         for le in circle_spec.laplace_spectrum
     )
-    v = analyze_levels(dataclasses.replace(circle_spec, laplace_spectrum=laplace), [4]).analyses()[0].verdict
+    v = analyze_levels(circle_spec._replace(laplace_spectrum=laplace), [4]).analyses()[0].verdict
     cert, reason = v.unbounded, v.unbounded_reason
     assert cert is None and reason == "highest weight (1,) at beta 4 already occurs at beta 1"
 

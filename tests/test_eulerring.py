@@ -97,8 +97,29 @@ def test_terms_sort_by_codim_then_basis(x):
 
 def test_element_survives_a_pickle_round_trip():
     x = gen(3, (1, 2, 0)) - 2 * gen(3, (0, 1, 1), (2, 0, 0)) + EulerElement.unit(3)
-    assert pickle.loads(pickle.dumps(x)) == x
-    assert copy.copy(x) == x and copy.deepcopy(x) == x
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is EulerElement and y == x and hash(y) == hash(x)
+
+
+def test_make_and_replace_go_through_the_constructor():
+    unit, h = TorusSubgroup.full_torus(2), subgroup_canonical(2, [(1, 0)])
+    x = EulerElement._make((2, [(h, 1), (unit, 2), (h, 3)]))
+    assert x.terms == ((unit, 2), (h, 4))
+    assert x._replace(terms=[(h, 1), (h, -1)]).is_zero
+    with pytest.raises(InputError):
+        x._replace(ambient_rank=3)
+
+
+def test_tuple_operators_do_not_leak_in():
+    # an element is a tuple, but * is only the scalar multiple from the left; star is the product
+    x, y = gen(2, (1, 0)), EulerElement.unit(2)
+    for op in (lambda: x * 3, lambda: x * y):
+        with pytest.raises(TypeError):
+            op()
+    h = subgroup_canonical(2, [(1, 0)])
+    assert 3 * x == x + x + x == EulerElement(2, [(h, 3)])
+    assert x - y == EulerElement(2, [(h, 1), (TorusSubgroup.full_torus(2), -1)])
+    assert -x == EulerElement(2, [(h, -1)])
 
 
 def test_equal_subgroup_objects_make_one_term():

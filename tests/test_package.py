@@ -1,5 +1,8 @@
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -84,6 +87,86 @@ def test_annotations_name_only_bound_names(path):
     # fails only when something resolves it, as typing.get_type_hints does
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(_annotation_names(tree) - _module_bindings(tree.body) - set(dir(builtins))) == []
+
+
+# The layer modules the benchmark tracer looks up in sys.modules after `import torbif.cli`.
+LAYERS = ("intlat", "torusrep", "eulerring", "spectra", "bifurcation", "problemfile", "corroborate", "oracle", "cli")
+
+COLD_START_CHILD = """\
+import contextlib, io, sys, types
+import torbif.cli as cli
+
+LAZY = ("corroborate", "oracle")
+
+def unrun():
+    return sorted(n for n in LAZY if type(sys.modules[f"torbif.{n}"]) is not types.ModuleType)
+
+state = {
+    "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+    "layers": sorted(n for n in sys.argv[2:] if f"torbif.{n}" in sys.modules),
+    "after_import": unrun(),
+    # `import torbif.oracle` then binds the package, so torbif.oracle must be set on it
+    "on_package": all(getattr(sys.modules["torbif"], n) is sys.modules[f"torbif.{n}"] for n in LAZY),
+}
+commands = {
+    "after_report": ["report", sys.argv[1], "--format", "json"],
+    "after_selftest": ["selftest", "--trials", "1"],
+}
+for name, argv in commands.items():
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    state[name] = unrun()
+print(repr(state))
+"""
+
+ORACLE_FIRST_CHILD = """\
+import sys, types
+import torbif.oracle as oracle
+import torbif.cli as cli
+import torbif
+assert cli.oracle is oracle is torbif.oracle is sys.modules["torbif.oracle"]
+assert type(oracle) is types.ModuleType
+print("one module")
+"""
+
+
+def _fresh_interpreter(code: str, *args: str) -> str:
+    # -S: no site-specific start-up imports, so the child holds only what torbif loads
+    src = str(Path(torbif.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cold_start_defers_the_selftest_and_numerics_layers():
+    fixture = str(Path(torbif.__file__).resolve().parent / "fixtures" / "sphere_p1.json")
+    state = ast.literal_eval(_fresh_interpreter(COLD_START_CHILD, fixture, *LAYERS))
+    assert state["stdlib"] == []
+    assert state["layers"] == sorted(LAYERS) and state["on_package"]
+    # registered, but their bodies have not run; a report leaves them so, a selftest runs oracle
+    assert state["after_import"] == state["after_report"] == ["corroborate", "oracle"]
+    assert state["after_selftest"] == ["corroborate"]
+
+
+def test_a_layer_imported_before_the_cli_is_reused():
+    assert _fresh_interpreter(ORACLE_FIRST_CHILD) == "one module"
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls inspect into every start; the value classes are NamedTuples
+    importers = []
+    for path in sorted((ROOT / "src" / "torbif").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 # Public functions that nothing in src/torbif names, each kept for a reason.

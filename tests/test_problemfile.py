@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import pickle
@@ -92,7 +91,7 @@ def test_sweep_and_parser_raise_the_same_structural_code(circle_spec):
     doc = circle_doc()
     doc["p"] = 3
     with pytest.raises(InputError) as built:
-        dataclasses.replace(circle_spec, p=3)
+        circle_spec._replace(p=3)
     with pytest.raises(InputError) as parsed:
         parse_problem_dict(doc)
     assert built.value.code == parsed.value.code == "DIM_MISMATCH"

@@ -11,7 +11,6 @@ lists its spectra, weights or degree terms.
 from __future__ import annotations
 
 import copy
-import dataclasses
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -89,7 +88,7 @@ def _negative_blocks(spec, lam: Fraction) -> TorusRep:
     """Sum of the Hessian blocks with a negative eigenvalue at ``lam``."""
     # a probe just past the outermost level may pass the declared cutoff; the
     # stored spectrum is all either side knows, so lift the guard for it
-    wide = dataclasses.replace(spec, beta_cutoff=spec.beta_cutoff + (abs(lam) + 1) * spec.max_abs_alpha())
+    wide = spec._replace(beta_cutoff=spec.beta_cutoff + (abs(lam) + 1) * spec.max_abs_alpha())
     out = TorusRep(spec.r + spec.l)
     for h in hessian_spectrum(wide, lam):
         if h.value < 0:

@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
@@ -201,14 +202,14 @@ def test_beta_past_the_cutoff_gives_a_bounded_message():
     base = circle_quartic_spec(9)
     huge_entry = LaplaceEigenData(10**5000, TorusRep(1, 1))
     with pytest.raises(InputError) as info:
-        dataclasses.replace(base, laplace_spectrum=base.laplace_spectrum + (huge_entry,))
+        base._replace(laplace_spectrum=base.laplace_spectrum + (huge_entry,))
     assert info.value.code == "CUTOFF_INSUFFICIENT"
     assert str(info.value) == "CUTOFF_INSUFFICIENT: eigenvalue <rational of 16611 bits> exceeds declared cutoff 9"
 
 
 def test_huge_p_gives_a_bounded_message():
     with pytest.raises(InputError) as info:
-        dataclasses.replace(circle_quartic_spec(9), p=10**5000)
+        circle_quartic_spec(9)._replace(p=10**5000)
     assert info.value.code == "DIM_MISMATCH"
     assert str(info.value) == (
         "DIM_MISMATCH: matrix eigenspace dimensions sum to 2, expected p=<integer of 16610 bits>"
@@ -253,3 +254,38 @@ def test_negative_beta_rejected():
 def test_marker_length_checked():
     with pytest.raises(InputError):
         MatrixEigenData(Fraction(1), TorusRep.rotation(1, [1]), (1, 0))
+
+
+def test_make_and_replace_rerun_the_checks(circle_spec):
+    with pytest.raises(InputError) as info:
+        circle_spec._replace(p=3)
+    assert info.value.code == "DIM_MISMATCH"
+    matrix, laplace = circle_spec.matrix_spectrum[0], circle_spec.laplace_spectrum[1]
+    for bad in (
+        lambda: laplace._replace(beta=-1),
+        lambda: LaplaceEigenData._make((laplace.beta, laplace.eigenspace, True, (1, 0))),
+        lambda: matrix._replace(marker_weight=(1, 0)),
+        lambda: MatrixEigenData._make((matrix.alpha, TorusRep(1), None)),
+    ):
+        with pytest.raises(InputError):
+            bad()
+    # and their conversions: the rational fields are Fractions again
+    assert type(matrix._replace(alpha=2).alpha) is Fraction
+    assert type(LaplaceEigenData._make((4, *laplace[1:])).beta) is Fraction
+
+
+def test_replace_validates_afresh(circle_spec):
+    assert circle_spec.validation.n1
+    spec = circle_spec._replace(matrix_spectrum=tuple(e._replace(alpha=0) for e in circle_spec.matrix_spectrum))
+    assert not spec.validation.n1 and spec.validation == validate(spec)
+    # the validation is the last field, and never taken from the caller
+    assert ProblemSpec._make((*spec[:-1], circle_spec.validation)).validation == spec.validation
+    with pytest.raises(TypeError):
+        ProblemSpec(*circle_spec[:-1], validation=circle_spec.validation)
+
+
+def test_copies_are_equal_with_equal_hashes(circle_spec, sphere_spec):
+    values = [circle_spec, sphere_spec, *sphere_spec.matrix_spectrum, *sphere_spec.laplace_spectrum]
+    for value in values:
+        for c in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(c) is type(value) and c == value and hash(c) == hash(value)

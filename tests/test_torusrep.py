@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -66,6 +68,29 @@ def test_constructor_takes_any_mapping_or_pairs():
     built = [TorusRep(2, 1, as_dict), TorusRep(2, 1, MappingProxyType(as_dict)), TorusRep(2, 1, pairs)]
     assert built[0] == built[1] == built[2]
     assert built[0].weights == (((0, 1), 1), ((1, -2), 3))
+
+
+def test_make_and_replace_go_through_the_constructor():
+    v = TorusRep(1, 0, [((1,), 2)])
+    assert v._replace(weights=(((-1,), 1),)).weights == (((1,), 1),)
+    assert TorusRep._make((2, 1, [((0, -1), 2), ((0, 1), 1)])).weights == (((0, 1), 3),)
+    for bad in ({"trivial_mult": -1}, {"weights": [((0,), 1)]}, {"weights": [((1, 0), 1)]}):
+        with pytest.raises(InputError):
+            v._replace(**bad)
+
+
+def test_copies_are_equal_with_equal_hashes():
+    v = TorusRep(2, 1, [((1, -2), 3), ((0, 1), 1)])
+    for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(w) is TorusRep and w == v and hash(w) == hash(v)
+
+
+def test_tuple_operators_do_not_leak_in():
+    # a representation is a tuple, but direct_sum and tensor are its only sum and product
+    v = TorusRep.rotation(1, [1])
+    for op in (lambda: v + v, lambda: 2 * v, lambda: v * 2):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_canonical_weight_flips_a_negative_first_entry():
