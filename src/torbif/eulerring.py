@@ -49,7 +49,7 @@ from .torusrep import TorusRep
 def _term_order(term: tuple[TorusSubgroup, int]) -> tuple[int, ...]:
     # (codim, basis) with the rows flattened: in one ring, equal codimensions mean
     # equal basis shapes, so the order is the same, and flat keys compare faster
-    basis = term[0].annihilator.basis
+    basis = term[0].basis
     return (len(basis),) + sum(basis, ())
 
 
@@ -248,7 +248,7 @@ def _annihilator_wedge(h: TorusSubgroup) -> dict[int, int]:
     A finite subgroup's basis is square and upper triangular with positive
     pivots, so its one coordinate, det B, is the product of the pivots.
     """
-    basis = h.annihilator.basis
+    basis = h.basis
     r = h.ambient_rank
     if len(basis) == r:
         return {(1 << r) - 1: math.prod(row[i] for i, row in enumerate(basis))}

@@ -4,16 +4,16 @@ Hermite and Smith normal forms of integer matrices, each given as a tuple of
 row tuples, and closed subgroups of a torus encoded by their annihilator
 character lattice, stored by its row-style Hermite basis.
 
-A subgroup is the plain value ``(ambient_rank, annihilator)``: it compares
-and hashes as that tuple, so two subgroups are equal iff they are the same
-subgroup.  That holds only for canonical bases, so subgroups have no public
-constructor: ``subgroup_canonical``, ``subgroup_intersect``,
-``extend_by_full_torus`` and ``TorusSubgroup.full_torus`` each hand the one
-private builder a basis that is already in Hermite form (from
-``hermite_basis``; for a meet, from the elimination core run on the two
-stored canonical bases together, with no input checks; the zero-padded
-extension and the full torus as they are), and copying or unpickling a
-subgroup goes through ``subgroup_canonical``.
+A subgroup is the plain value ``(ambient_rank, basis)``, with ``basis`` the
+canonical Hermite basis of its annihilator: it compares and hashes as that
+tuple, so two subgroups are equal iff they are the same subgroup.  That
+holds only for canonical bases, so subgroups have no public constructor:
+``subgroup_canonical``, ``subgroup_intersect``, ``extend_by_full_torus`` and
+``TorusSubgroup.full_torus`` each hand the one private builder a basis that
+is already in Hermite form (from ``hermite_basis``; for a meet, from the
+elimination core run on the two stored canonical bases together, with no
+input checks; the zero-padded extension and the full torus as they are),
+and copying or unpickling a subgroup goes through ``subgroup_canonical``.
 """
 
 from __future__ import annotations
@@ -252,32 +252,20 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
     return tuple(map(tuple, mat[:nr]))
 
 
-class Lattice(NamedTuple):
-    """Integer sublattice of Z^r with the canonical Hermite basis ``basis``.
-
-    Built only as a subgroup's annihilator, around a basis that is canonical
-    already, so two lattices are equal iff they span the same sublattice.
-    """
-
+class _SubgroupValue(NamedTuple):
     ambient_rank: int
     basis: tuple[Vector, ...]
 
 
-class _SubgroupValue(NamedTuple):
-    ambient_rank: int
-    annihilator: Lattice
-
-
 class TorusSubgroup(_SubgroupValue):
-    """Closed subgroup of T^r, identified by its annihilator lattice.
+    """Closed subgroup of T^r, identified by the Hermite basis of its annihilator.
 
     The annihilator holds all characters k with <k, phi> in 2*pi*Z on the
-    subgroup; it determines the subgroup uniquely, and the full torus is
-    the zero lattice.  A subgroup is the tuple ``(ambient_rank,
-    annihilator)`` and compares and hashes as that tuple (see the module
-    docstring); it is built only by ``subgroup_canonical``,
-    ``subgroup_intersect``, ``extend_by_full_torus`` and
-    ``TorusSubgroup.full_torus``.
+    subgroup; it determines the subgroup uniquely, and the full torus has
+    the empty basis.  A subgroup is the tuple ``(ambient_rank, basis)`` and
+    compares and hashes as that tuple (see the module docstring); it is
+    built only by ``subgroup_canonical``, ``subgroup_intersect``,
+    ``extend_by_full_torus`` and ``TorusSubgroup.full_torus``.
     """
 
     __slots__ = ()
@@ -293,15 +281,24 @@ class TorusSubgroup(_SubgroupValue):
         return cls()  # raises, as direct construction does; _replace goes through here
 
     def __reduce__(self):
-        return subgroup_canonical, (self.ambient_rank, self.annihilator.basis)
+        return subgroup_canonical, (self.ambient_rank, self.basis)
 
     @staticmethod
     def full_torus(r: int) -> "TorusSubgroup":
         return _subgroup(r, ())
 
     @property
+    def annihilator(self) -> "TorusSubgroup":
+        """The subgroup itself, so ``h.annihilator.basis`` is ``h.basis``.
+
+        Only the benchmark tracer (``perfbench/tracer.py``) still reads it;
+        ROADMAP item 5 deletes it.
+        """
+        return self
+
+    @property
     def codim(self) -> int:
-        return len(self.annihilator.basis)
+        return len(self.basis)
 
     @property
     def dim(self) -> int:
@@ -314,7 +311,7 @@ class TorusSubgroup(_SubgroupValue):
     def __str__(self) -> str:
         if self.is_full:
             return f"T^{self.ambient_rank}"
-        rows = ",".join(str(tuple(r)) for r in self.annihilator.basis)
+        rows = ",".join(str(tuple(r)) for r in self.basis)
         return f"H[{rows}]"
 
 
@@ -323,10 +320,10 @@ def _subgroup(r: int, basis: tuple[Vector, ...]) -> TorusSubgroup:
 
     Callers pass a basis that is canonical already (the invariant
     ``hermite_basis(r, basis) == basis``), so equal subgroups are equal
-    tuples, with no second elimination.  Both tuples are made the way a
-    NamedTuple's own ``__new__`` makes them, without its Python frame.
+    tuples, with no second elimination.  The tuple is made the way a
+    NamedTuple's own ``__new__`` makes it, without its Python frame.
     """
-    return tuple.__new__(TorusSubgroup, (r, tuple.__new__(Lattice, (r, basis))))
+    return tuple.__new__(TorusSubgroup, (r, basis))
 
 
 def subgroup_canonical(r: int, characters: Iterable[Sequence[int]]) -> TorusSubgroup:
@@ -343,7 +340,7 @@ def subgroup_intersect(h: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup:
     if h.ambient_rank != h2.ambient_rank:
         raise InputError("cannot intersect subgroups of different tori")
     r = h.ambient_rank
-    return _subgroup(r, _hermite(r, [*h.annihilator.basis, *h2.annihilator.basis]))
+    return _subgroup(r, _hermite(r, [*h.basis, *h2.basis]))
 
 
 def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:
@@ -351,7 +348,7 @@ def contains(h: TorusSubgroup, q: Sequence[Fraction | int]) -> bool:
     if len(q) != h.ambient_rank:
         raise InputError(f"point of length {len(q)} in ambient rank {h.ambient_rank}")
     den, nums = _common_denominator(q)
-    return all(sum(map(mul, k, nums)) % den == 0 for k in h.annihilator.basis)
+    return all(sum(map(mul, k, nums)) % den == 0 for k in h.basis)
 
 
 def _common_denominator(q: Sequence[Fraction | int]) -> tuple[int, list[int]]:
@@ -367,5 +364,5 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
         raise InputError("extension rank must be nonnegative")
     # zero columns after the last keep a Hermite basis canonical
     pad = (0,) * l
-    padded = tuple([row + pad for row in h.annihilator.basis])
+    padded = tuple([row + pad for row in h.basis])
     return _subgroup(h.ambient_rank + l, padded)

@@ -14,10 +14,10 @@ deterministically.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections.abc import Iterator
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Iterable
 
 from .bifurcation import LevelAnalysis, Verdict, analyze_levels
@@ -239,10 +239,11 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
     )
 
 
-def parse_problem(path: str | Path) -> ProblemSpec:
+def parse_problem(path: str | os.PathLike) -> ProblemSpec:
     """Load a problem file into a spec, which carries its validation; raises InputError with a code."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}", code="INPUT")
     try:
@@ -264,7 +265,7 @@ def _rep_doc(rep: TorusRep) -> dict:
 
 
 def _subgroup_doc(h: TorusSubgroup) -> list[list[int]]:
-    return [list(row) for row in h.annihilator.basis]
+    return [list(row) for row in h.basis]
 
 
 def _element_doc(x: EulerElement) -> list[dict]:

@@ -102,6 +102,21 @@ def test_report_json_bit_stable(circle_fixture_path):
     assert [rec["lambda0"] for rec in doc["levels"]] == ["0", "1", "4", "9"]
 
 
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        ("circle_fixture_path", "21a477dbc13b6487b7610a3a7fda217cffa705e68a31fe22104999b5910ad70e"),
+        ("sphere_fixture_path", "b56ed844369f28a236a7af31c91507bed56ae5ce0848bfe36919e8b7e7736f3c"),
+    ],
+)
+@pytest.mark.parametrize("args", [["report", "--format", "text"], ["analyze-all"]], ids=["report-text", "analyze-all"])
+def test_text_report_bytes_pinned(path, digest, args, request):
+    # the text report writes every subgroup by str(); analyze-all prints the same bytes
+    result = run_cli([args[0], str(request.getfixturevalue(path)), *args[1:]])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
 def test_malformed_file_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

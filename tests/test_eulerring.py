@@ -92,7 +92,13 @@ def test_constructor_canonicalises_terms():
 @given(element_strategy(3, max_terms=8))
 def test_terms_sort_by_codim_then_basis(x):
     # the constructor sorts on flattened bases; the order is that of the nested ones
-    assert list(x.terms) == sorted(x.terms, key=lambda t: (t[0].codim, t[0].annihilator.basis))
+    assert list(x.terms) == sorted(x.terms, key=lambda t: (t[0].codim, t[0].basis))
+
+
+def test_degree_str_is_pinned():
+    # terms in ring order, each subgroup written by its Hermite basis rows
+    x = deg_minus_id(TorusRep(2, 1, [((1, 1), 1), ((1, -1), 2)]))
+    assert str(x) == "-I + 2*chi(H[(1, -1)]) + chi(H[(1, 1)]) - 2*chi(H[(1, 1),(0, 2)])"
 
 
 def test_element_survives_a_pickle_round_trip():
@@ -489,7 +495,7 @@ def test_plucker_coordinates_are_the_minors():
     for trial in range(200):
         r = 1 + trial % 4
         h = subgroup_canonical(r, [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, r))])
-        basis = h.annihilator.basis
+        basis = h.basis
         minors = {}
         for cols in itertools.combinations(range(r), len(basis)):
             p = det([[row[c] for c in cols] for row in basis])
@@ -514,7 +520,7 @@ def test_plucker_image_is_multiplicative():
         r = 1 + trial % 4
         a, b = random_element(rng, r), random_element(rng, r)
         if trial % 3 == 0:  # doubled characters: non-primitive annihilators
-            a = EulerElement(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.annihilator.basis]), c)
+            a = EulerElement(r, [(subgroup_canonical(r, [[2 * x for x in row] for row in h.basis]), c)
                                       for h, c in a.terms])
         for h, _ in a.terms + b.terms:
             coords = {abs(p) for (i, j), p in plucker_image(EulerElement.generator(h)).items() if i == j}
@@ -532,7 +538,7 @@ def test_finite_subgroup_wedge_is_the_pivot_product():
         if h.codim != r:
             continue
         finite.add(r)
-        basis = h.annihilator.basis
+        basis = h.basis
         by_rows = {0: 1}
         for row in basis:
             by_rows = _wedge(by_rows, row)

@@ -102,7 +102,7 @@ def unrun():
     return sorted(n for n in LAZY if type(sys.modules[f"torbif.{n}"]) is not types.ModuleType)
 
 state = {
-    "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+    "stdlib": sorted(m for m in ("dataclasses", "inspect", "pathlib") if m in sys.modules),
     "layers": sorted(n for n in sys.argv[2:] if f"torbif.{n}" in sys.modules),
     "after_import": unrun(),
     # `import torbif.oracle` then binds the package, so torbif.oracle must be set on it
@@ -119,6 +119,7 @@ for name, argv in commands.items():
     except SystemExit as exc:
         assert exc.code == 0, (argv, exc.code)
     state[name] = unrun()
+    state[f"{name}_pathlib"] = "pathlib" in sys.modules
 print(repr(state))
 """
 
@@ -146,7 +147,8 @@ def _fresh_interpreter(code: str, *args: str) -> str:
 def test_cold_start_defers_the_selftest_and_numerics_layers():
     fixture = str(Path(torbif.__file__).resolve().parent / "fixtures" / "sphere_p1.json")
     state = ast.literal_eval(_fresh_interpreter(COLD_START_CHILD, fixture, *LAYERS))
-    assert state["stdlib"] == []
+    # neither the import nor a report loads dataclasses, inspect or pathlib
+    assert state["stdlib"] == [] and not state["after_report_pathlib"]
     assert state["layers"] == sorted(LAYERS) and state["on_package"]
     # registered, but their bodies have not run; a report leaves them so, a selftest runs oracle
     assert state["after_import"] == state["after_report"] == ["corroborate", "oracle"]
@@ -175,6 +177,7 @@ UNNAMED_PUBLIC = {
     "oracle.tensor_sign_flipped",  # the mutation gate's documented fake tensor rule
     "corroborate.residual",  # the model's residual for callers; Newton calls _residual to share grid values with its Jacobian
     "oracle.SelfTestReport.suite",  # a selftest result looked up by suite name, for callers of run_selftest
+    "intlat.TorusSubgroup.annihilator",  # read by perfbench/tracer.py; deleted with ROADMAP item 5
 }
 
 

@@ -155,6 +155,15 @@ def test_malformed_json_code(tmp_path):
     assert err.value.code == "MALFORMED_JSON"
 
 
+@pytest.mark.parametrize("as_str", [False, True], ids=["path", "str"])
+def test_unreadable_file_code(tmp_path, as_str):
+    path = tmp_path / "missing.json"
+    with pytest.raises(InputError) as err:
+        parse_problem(str(path) if as_str else path)
+    assert err.value.code == "INPUT"
+    assert str(err.value).startswith(f"cannot read {path}: ")
+
+
 def test_float_rejected_in_spectrum():
     doc = circle_doc()
     doc["beta_cutoff"] = 9.0
