@@ -15,7 +15,6 @@ the defining difference of degrees depends on.
 
 from __future__ import annotations
 
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -145,21 +144,6 @@ def _pairs(spec: ProblemSpec) -> dict[Fraction, _Witnesses]:
     return acc
 
 
-class _SweepFacts:
-    """What every level of one sweep reads from the spec, each worked out at most once."""
-
-    def __init__(self, spec: ProblemSpec, pairs: dict[Fraction, _Witnesses]):
-        self.spec = spec
-        self.pairs = pairs
-
-    @cached_property
-    def certificate_obstacle(self) -> str | None:
-        """Why no level can carry a highest-weight certificate, or None."""
-        if not self.spec.validation.e_holds:
-            return "(E) fails: markers missing or not unique"
-        return _uniqueness_scan(self.spec)
-
-
 def candidate_levels(spec: ProblemSpec) -> tuple[CandidateLevel, ...]:
     """All exact quotients beta/alpha, deduplicated with witness sets."""
     return analyze_levels(spec, []).candidates
@@ -208,10 +192,10 @@ def analyze_levels(
 ) -> LevelSweep:
     """Analyse the given levels (every candidate by default) in one sorted sweep.
 
-    The spec carries its validation; its eigendata are grouped by level
-    once, and its highest weights are scanned at most once.  Walking outward
-    from 0 on each side, each kernel is built once and added to the negative
-    space toward 0 (near), giving the one away from it (far).  The gradient
+    The spec carries its validation, certificate obstacle included, and its
+    eigendata are grouped by level once.  Walking outward from 0 on each
+    side, each kernel is built once and added to the negative space toward
+    0 (near), giving the one away from it (far).  The gradient
     degree D = lift(F) * deg(-Id) on the negative space is carried as a
     running product from D = lift(F) at the zero space: at every walked
     level D(far) = D(near) * deg(-Id)(kernel).  At a requested level, with
@@ -250,13 +234,12 @@ def analyze_levels(
         if lam != 0 and lam not in pairs:
             raise InputError(f"{shown(lam)} is not a candidate level")
     todo = set(wanted) - set(out)
-    facts = _SweepFacts(spec, pairs)
     n = spec.r + spec.l
     zero = TorusRep(n)
     # the gradient degree where the negative space is zero: the lifted origin degree
     start = {1: lift(spec.origin_degree_pos, spec.l), -1: lift(spec.origin_degree_neg, spec.l)}
     if 0 in todo:
-        out[Fraction(0)] = _record(facts, Fraction(0), zero, zero, zero, start[1] - start[-1])
+        out[Fraction(0)] = _record(spec, pairs, Fraction(0), zero, zero, zero, start[1] - start[-1])
     # positive side first: a fixed order, so the level a defect names does not depend on set order
     for stop in sorted({max(todo | {0}), min(todo | {0})} - {0}, reverse=True):
         side = 1 if stop > 0 else -1
@@ -270,16 +253,15 @@ def analyze_levels(
             if p_near is not None:
                 p_far = plucker_degree(kernel, p_near)
             if t in todo:
-                sides = [(near, d_near, p_near), (far, d_far, p_far)]
-                (below, d_below, p_below), (above, d_above, p_above) = sides if t > 0 else sides[::-1]
-                index = d_above - d_below
+                jump = d_far - d_near
                 if p_far is None:
                     agree = d_far == star(start[side], deg_minus_id(far, star))
                 else:
-                    agree = plucker_image(index) == plucker_sub(p_above, p_below)
+                    agree = plucker_image(jump) == plucker_sub(p_far, p_near)
                 if not agree:
                     raise ConsistencyError(f"index routes disagree at level {t}")
-                out[t] = _record(facts, t, kernel, below, above, index)
+                below, above = (near, far) if side > 0 else (far, near)
+                out[t] = _record(spec, pairs, t, kernel, below, above, jump if side > 0 else -jump)
             near = far
     return LevelSweep(cands, tuple((lam, out[lam]) for lam in wanted))
 
@@ -289,30 +271,9 @@ def _between_zero_and(t: Fraction, level: Fraction) -> bool:
     return 0 < t < level or level < t < 0
 
 
-def _uniqueness_scan(spec: ProblemSpec) -> str | None:
-    """Check each declared highest weight is a weight of its own eigenvalue beta, new there."""
-    for le in spec.laplace_spectrum:
-        if le.beta <= 0:
-            continue
-        if not le.irreducible_nontrivial:
-            return f"eigenspace at {shown(le.beta)} not certified irreducible"
-        if le.highest_weight is None:
-            return f"no highest weight declared at {shown(le.beta)}"
-        if not any(le.highest_weight):
-            return f"zero highest weight at {shown(le.beta)}"
-        if not le.eigenspace.occurs(le.highest_weight):
-            return f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} is not a weight of its eigenspace"
-        for lower in spec.laplace_spectrum:
-            if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
-                return (
-                    f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} "
-                    f"already occurs at beta {shown(lower.beta)}"
-                )
-    return None
-
-
 def _unboundedness(
-    facts: _SweepFacts,
+    spec: ProblemSpec,
+    pairs: dict[Fraction, _Witnesses],
     lam0: Fraction,
     kernel: TorusRep,
     below: TorusRep,
@@ -329,9 +290,9 @@ def _unboundedness(
     every kernel strictly between 0 and the level: their direct sum is the
     negative space on the side of the level toward 0.
     """
-    if facts.certificate_obstacle is not None:
-        return None, facts.certificate_obstacle
-    spec = facts.spec
+    obstacle = spec.validation.certificate_obstacle
+    if obstacle is not None:
+        return None, obstacle
 
     if lam0 == 0:
         if not spec.validation.n1:
@@ -347,7 +308,7 @@ def _unboundedness(
     if n0 == 0:
         return None, "unit coefficient of the origin degree vanishes"
 
-    me, le = min(facts.pairs[lam0], key=lambda p: p[1].beta)
+    me, le = min(pairs[lam0], key=lambda p: p[1].beta)
     mu = me.marker_weight
     nu = le.highest_weight
     assert mu is not None and nu is not None
@@ -377,14 +338,15 @@ def _unboundedness(
             coefficient=coeff,
             multiplicity=mult,
             witness=(me.alpha, le.beta, mu, nu),
-            excluded_levels=tuple(sorted(t for t in facts.pairs if _between_zero_and(t, lam0))),
+            excluded_levels=tuple(sorted(t for t in pairs if _between_zero_and(t, lam0))),
         ),
         None,
     )
 
 
 def _record(
-    facts: _SweepFacts,
+    spec: ProblemSpec,
+    pairs: dict[Fraction, _Witnesses],
     lam0: Fraction,
     kernel: TorusRep,
     below: TorusRep,
@@ -392,8 +354,8 @@ def _record(
     index: EulerElement,
 ) -> LevelAnalysis:
     """The level's analysis from the sweep's kernel, negative spaces and index."""
-    cert, reason = _unboundedness(facts, lam0, kernel, below, above, index)
-    spec, report = facts.spec, facts.spec.validation
+    cert, reason = _unboundedness(spec, pairs, lam0, kernel, below, above, index)
+    report = spec.validation
     certified = report.n1 or report.n2
     domain_action = any(any(w[spec.r :]) for w, _ in kernel.weights)
     odd = kernel.dim % 2 == 1

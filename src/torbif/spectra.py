@@ -165,7 +165,8 @@ class ProblemSpec(_ProblemValue):
         return self[:-1]
 
     def max_abs_alpha(self) -> Fraction:
-        return max((abs(e.alpha) for e in self.matrix_spectrum), default=Fraction(0))
+        # the matrix spectrum is sorted by alpha and never empty, so |alpha| peaks at one of its ends
+        return max(abs(self.matrix_spectrum[0].alpha), abs(self.matrix_spectrum[-1].alpha))
 
 
 class ValidationReport(NamedTuple):
@@ -174,6 +175,7 @@ class ValidationReport(NamedTuple):
     n2_method: str | None
     e_holds: bool
     e_witnesses: tuple[tuple[Fraction, Vector], ...] | None
+    certificate_obstacle: str | None
 
 
 def flat_torus_spectrum(d: int, cutoff: int) -> tuple[LaplaceEigenData, ...]:
@@ -324,7 +326,10 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     zero matrix eigenvalue), N2 (no fixed vectors in positive Laplace
     eigenspaces, certified either by irreducibility flags or the stronger
     torus-fixed-point-free criterion), and (E) (each matrix eigenvalue owns
-    a marker weight occurring in its eigenspace and in no other).
+    a marker weight occurring in its eigenspace and in no other).  The last
+    field, ``certificate_obstacle``, says why no level can carry a
+    highest-weight certificate ((E) fails, or see :func:`_uniqueness_scan`),
+    or is None.  Each check indexes its spectrum's weights once: linear work.
     """
     errors: list[tuple[str, str]] = []
     total = sum(e.eigenspace.dim for e in spec.matrix_spectrum)
@@ -364,24 +369,54 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     else:
         n2, n2_method = False, None
 
-    e_holds = True
-    witnesses: list[tuple[Fraction, Vector]] = []
-    for e in spec.matrix_spectrum:
-        if e.marker_weight is None or not e.eigenspace.occurs(e.marker_weight):
-            e_holds = False
-            break
-        for other in spec.matrix_spectrum:
-            if other is not e and other.eigenspace.occurs(e.marker_weight):
-                e_holds = False
-                break
-        if not e_holds:
-            break
-        witnesses.append((e.alpha, e.marker_weight))
+    # (E): a marker's weight is held by its own eigenspace and by no other
+    holders = _holders(e.eigenspace for e in spec.matrix_spectrum)
+    e_holds = all(
+        e.marker_weight is not None and holders.get(canonical_weight(e.marker_weight)) == [i]
+        for i, e in enumerate(spec.matrix_spectrum)
+    )
 
     return ValidationReport(
         n1=n1,
         n2=n2,
         n2_method=n2_method,
         e_holds=e_holds,
-        e_witnesses=tuple(witnesses) if e_holds else None,
+        e_witnesses=tuple((e.alpha, e.marker_weight) for e in spec.matrix_spectrum) if e_holds else None,
+        certificate_obstacle=_uniqueness_scan(spec) if e_holds else "(E) fails: markers missing or not unique",
     )
+
+
+def _holders(reps) -> dict[Vector, list[int]]:
+    """Each canonical weight mapped to the positions of the representations holding it; a trivial block holds 0."""
+    index: dict[Vector, list[int]] = {}
+    for i, rep in enumerate(reps):
+        if rep.trivial_mult:
+            index.setdefault((0,) * rep.ambient_rank, []).append(i)
+        for w, _ in rep.weights:
+            index.setdefault(w, []).append(i)
+    return index
+
+
+def _uniqueness_scan(spec: ProblemSpec) -> str | None:
+    """Check each declared highest weight is a weight of its own eigenvalue beta, new there."""
+    laplace = spec.laplace_spectrum
+    # sorted by distinct betas, so a weight's first holder is the least beta holding it
+    holders = _holders(le.eigenspace for le in laplace)
+    for i, le in enumerate(laplace):
+        if le.beta <= 0:
+            continue
+        if not le.irreducible_nontrivial:
+            return f"eigenspace at {shown(le.beta)} not certified irreducible"
+        if le.highest_weight is None:
+            return f"no highest weight declared at {shown(le.beta)}"
+        if not any(le.highest_weight):
+            return f"zero highest weight at {shown(le.beta)}"
+        if not le.eigenspace.occurs(le.highest_weight):
+            return f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} is not a weight of its eigenspace"
+        first = holders[canonical_weight(le.highest_weight)][0]
+        if first < i:
+            return (
+                f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} "
+                f"already occurs at beta {shown(laplace[first].beta)}"
+            )
+    return None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import torbif.bifurcation as bifurcation
+import torbif.spectra as spectra
 from torbif.bifurcation import (
     REASON_DOMAIN,
     REASON_INDEX,
@@ -371,9 +372,10 @@ def test_certificate_weight_leaking_into_an_intermediate_kernel_is_a_defect(monk
         le._replace(eigenspace=direct_sum(le.eigenspace, TorusRep.rotation(1, [2]))) if le.beta == 1 else le
         for le in spec.laplace_spectrum
     )
-    monkeypatch.setattr(bifurcation, "_uniqueness_scan", lambda spec: None)
+    monkeypatch.setattr(spectra, "_uniqueness_scan", lambda spec: None)
+    leaky = spec._replace(laplace_spectrum=laplace)
     with pytest.raises(ConsistencyError, match=r"weight \(1, 2\) leaks"):
-        analyze_levels(spec._replace(laplace_spectrum=laplace), [4])
+        analyze_levels(leaky, [4])
 
 
 def test_certificate_denied_without_markers(circle_spec):
@@ -504,13 +506,15 @@ def test_sweep_errors_leave_no_reference_cycles(circle_spec, monkeypatch):
 
 def test_sweep_groups_eigendata_and_scans_highest_weights_once(monkeypatch, sphere_fixture_path):
     calls = {"_pairs": 0, "_uniqueness_scan": 0}
-    for name in calls:
-        def counted(spec, name=name, fn=getattr(bifurcation, name)):
+    for module, name in ((bifurcation, "_pairs"), (spectra, "_uniqueness_scan")):
+        def counted(spec, name=name, fn=getattr(module, name)):
             calls[name] += 1
             return fn(spec)
 
-        monkeypatch.setattr(bifurcation, name, counted)
-    report = build_report(parse_problem(sphere_fixture_path))
+        monkeypatch.setattr(module, name, counted)
+    spec = parse_problem(sphere_fixture_path)
+    assert calls == {"_pairs": 0, "_uniqueness_scan": 1}  # one scan per parsed spec
+    report = build_report(spec)
     assert len(report["levels"]) == 5 and calls == {"_pairs": 1, "_uniqueness_scan": 1}
 
 

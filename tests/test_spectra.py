@@ -5,8 +5,10 @@ from itertools import product
 from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torbif.errors import InputError, RefusalError
+from torbif.errors import InputError, RefusalError, shown
 from torbif.eulerring import EulerElement
 from torbif.intlat import subgroup_canonical
 from torbif.oracle import circle_quartic_spec
@@ -18,7 +20,7 @@ from torbif.spectra import (
     sphere_spectrum,
     validate,
 )
-from torbif.torusrep import TorusRep
+from torbif.torusrep import TorusRep, direct_sum
 
 
 def harmonic_dim_by_sym_difference(n: int, k: int) -> int:
@@ -289,3 +291,224 @@ def test_copies_are_equal_with_equal_hashes(circle_spec, sphere_spec):
     for value in values:
         for c in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(c) is type(value) and c == value and hash(c) == hash(value)
+
+
+# --- hypothesis checks against pairwise references ---------------------------
+
+E_FAILS = "(E) fails: markers missing or not unique"
+
+
+def pairwise_e(spec):
+    """(E) as every marker tested against every other matrix eigenspace."""
+    e_holds = True
+    witnesses = []
+    for e in spec.matrix_spectrum:
+        if e.marker_weight is None or not e.eigenspace.occurs(e.marker_weight):
+            e_holds = False
+            break
+        for other in spec.matrix_spectrum:
+            if other is not e and other.eigenspace.occurs(e.marker_weight):
+                e_holds = False
+                break
+        if not e_holds:
+            break
+        witnesses.append((e.alpha, e.marker_weight))
+    return e_holds, tuple(witnesses) if e_holds else None
+
+
+def pairwise_scan(spec):
+    """The highest-weight scan as every highest weight tested against every lower Laplace eigenspace."""
+    for le in spec.laplace_spectrum:
+        if le.beta <= 0:
+            continue
+        if not le.irreducible_nontrivial:
+            return f"eigenspace at {shown(le.beta)} not certified irreducible"
+        if le.highest_weight is None:
+            return f"no highest weight declared at {shown(le.beta)}"
+        if not any(le.highest_weight):
+            return f"zero highest weight at {shown(le.beta)}"
+        if not le.eigenspace.occurs(le.highest_weight):
+            return f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} is not a weight of its eigenspace"
+        for lower in spec.laplace_spectrum:
+            if lower.beta < le.beta and lower.eigenspace.occurs(le.highest_weight):
+                return (
+                    f"highest weight {shown(le.highest_weight)} at beta {shown(le.beta)} "
+                    f"already occurs at beta {shown(lower.beta)}"
+                )
+    return None
+
+
+def assert_matches_pairwise(spec):
+    e_holds, witnesses = pairwise_e(spec)
+    report = spec.validation
+    assert (report.e_holds, report.e_witnesses) == (e_holds, witnesses)
+    assert report.certificate_obstacle == (pairwise_scan(spec) if e_holds else E_FAILS)
+    return report
+
+
+def explicit_spec(r, l, matrix, laplace):
+    return ProblemSpec(
+        r=r,
+        l=l,
+        p=sum(e.eigenspace.dim for e in matrix),
+        matrix_spectrum=matrix,
+        laplace_spectrum=laplace,
+        beta_cutoff=max(le.beta for le in laplace),
+        origin_degree_pos=EulerElement.unit(r),
+        origin_degree_neg=EulerElement.unit(r),
+    )
+
+
+def small_weight(rank, zero=False):
+    """Entries in -3..3, so weights collide often, also up to sign."""
+    weight = st.tuples(*[st.integers(-3, 3)] * rank)
+    return weight if zero else weight.filter(any)
+
+
+def small_rep(rank):
+    return st.builds(
+        lambda trivial, weights: TorusRep(rank, trivial, weights),
+        st.integers(0, 1),
+        st.lists(st.tuples(small_weight(rank), st.integers(1, 2)), max_size=2),
+    ).filter(lambda v: v.dim > 0)
+
+
+def chosen_weight(draw, v):
+    """Mostly a weight of v, up to sign, or zero when v has none; else none or any small weight."""
+    own = [w for w, _ in v.weights] or [(0,) * v.ambient_rank]
+    kind = draw(st.sampled_from(["own", "own", "own", "mirrored", "any", "none"]))
+    if kind == "none":
+        return None
+    if kind == "any":
+        return draw(small_weight(v.ambient_rank, zero=True))
+    w = draw(st.sampled_from(own))
+    return tuple(-x for x in w) if kind == "mirrored" else w
+
+
+@st.composite
+def explicit_spectra(draw):
+    r, l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    reps = draw(st.lists(small_rep(r), min_size=1, max_size=3))
+    matrix = tuple(MatrixEigenData(Fraction(i + 1), v, chosen_weight(draw, v)) for i, v in enumerate(reps))
+    laplace = []
+    for beta in draw(st.lists(st.integers(0, 12), min_size=1, max_size=5, unique=True)):
+        v = draw(small_rep(l))
+        irreducible = draw(st.sampled_from([True, True, True, False]))
+        laplace.append(LaplaceEigenData(Fraction(beta), v, irreducible, chosen_weight(draw, v)))
+    return explicit_spec(r, l, matrix, tuple(laplace))
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_spectra())
+def test_validate_matches_the_pairwise_checks(spec):
+    assert_matches_pairwise(spec)
+
+
+def rot(k, *m):
+    return TorusRep.rotation(k, m)
+
+
+def marked(alpha, rep, marker):
+    return MatrixEigenData(Fraction(alpha), rep, marker)
+
+
+def circle_laplace(*entries):
+    """Rank-1 Laplace entries (beta, weights, irreducible, highest weight); beta 0 is one trivial block."""
+    zero = LaplaceEigenData(Fraction(0), TorusRep(1, 1), False, (0,))
+    return (
+        zero,
+        *(LaplaceEigenData(Fraction(b), TorusRep(1, 0, [((w,), 1) for w in ws]), irr, hw) for b, ws, irr, hw in entries),
+    )
+
+
+FRESH = circle_laplace((1, [1], True, (1,)), (4, [2], True, (2,)))
+
+
+@pytest.mark.parametrize(
+    "matrix, e_holds",
+    [
+        # a zero-weight marker is held by every trivial block
+        ((marked(1, TorusRep(1, 1), (0,)), marked(2, rot(1, 1), (1,))), True),
+        ((marked(1, TorusRep(1, 1), (0,)), marked(2, direct_sum(TorusRep(1, 1), rot(1, 1)), (1,))), False),
+        ((marked(1, rot(1, 1), (0,)),), False),
+        # a weight shared by two eigenspaces is nobody's marker
+        ((marked(1, direct_sum(rot(1, 1), rot(1, 2)), (2,)), marked(2, rot(1, 1), (1,))), False),
+        ((marked(1, direct_sum(rot(1, 1), rot(1, 2)), (2,)), marked(2, rot(1, 3), (3,))), True),
+        # a weight and its mirror are one rotation block
+        ((marked(1, rot(1, 1), (-1,)), marked(2, rot(1, 2), (2,))), True),
+        ((marked(1, rot(1, 1), (-1,)), marked(2, rot(1, -1), (-1,))), False),
+        ((marked(1, rot(1, 1), None),), False),
+    ],
+)
+def test_e_on_zero_shared_and_mirrored_markers(matrix, e_holds):
+    report = assert_matches_pairwise(explicit_spec(1, 1, matrix, FRESH))
+    assert report.e_holds is e_holds
+
+
+@pytest.mark.parametrize(
+    "laplace, obstacle",
+    [
+        (FRESH, None),
+        (circle_laplace((1, [1], False, (1,))), "eigenspace at 1 not certified irreducible"),
+        (circle_laplace((1, [1], True, None)), "no highest weight declared at 1"),
+        (circle_laplace((1, [1], True, (0,))), "zero highest weight at 1"),
+        (circle_laplace((1, [1], True, (2,))), "highest weight (2,) at beta 1 is not a weight of its eigenspace"),
+        # the least lower beta is named, and a mirrored highest weight is the same block
+        (
+            circle_laplace((1, [3], True, (3,)), (4, [3], True, (3,)), (9, [3], True, (-3,))),
+            "highest weight (3,) at beta 4 already occurs at beta 1",
+        ),
+        (
+            circle_laplace((1, [1], True, (1,)), (4, [2, 3], True, (2,)), (9, [3], True, (-3,))),
+            "highest weight (-3,) at beta 9 already occurs at beta 4",
+        ),
+        # only the first failing beta is reported
+        (circle_laplace((1, [1], True, None), (4, [2], False, (2,))), "no highest weight declared at 1"),
+    ],
+)
+def test_every_scan_message(laplace, obstacle):
+    spec = explicit_spec(1, 1, (marked(1, rot(1, 1), (1,)),), laplace)
+    assert assert_matches_pairwise(spec).certificate_obstacle == obstacle
+    failing_e = spec._replace(matrix_spectrum=(marked(1, rot(1, 1), None),))
+    assert assert_matches_pairwise(failing_e).certificate_obstacle == E_FAILS
+
+
+def test_max_abs_alpha_reads_either_end():
+    for alphas, expected in (((-5, 1, 3), 5), ((-1, 2, 4), 4), ((-3, -2), 3), ((2,), 2)):
+        matrix = tuple(marked(a, rot(1, i + 1), (i + 1,)) for i, a in enumerate(alphas))
+        assert explicit_spec(1, 1, matrix, FRESH).max_abs_alpha() == expected
+
+
+# --- work bounds, counted --------------------------------------------------
+
+
+def count_multiplicity_calls(monkeypatch, build):
+    calls = [0]
+    honest = TorusRep.multiplicity
+
+    def counted(self, m):
+        calls[0] += 1
+        return honest(self, m)
+
+    monkeypatch.setattr(TorusRep, "multiplicity", counted)
+    spec = build()
+    monkeypatch.undo()
+    return spec, calls[0]
+
+
+def test_e_check_is_linear_in_the_matrix_spectrum(monkeypatch):
+    m = 2000
+    matrix = tuple(marked(i, rot(1, i), (i,)) for i in range(1, m + 1))
+    laplace = flat_torus_spectrum(1, 9)
+    spec, calls = count_multiplicity_calls(monkeypatch, lambda: make_spec(p=2 * m, matrix_spectrum=matrix))
+    assert calls <= 2 * (m + len(laplace))
+    assert spec.validation.e_holds and spec.validation.certificate_obstacle is None
+
+
+def test_highest_weight_scan_is_linear_in_the_laplace_spectrum(monkeypatch):
+    laplace = flat_torus_spectrum(1, 10**6)
+    spec, calls = count_multiplicity_calls(
+        monkeypatch, lambda: make_spec(laplace_spectrum=laplace, beta_cutoff=Fraction(10**6))
+    )
+    assert len(laplace) == 1001 and spec.validation.certificate_obstacle is None
+    assert calls <= 2 * (1 + len(laplace))
