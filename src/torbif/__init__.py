@@ -24,7 +24,7 @@ from .bifurcation import (
     kernel_rep,
 )
 from .errors import ConsistencyError, CutoffError, InputError, RefusalError, TorbifError
-from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
+from .eulerring import EulerElement, deg_minus_id, lift, star
 from .intlat import (
     SmithDecomposition,
     TorusSubgroup,
@@ -67,7 +67,6 @@ __all__ = [
     "analyze_levels",
     "candidate_levels",
     "character",
-    "codim_part",
     "contains",
     "deg_minus_id",
     "direct_sum",

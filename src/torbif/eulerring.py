@@ -190,11 +190,6 @@ def deg_minus_id(
     return out
 
 
-def codim_part(x: EulerElement, c: int) -> EulerElement:
-    """Keep exactly the terms whose subgroup has codimension ``c``."""
-    return EulerElement(x.ambient_rank, tuple((h, k) for h, k in x.terms if h.codim == c))
-
-
 def lift(x: EulerElement, l: int) -> EulerElement:
     """Image in U(T^(r+l)) under the extra torus acting trivially."""
     return EulerElement(x.ambient_rank + l, [(extend_by_full_torus(h, l), c) for h, c in x.terms])

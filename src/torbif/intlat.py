@@ -2,7 +2,9 @@
 
 Hermite and Smith normal forms of integer matrices, each given as a tuple of
 row tuples, and closed subgroups of a torus encoded by their annihilator
-character lattice, stored by its row-style Hermite basis.
+character lattice, stored by its row-style Hermite basis.  There is one
+integer elimination, the Hermite form's: the Smith form alternates it on
+the rows and on the columns.
 
 A subgroup is the plain value ``(ambient_rank, basis)``, with ``basis`` the
 canonical Hermite basis of its annihilator: it compares and hashes as that
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import NamedTuple
 
 from .errors import InputError
@@ -85,94 +87,52 @@ def snf(cols: int, rows: Iterable[Sequence[int]]) -> SmithDecomposition:
 
     The invariant factors are positive and form a divisibility chain
     d_1 | d_2 | ... ; the zero matrix is allowed.  A row whose length is not
-    ``cols`` raises ``InputError``.
+    ``cols`` raises ``InputError``.  Only the invariant factors are unique,
+    not P and Q.
     """
     d = _int_rows(cols, rows)
-    p, r = len(d), cols
-    pm = [[int(i == j) for j in range(p)] for i in range(p)]
-    qm = [[int(i == j) for j in range(r)] for i in range(r)]
+    p = len(d)
+    pm, qt = _identity(p), _identity(cols)  # P, and Q transposed
+    # Kannan-Bachem: alternate row steps (Hermite form of [R | P]) and column
+    # steps (of [R^T | Q^T]) until R is diagonal; each round lowers the leading
+    # entry or clears its row and column for good.  Where d_i does not divide
+    # d_j (i < j), column j is added to column i, and the next row step puts
+    # gcd(d_i, d_j) < d_i at (i, i); a row step would undo an added row.
+    while True:
+        d, pm = _hermite_step(cols, d, pm)
+        dt, qt = _hermite_step(p, _transpose(cols, d), qt)
+        # dt is a Hermite form, so zero left of its diagonal; R is diagonal when dt is zero right of it
+        if not any(any(row[j + 1 :]) for j, row in enumerate(dt)):
+            diagonal = [dt[i][i] for i in range(min(p, cols))]
+            # a zero d_i has only zeros after it, and 0 % 0 would raise
+            fix = [(i, j) for i, a in enumerate(diagonal) if a for j in range(i + 1, len(diagonal)) if diagonal[j] % a]
+            if not fix:
+                return SmithDecomposition(tuple(pm), tuple(_transpose(cols, qt)), tuple(filter(None, diagonal)))
+            i, j = fix[0]
+            dt[i] = tuple(map(add, dt[i], dt[j]))
+            qt[i] = tuple(map(add, qt[i], qt[j]))
+        d = _transpose(p, dt)
 
-    def row_axpy(dst: int, src: int, q: int) -> None:
-        d[dst] = [a - q * b for a, b in zip(d[dst], d[src])]
-        pm[dst] = [a - q * b for a, b in zip(pm[dst], pm[src])]
 
-    def col_axpy(dst: int, src: int, q: int) -> None:
-        for i in range(p):
-            d[i][dst] -= q * d[i][src]
-        for i in range(r):
-            qm[i][dst] -= q * qm[i][src]
+def _identity(n: int) -> list[Vector]:
+    return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
-    def row_swap(i1: int, i2: int) -> None:
-        d[i1], d[i2] = d[i2], d[i1]
-        pm[i1], pm[i2] = pm[i2], pm[i1]
 
-    def col_swap(j1: int, j2: int) -> None:
-        for i in range(p):
-            d[i][j1], d[i][j2] = d[i][j2], d[i][j1]
-        for i in range(r):
-            qm[i][j1], qm[i][j2] = qm[i][j2], qm[i][j1]
+def _transpose(cols: int, mat: Sequence[Sequence[int]]) -> list[Vector]:
+    """The transpose of ``mat``, whose rows have ``cols`` entries; it may have no rows."""
+    return list(zip(*mat)) or [()] * cols
 
-    def row_negate(i: int) -> None:
-        d[i] = [-e for e in d[i]]
-        pm[i] = [-e for e in pm[i]]
 
-    t = 0
-    while t < min(p, r):
-        # move an entry of smallest nonzero magnitude into the pivot slot
-        best = None
-        pos = None
-        for i in range(t, p):
-            for j in range(t, r):
-                v = abs(d[i][j])
-                if v and (best is None or v < best):
-                    best, pos = v, (i, j)
-        if pos is None:
-            break
-        if pos[0] != t:
-            row_swap(t, pos[0])
-        if pos[1] != t:
-            col_swap(t, pos[1])
-        while True:
-            if d[t][t] < 0:
-                row_negate(t)
-            # clear column t; a nonzero remainder becomes the smaller pivot
-            restart = False
-            for i in range(t + 1, p):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        row_axpy(i, t, q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t the same way
-            for j in range(t + 1, r):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        col_axpy(j, t, q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # force divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, p):
-                if any(d[i][j] % d[t][t] for j in range(t + 1, r)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            row_axpy(t, offender, -1)
-        t += 1
+def _hermite_step(
+    cols: int, mat: Sequence[Sequence[int]], trans: Sequence[Vector]
+) -> tuple[list[Vector], list[Vector]]:
+    """``(U mat, U trans)`` for a unimodular U that puts ``mat``, of ``cols`` columns, in Hermite form.
 
-    factors = tuple(d[i][i] for i in range(min(p, r)) if d[i][i] != 0)
-    return SmithDecomposition(P=tuple(map(tuple, pm)), Q=tuple(map(tuple, qm)), invariant_factors=factors)
+    ``trans`` is square and unimodular, so ``[mat | trans]`` has full row rank
+    and its Hermite form keeps every row, zero rows of ``U mat`` last.
+    """
+    full = _hermite(cols + len(trans), [(*a, *b) for a, b in zip(mat, trans)])
+    return [row[:cols] for row in full], [row[cols:] for row in full]
 
 
 def _int_rows(cols: int, rows: Iterable[Sequence[int]]) -> list[list[int]]:

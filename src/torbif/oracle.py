@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bifurcation as bif
 from .errors import InputError, RefusalError, shown
-from .eulerring import EulerElement, codim_part, deg_minus_id, lift, star
+from .eulerring import EulerElement, deg_minus_id, lift, star
 from .intlat import (
     TorusSubgroup,
     Vector,
@@ -398,7 +398,7 @@ def _suite_truncation(star_impl: StarImpl):
         r = rng.randint(1, 3)
         v = _rand_rep(rng, r)
         deg = deg_minus_id(v, star_impl)
-        low = codim_part(deg, 0) + codim_part(deg, 1)
+        low = EulerElement(r, [(h, c) for h, c in deg.terms if h.codim <= 1])
         sign = -1 if v.dim % 2 else 1
         expected = EulerElement.unit(r)
         for m, k in v.weights:

@@ -18,7 +18,6 @@ from torbif.eulerring import (
     _annihilator_wedge,
     _wedge,
     _wedge_sign,
-    codim_part,
     deg_minus_id,
     lift,
     plucker_degree,
@@ -386,17 +385,6 @@ def test_deg_default_product_is_looked_up_per_call(monkeypatch):
     assert calls == [1]
 
 
-# --- codimension projection ----------------------------------------------------------
-
-
-def test_codim_part():
-    x = EulerElement.unit(1) - 2 * gen(1, (1,))
-    assert codim_part(x, 0) == EulerElement.unit(1)
-    assert codim_part(x, 1) == -2 * gen(1, (1,))
-    v = TorusRep(2, 0, {(1, 1): 1, (1, -1): 1})
-    assert codim_part(deg_minus_id(v), 2) == gen(2, (1, 1), (1, -1))
-
-
 # --- lifting -----------------------------------------------------------------------
 
 
@@ -442,7 +430,7 @@ def test_high_codimension_ideal(x, y):
 @given(rep_strategy(2))
 def test_truncation_conformance(v):
     deg = deg_minus_id(v)
-    low = codim_part(deg, 0) + codim_part(deg, 1)
+    low = EulerElement(2, [(h, c) for h, c in deg.terms if h.codim <= 1])
     expected = EulerElement.unit(2)
     for m, k in v.weights:
         expected = expected - k * EulerElement.generator(subgroup_canonical(2, [m]))

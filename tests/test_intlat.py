@@ -167,6 +167,26 @@ def test_snf_of_no_rows():
     assert dec == intlat.SmithDecomposition(P=(), Q=((1, 0, 0), (0, 1, 0), (0, 0, 1)), invariant_factors=())
 
 
+@pytest.mark.parametrize(
+    "rows, factors",
+    [
+        # the first round ends on the diagonal (2, 1, 2), where 2 does not divide 1
+        (((8, 10, -10, 18), (0, 11, -10, -19), (0, -14, 18, 0)), (1, 2, 2)),
+        (((4, -6, 10, 0),), (2,)),  # a single row
+        (((6,), (-4,), (0,), (10,)), (2,)),  # a single column
+        (((), ()), ()),  # rows with no columns
+        (((0, 0, 0, 0), (0, 6, 0, 4), (0, 0, 0, 0), (0, 0, 0, 10)), (2, 30)),  # zero rows and columns between
+        (((0, 2, 0), (0, 0, 0), (3, 0, 0)), (1, 6)),
+        (((3 * 2**65, 5 * 2**65), (7 * 2**65, 11 * 2**65)), (2**65, 2**66)),  # entries above 2**64
+        (((2**70 + 1, 3 * 2**65), (2**66, 2**64 - 1), (5, 7)), (1, 1)),
+    ],
+)
+def test_snf_edge_cases(rows, factors):
+    dec = snf(len(rows[0]), rows)
+    assert_smith(rows, dec)
+    assert dec.invariant_factors == factors_by_minor_gcds(rows) == factors
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_snf_decomposition_properties(rows):
@@ -184,9 +204,11 @@ def test_snf_matches_sympy_invariant_factors():
 
     rng = random.Random(7)
     for _ in range(300):
-        p, r = rng.randint(1, 5), rng.randint(1, 5)
-        # half the entries zero, so rank-deficient matrices come up often
-        rows = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(r)] for _ in range(p)]
+        # the shapes and entries the selftest draws; half the entries zero in
+        # half the matrices, so rank-deficient ones come up often
+        p, r = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.5, 1.0))
+        rows = [[rng.randint(-20, 20) if rng.random() < density else 0 for _ in range(r)] for _ in range(p)]
         theirs = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
         expected = tuple(abs(int(f)) for f in theirs if f != 0)
         assert snf(r, rows).invariant_factors == expected, rows
@@ -339,7 +361,7 @@ def random_subgroup(rng: random.Random, r: int, big: bool) -> TorusSubgroup:
     return subgroup_canonical(r, chars)
 
 
-def assert_hermite_of(r, basis, rows):
+def assert_hermite_of(basis, rows):
     """``basis`` is in Hermite form and spans the lattice of ``rows``, checked without the elimination."""
     pivots = []
     for b in basis:
@@ -352,7 +374,7 @@ def assert_hermite_of(r, basis, rows):
     assert all(in_span(basis, row) for row in rows), (rows, basis)
     assert len(basis) == rank_by_gauss(rows)
     if basis:  # same rank and same gcd of maximal minors: the spans are equal
-        assert math.prod(snf(r, basis).invariant_factors) == math.prod(snf(r, rows).invariant_factors)
+        assert math.prod(factors_by_minor_gcds(basis)) == math.prod(factors_by_minor_gcds(rows))
 
 
 def test_meet_core_matches_hermite_basis_on_random_pairs():
@@ -367,7 +389,7 @@ def test_meet_core_matches_hermite_basis_on_random_pairs():
         meet = subgroup_intersect(h, k)
         assert meet.basis == hermite_basis(r, rows), (h, k)
         assert meet == subgroup_canonical(r, rows)
-        assert_hermite_of(r, meet.basis, rows)
+        assert_hermite_of(meet.basis, rows)
         counts["big"] += any(abs(e) > 2**64 for row in rows for e in row)
         counts["transversal" if meet.codim == h.codim + k.codim else "other"] += 1
     assert counts["big"] >= 60 and counts["transversal"] >= 100 and counts["other"] >= 100, counts
