@@ -94,11 +94,6 @@ def analyze(args: argparse.Namespace) -> None:
     print(render_text(doc))
 
 
-def analyze_all(args: argparse.Namespace) -> None:
-    """Analyze every candidate level in one sorted sweep, ordered by level."""
-    print(render_text(build_report(parse_problem(args.problem))))
-
-
 def report(args: argparse.Namespace) -> None:
     """Emit the full analysis report."""
     doc = build_report(parse_problem(args.problem))
@@ -168,7 +163,6 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
 
     command(candidates, problem=True)
     command(analyze, problem=True)("--level", required=True, help="exact rational level, e.g. 4 or 1/2")
-    command(analyze_all, problem=True)
     command(report, problem=True)("--format", dest="fmt", choices=["json", "text"], default="text")
     option = command(corroborate_circle)
     option("--k", type=int, required=True, help="branch mode index")

@@ -161,6 +161,8 @@ def trivial_branch_eigenvalues(n_modes: int, lam: float | np.ndarray) -> np.ndar
 
 
 def _check_modes(n_modes: int) -> None:
+    if n_modes < 0:
+        raise InputError(f"mode cutoff must be nonnegative, got {shown(n_modes)}")
     if n_modes > GALERKIN_MAX_MODES:
         raise RefusalError(
             f"mode cutoff {shown(n_modes)} is over the limit {GALERKIN_MAX_MODES}; lower the cutoff"
@@ -181,9 +183,9 @@ def stability_scan(
 
     Scans the interval on a uniform grid and refines every jump of the
     negative-eigenvalue count by bisection; estimates are accurate to the
-    crossing tolerance of 1e-6.  Non-finite bounds are an input error;
-    more than ``SCAN_MAX_STEPS`` steps or ``GALERKIN_MAX_MODES`` modes are
-    refused before any work starts.
+    crossing tolerance of 1e-6.  Non-finite bounds and a negative cutoff
+    are input errors; more than ``SCAN_MAX_STEPS`` steps or
+    ``GALERKIN_MAX_MODES`` modes are refused before any work starts.
     """
     if not math.isfinite(lam_hi - lam_lo):
         raise InputError(f"scan interval [{lam_lo}, {lam_hi}] must be finite, with a finite width")
@@ -259,8 +261,8 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
     Starts from the 0.1-amplitude guess on mode k, pins the phase, and
     iterates Newton on the trivial-family-deflated residual until the
     (undeflated) residual sup-norm drops below 1e-12.  Divergence after
-    ``NEWTON_MAX_ITER`` steps is reported, not raised.  A non-finite ``lam`` is an
-    input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused.
+    ``NEWTON_MAX_ITER`` steps is reported, not raised.  A non-finite ``lam`` or a
+    negative cutoff is an input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused.
     """
     if not math.isfinite(lam):
         raise InputError(f"lambda must be finite, got {lam}")
@@ -269,9 +271,9 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
     if not lam > k * k:
         raise RefusalError(f"need lambda > k^2 = {shown(k * k)}, got {lam}")
     n = n_modes if n_modes is not None else max(k + 2, 8)
+    _check_modes(n)
     if n < k + 2:
         raise RefusalError(f"mode cutoff {shown(n)} too small for mode {shown(k)}; need >= {shown(k + 2)}")
-    _check_modes(n)
     import numpy as np
 
     model = CircleModel(n, float(lam), initial_guess(k, n))

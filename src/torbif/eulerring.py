@@ -151,20 +151,22 @@ def star(a: EulerElement, b: EulerElement) -> EulerElement:
         raise InputError("cannot multiply elements of different rings")
     r = a.ambient_rank
     b_terms = [(hb, hb.codim, cb) for hb, cb in b.terms]
-    acc: dict[TorusSubgroup, int] = {}
-    for ha, ca in a.terms:
-        ka = ha.codim
-        for hb, kb, cb in b_terms:
-            if ka + kb > r:
-                continue
-            if ka == 0 or kb == 0:
-                hi = hb if ka == 0 else ha
-            else:
-                hi = subgroup_intersect(ha, hb)
-                if hi.codim != ka + kb:
+
+    def products():
+        for ha, ca in a.terms:
+            ka = ha.codim
+            for hb, kb, cb in b_terms:
+                if ka + kb > r:
                     continue
-            acc[hi] = acc.get(hi, 0) + ca * cb
-    return EulerElement(r, acc)
+                if ka == 0 or kb == 0:
+                    hi = hb if ka == 0 else ha
+                else:
+                    hi = subgroup_intersect(ha, hb)
+                    if hi.codim != ka + kb:
+                        continue
+                yield hi, ca * cb
+
+    return EulerElement(r, products())
 
 
 def deg_minus_id(

@@ -10,12 +10,11 @@ A subgroup is the plain value ``(ambient_rank, basis)``, with ``basis`` the
 canonical Hermite basis of its annihilator: it compares and hashes as that
 tuple, so two subgroups are equal iff they are the same subgroup.  That
 holds only for canonical bases, so subgroups have no public constructor:
-``subgroup_canonical``, ``subgroup_intersect``, ``extend_by_full_torus`` and
-``TorusSubgroup.full_torus`` each hand the one private builder a basis that
-is already in Hermite form (from ``hermite_basis``; for a meet, from the
-elimination core run on the two stored canonical bases together, with no
-input checks; the zero-padded extension and the full torus as they are),
-and copying or unpickling a subgroup goes through ``subgroup_canonical``.
+``subgroup_canonical`` (from ``hermite_basis``), ``subgroup_intersect`` (the
+elimination core on the two stored canonical bases, with no input checks)
+and ``TorusSubgroup.full_torus`` (the empty basis) hand the one private
+builder a basis already in Hermite form.  ``extend_by_full_torus`` (on the
+zero-padded rows), copying and unpickling build through ``subgroup_canonical``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from collections.abc import Iterable, Sequence
-from operator import add, mul, neg
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InputError
@@ -154,7 +153,7 @@ def hermite_basis(ambient: int, rows: Iterable[Sequence[int]]) -> tuple[Vector, 
     dropped, so two iterables span the same lattice iff the results are
     identical.
     """
-    return _hermite(ambient, [row for row in _int_rows(ambient, rows) if any(row)])
+    return _hermite(ambient, _int_rows(ambient, rows))
 
 
 def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
@@ -162,16 +161,9 @@ def _hermite(ambient: int, mat: list[Sequence[int]]) -> tuple[Vector, ...]:
 
     ``mat`` is the caller's list and is consumed.  Its rows are never changed
     in place, only replaced in ``mat``, so they may be the tuples of other
-    canonical bases; zero rows are allowed.
+    canonical bases; zero rows are allowed, and dropped.
     """
     m = len(mat)
-    if m == 1:
-        # a single row is canonical once its first nonzero entry is positive;
-        # it sorts below the zero row exactly when that entry is negative
-        row, zero = tuple(mat[0]), (0,) * ambient
-        if row == zero:
-            return ()
-        return (tuple(map(neg, row)) if row < zero else row,)
     nr = 0
     for c in range(ambient):
         if nr == m:
@@ -322,7 +314,5 @@ def extend_by_full_torus(h: TorusSubgroup, l: int) -> TorusSubgroup:
     """``h x T^l`` inside ``T^(r+l)``; annihilator characters zero-padded."""
     if l < 0:
         raise InputError("extension rank must be nonnegative")
-    # zero columns after the last keep a Hermite basis canonical
     pad = (0,) * l
-    padded = tuple([row + pad for row in h.basis])
-    return _subgroup(h.ambient_rank + l, padded)
+    return subgroup_canonical(h.ambient_rank + l, [row + pad for row in h.basis])

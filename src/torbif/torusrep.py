@@ -47,16 +47,13 @@ class TorusRep(_RepValue):
         if trivial_mult < 0:
             raise InputError("trivial multiplicity must be nonnegative")
         r = ambient_rank
-        zero = (0,) * r
         items = weights.items() if hasattr(weights, "items") else weights
         acc: dict[Vector, int] = {}
         for m, k in items:
-            m = tuple(map(int, m))
+            m = canonical_weight(m)
             if len(m) != r:
                 raise InputError(f"weight of length {len(m)} in rank {r}")
-            if m < zero:  # the canonical_weight flip
-                m = tuple(map(neg, m))
-            elif m == zero:
+            if not any(m):
                 raise InputError("zero weight: use trivial_mult for trivial blocks")
             acc[m] = acc.get(m, 0) + int(k)
         for m, k in acc.items():

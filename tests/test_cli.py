@@ -34,7 +34,7 @@ def test_analyze_rejects_non_candidate(circle_fixture_path):
     assert result.exit_code == 2
 
 
-COMMANDS = ("candidates", "analyze", "analyze-all", "report", "corroborate-circle", "scan", "selftest")
+COMMANDS = ("candidates", "analyze", "report", "corroborate-circle", "scan", "selftest")
 
 
 def test_help_lists_every_command():
@@ -70,8 +70,13 @@ def test_option_values_may_start_with_a_minus(circle_fixture_path, args, code, s
         (["report", "CIRCLE", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         (["selftest", "--trials", "1.5"], "argument --trials: invalid int value: '1.5'"),
         (["report", "no-such-file.json"], "argument PROBLEM: file 'no-such-file.json' does not exist"),
+        # the text report is `report`, whose default format is text
+        (["analyze-all", "CIRCLE"], "invalid choice: 'analyze-all'"),
     ],
-    ids=["no-command", "unknown-command", "unknown-option", "missing-level", "bad-format", "float-trials", "missing-file"],
+    ids=[
+        "no-command", "unknown-command", "unknown-option", "missing-level", "bad-format", "float-trials",
+        "missing-file", "analyze-all",
+    ],
 )
 def test_usage_errors_exit_2(circle_fixture_path, args, message):
     result = run_cli([str(circle_fixture_path) if a == "CIRCLE" else a for a in args])
@@ -87,7 +92,8 @@ def test_analyze_refuses_beyond_cutoff(circle_fixture_path):
 
 
 def test_analyze_all_ordering(sphere_fixture_path):
-    result = run_cli(["analyze-all", str(sphere_fixture_path)])
+    # the text report analyzes all levels, ordered by level
+    result = run_cli(["report", str(sphere_fixture_path)])
     assert result.exit_code == 0
     levels = [line.split()[1].rstrip(":") for line in result.output.splitlines() if line.startswith("level ")]
     assert levels == ["0", "2", "6", "12", "20"]
@@ -109,9 +115,9 @@ def test_report_json_bit_stable(circle_fixture_path):
         ("sphere_fixture_path", "b56ed844369f28a236a7af31c91507bed56ae5ce0848bfe36919e8b7e7736f3c"),
     ],
 )
-@pytest.mark.parametrize("args", [["report", "--format", "text"], ["analyze-all"]], ids=["report-text", "analyze-all"])
+@pytest.mark.parametrize("args", [["report", "--format", "text"], ["report"]], ids=["report-text", "report-default"])
 def test_text_report_bytes_pinned(path, digest, args, request):
-    # the text report writes every subgroup by str(); analyze-all prints the same bytes
+    # the text report writes every subgroup by str(); text is the default format
     result = run_cli([args[0], str(request.getfixturevalue(path)), *args[1:]])
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
@@ -230,8 +236,8 @@ def test_report_with_integers_past_the_digit_limit_is_refused(tmp_path, args):
 
 
 @pytest.mark.parametrize(
-    "args", [["report"], ["report", "--format", "json"], ["analyze-all"], ["candidates"]],
-    ids=["report-text", "report-json", "analyze-all", "candidates"],
+    "args", [["report"], ["report", "--format", "json"], ["candidates"]],
+    ids=["report-text", "report-json", "candidates"],
 )
 def test_level_past_the_digit_limit_is_refused(circle_fixture_path, tmp_path, args):
     # alpha = 1/(10^4300 - 1) puts the levels at beta * (10^4300 - 1): 4 * that has 4,301 digits
@@ -446,6 +452,20 @@ def test_oversized_galerkin_work_is_refused(no_galerkin_arrays, args, limit):
     assert time.perf_counter() - t0 < 1.0
     assert result.exit_code == 3
     assert limit in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scan", "--lo", "0.5", "--hi", "5", "--modes", "-5"],
+        ["corroborate-circle", "--k", "1", "--lambda", "2", "--modes", "-3"],
+    ],
+    ids=["scan", "corroborate-circle"],
+)
+def test_negative_mode_cutoff_is_an_input_error(no_galerkin_arrays, args):
+    # a cutoff of 0 is refused as too small; a negative one is no cutoff at all
+    result = run_cli(args)
+    assert result == (2, f"error[INPUT]: mode cutoff must be nonnegative, got {args[-1]}\n")
 
 
 @pytest.mark.parametrize(

@@ -293,7 +293,7 @@ def test_p3_report_bytes_pinned(cutoff, digest):
 def test_analyze_all_prints_a_refused_level(tmp_path):
     problem = tmp_path / "p3.json"
     problem.write_text(json.dumps(p3_problem(5)))
-    result = run_cli(["analyze-all", str(problem)])
+    result = run_cli(["report", str(problem)])
     assert result.exit_code == 0
     assert "level 5: refused (analysis at level 5 needs Laplace data up to 15, declared cutoff is 5)" in (
         result.output.splitlines()

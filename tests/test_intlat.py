@@ -302,6 +302,35 @@ def test_hermite_basis_on_random_stacks(monkeypatch):
     assert paths["divisible"] >= 100 and paths["xgcd"] >= 100 and paths["big"] >= 40, paths
 
 
+@pytest.mark.parametrize(
+    ("ambient", "row", "basis"),
+    [
+        (3, (0, 0, 0), ()),
+        (3, (-2, 1, 0), ((2, -1, 0),)),
+        (3, (0, -3, 2), ((0, 3, -2),)),
+        (3, (0, 0, -5), ((0, 0, 5),)),
+        (2, (0, 4), ((0, 4),)),
+        (1, (-7,), ((7,),)),
+    ],
+    ids=["zero", "negative-lead", "leading-zero-negative", "last-column", "leading-zero", "rank-1"],
+)
+def test_hermite_basis_of_a_single_row(ambient, row, basis):
+    # one row is canonical once its first nonzero entry is positive; the zero row spans nothing
+    assert hermite_basis(ambient, [row]) == basis
+
+
+def test_zero_rows_among_the_rows_are_dropped():
+    rng = random.Random(20261021)
+    for _ in range(300):
+        ambient, rows = random_stack(rng)
+        nonzero = [row for row in rows if any(row)]
+        mixed = list(nonzero)
+        for _ in range(rng.randint(1, 3)):
+            mixed.insert(rng.randint(0, len(mixed)), (0,) * ambient)
+        assert hermite_basis(ambient, mixed) == hermite_basis(ambient, nonzero), mixed
+    assert hermite_basis(3, [(0, 0, 0)] * 3) == ()
+
+
 # --- subgroup encodings ---------------------------------------------------------
 
 
@@ -453,6 +482,17 @@ def test_extend_examples():
     assert extend_by_full_torus(TorusSubgroup.full_torus(2), 2) == TorusSubgroup.full_torus(4)
     point = subgroup_canonical(2, [(1, 0), (0, 1)])
     assert extend_by_full_torus(point, 3).dim == 3
+
+
+def test_extension_is_the_canonical_subgroup_of_the_padded_rows():
+    # padding with zero columns commutes with taking the Hermite basis
+    rng = random.Random(20261022)
+    for _ in range(300):
+        r, rows = random_stack(rng)
+        h = subgroup_canonical(r, rows)
+        for l in range(3):
+            padded = [row + (0,) * l for row in rows]
+            assert extend_by_full_torus(h, l) == subgroup_canonical(r + l, padded), rows
 
 
 # --- value semantics -------------------------------------------------------------
