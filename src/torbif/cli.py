@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error (a usage error too), 3 refusal
-(insufficient spectral coverage or an out-of-range numerical request), 4
-internal consistency defect (two computation routes disagree).
+Exit codes: 0 success, 1 when ``corroborate-circle``'s Newton iteration
+does not converge or when standard output is closed before all is
+written, 2 input error (a usage error too), 3 refusal (insufficient
+spectral coverage or an out-of-range numerical request), 4 internal
+consistency defect (two computation routes disagree).
 
 ``oracle`` (the selftest suites) and ``corroborate`` (the Galerkin model)
 serve only ``selftest``, ``scan`` and ``corroborate-circle``, yet compiling
@@ -128,15 +130,6 @@ def selftest(args: argparse.Namespace) -> int:
     return 0 if outcome.ok else EXIT_DEFECT
 
 
-def _problem_file(path: str) -> str:
-    """A problem path that exists and is not a directory; otherwise a usage error."""
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
-    if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
-    return path
-
-
 def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
     """The parser, and the options that take a value."""
     parser = argparse.ArgumentParser(
@@ -153,7 +146,7 @@ def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
         )
         sub.set_defaults(run=run)
         if problem:
-            sub.add_argument("problem", metavar="PROBLEM", type=_problem_file)
+            sub.add_argument("problem", metavar="PROBLEM")
 
         def option(flag: str, **kwargs) -> None:
             valued.add(flag)

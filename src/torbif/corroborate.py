@@ -47,6 +47,12 @@ if TYPE_CHECKING:
 
 RESIDUAL_TOL = 1e-12
 CROSSING_TOL = 1e-6
+# Largest error in a converged Newton amplitude.  Near onset the residual of
+# amplitude c off the branch by e is about 2 c^2 e / (1 + k^2), with
+# c^2 = lambda - k^2, so RESIDUAL_TOL bounds e by AMPLITUDE_TOL only while
+# lambda - k^2 >= RESIDUAL_TOL (1 + k^2) / (2 AMPLITUDE_TOL) = 5e-5 (1 + k^2);
+# newton_branch refuses a lambda closer to onset.
+AMPLITUDE_TOL = 1e-8
 # Newton steps newton_branch takes before it reports divergence.
 NEWTON_MAX_ITER = 50
 # Largest Fourier cutoff N that stability_scan and newton_branch take on.  A
@@ -262,7 +268,9 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
     iterates Newton on the trivial-family-deflated residual until the
     (undeflated) residual sup-norm drops below 1e-12.  Divergence after
     ``NEWTON_MAX_ITER`` steps is reported, not raised.  A non-finite ``lam`` or a
-    negative cutoff is an input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused.
+    negative cutoff is an input error; a cutoff above ``GALERKIN_MAX_MODES`` is refused,
+    and so is a ``lam`` so close to onset that a converged amplitude could be
+    off by more than ``AMPLITUDE_TOL``: ``lam - k^2 < 5e-5 (1 + k^2)``.
     """
     if not math.isfinite(lam):
         raise InputError(f"lambda must be finite, got {lam}")
@@ -270,6 +278,13 @@ def newton_branch(k: int, lam: float, n_modes: int | None = None) -> NewtonResul
         raise InputError("mode index must be at least 1")
     if not lam > k * k:
         raise RefusalError(f"need lambda > k^2 = {shown(k * k)}, got {lam}")
+    # k^2 + the floor, rounded once, so lambda = 1 + 1e-4 is admitted at k = 1
+    onset = k * k + RESIDUAL_TOL * (1 + k * k) / (2 * AMPLITUDE_TOL)
+    if lam < onset:
+        raise RefusalError(
+            f"lambda = {lam} is within 5e-5 (1 + k^2) of k^2 = {shown(k * k)}, where the residual test "
+            f"cannot resolve the amplitude to {AMPLITUDE_TOL}; need lambda >= {onset!r}"
+        )
     n = n_modes if n_modes is not None else max(k + 2, 8)
     _check_modes(n)
     if n < k + 2:

@@ -4,8 +4,9 @@ Parsing is total: every violation maps to an InputError with a located
 message and a distinct code (MALFORMED_JSON, SCHEMA, DIM_MISMATCH,
 B6_TRIVIAL, CUTOFF_INSUFFICIENT); a problem too large to analyse in
 bounded time is refused with a RefusalError before the work starts.  The
-parser checks the document; the ``ProblemSpec`` it ends by building
-raises the structural errors itself and carries its validation.
+parser checks the document's shape; the ``ProblemSpec`` it ends by
+building checks the problem's content, raising the structural errors
+through ``validate``, and carries its validation.
 Exact rationals travel as strings "num/den" or integers; floating point
 is rejected in the symbolic pipeline.  Reports serialize losslessly and
 deterministically.
@@ -112,10 +113,7 @@ def _parse_degree(value: Any, r: int, where: str) -> EulerElement:
             terms.append((subgroup_canonical(r, rows), coeff))
         except InputError as exc:
             raise InputError(f"{where}[{i}]: {exc}", code="SCHEMA")
-    element = EulerElement(r, terms)
-    if element.is_zero:
-        raise InputError(f"{where}: degree is the zero element", code="B6_TRIVIAL")
-    return element
+    return EulerElement(r, terms)
 
 
 def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData, ...]:
@@ -173,17 +171,7 @@ def _parse_laplace(doc: Any, l: int, cutoff: Fraction) -> tuple[LaplaceEigenData
         hw = item.get("highest_weight")
         if hw is not None:
             hw = _int_vector(hw, f"{where}.highest_weight")
-        try:
-            out.append(
-                LaplaceEigenData(beta=beta, eigenspace=rep, irreducible_nontrivial=irreducible, highest_weight=hw)
-            )
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}", code="SCHEMA")
-        if beta > cutoff:
-            raise InputError(
-                f"{where}: eigenvalue {shown(beta)} exceeds beta_cutoff {shown(cutoff)}",
-                code="CUTOFF_INSUFFICIENT",
-            )
+        out.append(LaplaceEigenData(beta, rep, irreducible, hw))
     return tuple(out)
 
 
@@ -212,16 +200,9 @@ def parse_problem_dict(doc: Any) -> ProblemSpec:
         alpha = parse_rational(item.get("alpha"), f"{where}.alpha")
         rep = _parse_rep(item, r, where)
         marker = item.get("marker")
-        try:
-            matrix.append(
-                MatrixEigenData(
-                    alpha=alpha,
-                    eigenspace=rep,
-                    marker_weight=_int_vector(marker, f"{where}.marker") if marker is not None else None,
-                )
-            )
-        except InputError as exc:
-            raise InputError(f"{where}: {exc}", code="SCHEMA")
+        if marker is not None:
+            marker = _int_vector(marker, f"{where}.marker")
+        matrix.append(MatrixEigenData(alpha, rep, marker))
 
     laplace = _parse_laplace(doc.get("laplace"), l, cutoff)
     deg_pos = _parse_degree(doc.get("degF_pos"), r, "degF_pos")

@@ -34,70 +34,26 @@ FLAT_TORUS_MAX_POINTS = 10**6
 SPHERE_MAX_WORK = 10**7
 
 
-class _MatrixEigenValue(NamedTuple):
+class MatrixEigenData(NamedTuple):
+    """One eigenvalue of the coefficient matrix with its eigenspace; checked by the ``ProblemSpec`` holding it."""
+
     alpha: Fraction
     eigenspace: TorusRep
-    marker_weight: Vector | None
+    marker_weight: Vector | None = None
 
 
-class MatrixEigenData(_MatrixEigenValue):
-    """One eigenvalue of the coefficient matrix with its eigenspace."""
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: Fraction, eigenspace: TorusRep, marker_weight: Vector | None = None):
-        alpha = Fraction(alpha)
-        if eigenspace.dim < 1:
-            raise InputError("eigenspace must have positive dimension")
-        if marker_weight is not None:
-            marker_weight = tuple(int(e) for e in marker_weight)
-            if len(marker_weight) != eigenspace.ambient_rank:
-                raise InputError("marker weight length does not match rank")
-        return tuple.__new__(cls, (alpha, eigenspace, marker_weight))
-
-    @classmethod
-    def _make(cls, iterable) -> "MatrixEigenData":
-        return cls(*iterable)
-
-
-class _LaplaceEigenValue(NamedTuple):
-    beta: Fraction
-    eigenspace: TorusRep
-    irreducible_nontrivial: bool
-    highest_weight: Vector | None
-
-
-class LaplaceEigenData(_LaplaceEigenValue):
-    """One Laplace-Beltrami eigenvalue with its eigenspace data.
+class LaplaceEigenData(NamedTuple):
+    """One Laplace-Beltrami eigenvalue with its eigenspace data; checked by the ``ProblemSpec`` holding it.
 
     ``irreducible_nontrivial`` is the user's certification that the full
     symmetry group acts irreducibly and nontrivially on the eigenspace;
     the library stores only the torus restriction and cannot check it.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        beta: Fraction,
-        eigenspace: TorusRep,
-        irreducible_nontrivial: bool = False,
-        highest_weight: Vector | None = None,
-    ):
-        beta = Fraction(beta)
-        if beta < 0:
-            raise InputError("Laplace eigenvalues are nonnegative")
-        if eigenspace.dim < 1:
-            raise InputError("eigenspace must have positive dimension")
-        if highest_weight is not None:
-            highest_weight = tuple(int(e) for e in highest_weight)
-            if len(highest_weight) != eigenspace.ambient_rank:
-                raise InputError("highest weight length does not match rank")
-        return tuple.__new__(cls, (beta, eigenspace, irreducible_nontrivial, highest_weight))
-
-    @classmethod
-    def _make(cls, iterable) -> "LaplaceEigenData":
-        return cls(*iterable)
+    beta: Fraction
+    eigenspace: TorusRep
+    irreducible_nontrivial: bool = False
+    highest_weight: Vector | None = None
 
 
 class _ProblemValue(NamedTuple):
@@ -115,12 +71,14 @@ class _ProblemValue(NamedTuple):
 class ProblemSpec(_ProblemValue):
     """A problem, valid by construction: it carries its own ``validation``.
 
-    The constructor raises ``InputError`` with code ``SCHEMA`` for a
-    spectrum or degree of the wrong rank, then runs :func:`validate`, which
-    raises the structural errors and whose hypothesis flags are stored once
-    as the last field, ``validation``.  That field is never taken from the
-    caller: ``_make``, and so ``_replace``, copy and pickle, drop it and
-    build the spec through the constructor again.
+    The constructor only normalises: each alpha, beta and the cutoff
+    becomes a ``Fraction`` (``beta / alpha`` of two ints would be a float),
+    each marker and highest weight an int tuple, and both spectra are
+    sorted.  Then :func:`validate` checks every content rule and raises
+    the errors, and its hypothesis flags are stored once as the last field,
+    ``validation``.  That field is never taken from the caller: ``_make``,
+    and so ``_replace``, copy and pickle, drop it and build the spec
+    through the constructor again.
     """
 
     __slots__ = ()
@@ -136,23 +94,11 @@ class ProblemSpec(_ProblemValue):
         origin_degree_pos: EulerElement,
         origin_degree_neg: EulerElement,
     ):
-        if l < 1:
-            raise InputError("domain torus rank must be at least 1", code="SCHEMA")
-        if r < 0:
-            raise InputError("system torus rank must be nonnegative", code="SCHEMA")
-        beta_cutoff = Fraction(beta_cutoff)
-        matrix_spectrum = tuple(sorted(matrix_spectrum, key=lambda e: e.alpha))
-        laplace_spectrum = tuple(sorted(laplace_spectrum, key=lambda e: e.beta))
-        for e in matrix_spectrum:
-            if e.eigenspace.ambient_rank != r:
-                raise InputError("matrix eigenspace rank differs from r", code="SCHEMA")
-        for e in laplace_spectrum:
-            if e.eigenspace.ambient_rank != l:
-                raise InputError("Laplace eigenspace rank differs from l", code="SCHEMA")
-        for deg in (origin_degree_pos, origin_degree_neg):
-            if deg.ambient_rank != r:
-                raise InputError("origin degree lives in the wrong ring", code="SCHEMA")
-        fields = (r, l, p, matrix_spectrum, laplace_spectrum, beta_cutoff, origin_degree_pos, origin_degree_neg)
+        matrix = [MatrixEigenData(Fraction(a), rep, _int_tuple(m)) for a, rep, m in matrix_spectrum]
+        laplace = [LaplaceEigenData(Fraction(b), rep, irr, _int_tuple(hw)) for b, rep, irr, hw in laplace_spectrum]
+        matrix.sort(key=lambda e: e.alpha)
+        laplace.sort(key=lambda e: e.beta)
+        fields = (r, l, p, tuple(matrix), tuple(laplace), Fraction(beta_cutoff), origin_degree_pos, origin_degree_neg)
         # validate reads every field but its own result
         return tuple.__new__(cls, (*fields, validate(tuple.__new__(cls, (*fields, None)))))
 
@@ -167,6 +113,10 @@ class ProblemSpec(_ProblemValue):
     def max_abs_alpha(self) -> Fraction:
         # the matrix spectrum is sorted by alpha and never empty, so |alpha| peaks at one of its ends
         return max(abs(self.matrix_spectrum[0].alpha), abs(self.matrix_spectrum[-1].alpha))
+
+
+def _int_tuple(weight) -> Vector | None:
+    return None if weight is None else tuple(int(e) for e in weight)
 
 
 class ValidationReport(NamedTuple):
@@ -319,10 +269,14 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     """Check the structural and hypothesis-level properties of a spec.
 
     The ``ProblemSpec`` constructor runs it once and stores the result as
-    ``spec.validation``, so every spec carries its validation.  Structural
-    problems raise one InputError that lists every one of them,
-    with the code of the first (DIM_MISMATCH, SCHEMA, CUTOFF_INSUFFICIENT
-    or B6_TRIVIAL).  The hypothesis flags are: N1 (origin nondegenerate, no
+    ``spec.validation``, so every spec carries its validation.  It owns
+    every content rule of a problem.  Structural problems raise one
+    InputError that lists every one of them, with the code of the first:
+    SCHEMA for a malformed spec (a torus rank, an eigenspace of the wrong
+    rank or of dimension 0, a marker or highest weight of the wrong length,
+    a negative beta, a degree in the wrong ring), each entry named by its
+    eigenvalue, then DIM_MISMATCH, SCHEMA, CUTOFF_INSUFFICIENT or
+    B6_TRIVIAL.  The hypothesis flags are: N1 (origin nondegenerate, no
     zero matrix eigenvalue), N2 (no fixed vectors in positive Laplace
     eigenspaces, certified either by irreducibility flags or the stronger
     torus-fixed-point-free criterion), and (E) (each matrix eigenvalue owns
@@ -331,7 +285,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     highest-weight certificate ((E) fails, or see :func:`_uniqueness_scan`),
     or is None.  Each check indexes its spectrum's weights once: linear work.
     """
-    errors: list[tuple[str, str]] = []
+    errors = [("SCHEMA", message) for message in _schema_errors(spec)]
     total = sum(e.eigenspace.dim for e in spec.matrix_spectrum)
     if total != spec.p:
         errors.append(("DIM_MISMATCH", f"matrix eigenspace dimensions sum to {shown(total)}, expected p={shown(spec.p)}"))
@@ -384,6 +338,42 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         e_witnesses=tuple((e.alpha, e.marker_weight) for e in spec.matrix_spectrum) if e_holds else None,
         certificate_obstacle=_uniqueness_scan(spec) if e_holds else "(E) fails: markers missing or not unique",
     )
+
+
+def _schema_errors(spec: ProblemSpec) -> list[str]:
+    """What makes ``spec`` malformed; a spectrum entry is named by its eigenvalue, and only when it is at fault."""
+    messages = []
+    if spec.l < 1:
+        messages.append("domain torus rank must be at least 1")
+    if spec.r < 0:
+        messages.append("system torus rank must be nonnegative")
+    for e in spec.matrix_spectrum:
+        problems = _entry_problems(e.eigenspace, "r", spec.r, "marker", e.marker_weight)
+        messages += [f"matrix eigenvalue {shown(e.alpha)}: {problem}" for problem in problems]
+    for e in spec.laplace_spectrum:
+        problems = _entry_problems(e.eigenspace, "l", spec.l, "highest weight", e.highest_weight)
+        if e.beta < 0:
+            problems.insert(0, "must be nonnegative")
+        messages += [f"Laplace eigenvalue {shown(e.beta)}: {problem}" for problem in problems]
+    for sign, degree in (("positive", spec.origin_degree_pos), ("negative", spec.origin_degree_neg)):
+        if degree.ambient_rank != spec.r:
+            messages.append(
+                f"origin degree for {sign} levels lives in the ring of T^{shown(degree.ambient_rank)}, "
+                f"not of T^r with r={shown(spec.r)}"
+            )
+    return messages
+
+
+def _entry_problems(rep: TorusRep, rank_name: str, rank: int, weight_name: str, weight: Vector | None) -> list[str]:
+    """An eigenspace of the wrong rank or of dimension 0, and a marker or highest weight of the wrong length."""
+    problems = []
+    if rep.ambient_rank != rank:
+        problems.append(f"eigenspace of rank {shown(rep.ambient_rank)}, not {rank_name}={shown(rank)}")
+    if rep.dim < 1:
+        problems.append("eigenspace of dimension 0")
+    if weight is not None and len(weight) != rank:
+        problems.append(f"{weight_name} of length {len(weight)}, not {rank_name}={shown(rank)}")
+    return problems
 
 
 def _holders(reps) -> dict[Vector, list[int]]:

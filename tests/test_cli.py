@@ -69,13 +69,12 @@ def test_option_values_may_start_with_a_minus(circle_fixture_path, args, code, s
         (["analyze", "CIRCLE"], "the following arguments are required: --level"),
         (["report", "CIRCLE", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         (["selftest", "--trials", "1.5"], "argument --trials: invalid int value: '1.5'"),
-        (["report", "no-such-file.json"], "argument PROBLEM: file 'no-such-file.json' does not exist"),
         # the text report is `report`, whose default format is text
         (["analyze-all", "CIRCLE"], "invalid choice: 'analyze-all'"),
     ],
     ids=[
         "no-command", "unknown-command", "unknown-option", "missing-level", "bad-format", "float-trials",
-        "missing-file", "analyze-all",
+        "analyze-all",
     ],
 )
 def test_usage_errors_exit_2(circle_fixture_path, args, message):
@@ -83,6 +82,16 @@ def test_usage_errors_exit_2(circle_fixture_path, args, message):
     assert result.exit_code == 2
     assert result.output.startswith("usage: torbif")
     assert message in result.output
+
+
+@pytest.mark.parametrize("name", ["no-such-file.json", ""], ids=["missing-file", "directory"])
+def test_unreadable_problem_file_exits_2(tmp_path, name):
+    # the parser's one rule for a file it cannot open, not a usage error
+    path = tmp_path / name
+    result = run_cli(["report", str(path)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error[INPUT]: cannot read {path}: ")
+    assert result.output.count("\n") == 1
 
 
 def test_analyze_refuses_beyond_cutoff(circle_fixture_path):
@@ -500,6 +509,12 @@ def test_corroborate_circle_command():
     assert result.exit_code == 0
     assert "converged=True" in result.output
     assert "0.707106781187" in result.output
+
+
+def test_corroborate_circle_exits_1_when_newton_does_not_converge():
+    result = run_cli(["corroborate-circle", "--k", "1", "--lambda", "1e300"])
+    assert result.exit_code == 1
+    assert result.output.startswith("converged=False iterations=50 ")
 
 
 def test_selftest_command():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import torbif.corroborate as corroborate
 from torbif.bifurcation import candidate_levels
 from torbif.corroborate import (
+    AMPLITUDE_TOL,
     CROSSING_TOL,
     GALERKIN_MAX_MODES,
     SCAN_MAX_STEPS,
@@ -154,9 +156,29 @@ def test_newton_first_branch():
 
 
 def test_newton_near_onset():
+    # lambda - k^2 = 1e-4 = 5e-5 (1 + k^2): the onset floor at k = 1, still admitted
     result = newton_branch(1, 1.0 + 1e-4)
     assert result.converged
     assert abs(result.amplitude - 1e-2) < 1e-8
+
+
+@pytest.mark.parametrize("k", [3, 60, 81, 126])
+def test_newton_just_above_the_onset_floor_meets_the_amplitude_tolerance(k):
+    lam = k * k + 1.0001 * 5e-5 * (1 + k * k)
+    result = newton_branch(k, lam)
+    assert result.converged
+    assert abs(result.amplitude - math.sqrt(lam - k * k)) < AMPLITUDE_TOL
+
+
+@pytest.mark.parametrize(
+    ("k", "lam"),
+    [(3, 9 + 1e-7), (1, 1 + 1e-7), (60, 3600.001), (1, 1 + 0.999e-4), (126, 126**2 + 0.999 * 5e-5 * (1 + 126**2))],
+)
+def test_newton_refuses_below_the_onset_floor(monkeypatch, k, lam):
+    # there the residual test passes amplitudes off by more than AMPLITUDE_TOL; refused before numpy loads
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(RefusalError, match="need lambda >= "):
+        newton_branch(k, lam)
 
 
 def test_newton_second_mode():

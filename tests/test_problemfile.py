@@ -147,6 +147,26 @@ def test_cutoff_insufficient_code():
     assert err.value.code == "CUTOFF_INSUFFICIENT"
 
 
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"matrix_spectrum": [{"alpha": "1", "weights": [{"m": [1]}], "marker": [1, 0]}]},
+         "SCHEMA: matrix eigenvalue 1: marker of length 2, not r=1"),
+        ({"laplace": [{"beta": "-1", "trivial_mult": 1}]}, "SCHEMA: Laplace eigenvalue -1: must be nonnegative"),
+        ({"laplace": [{"beta": "0", "trivial_mult": 1}, {"beta": "10", "weights": [{"m": [3]}]}]},
+         "CUTOFF_INSUFFICIENT: eigenvalue 10 exceeds declared cutoff 9"),
+    ],
+    ids=["marker-length", "negative-beta", "entry-cutoff"],
+)
+def test_parser_leaves_content_rules_to_the_spec(change, message):
+    doc = circle_doc()
+    doc.update(change)
+    with pytest.raises(InputError) as err:
+        parse_problem_dict(doc)
+    assert str(err.value) == message
+    assert err.value.code == message.split(":")[0]
+
+
 def test_malformed_json_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

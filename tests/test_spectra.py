@@ -248,32 +248,82 @@ def test_validate_n2_methods(sphere_spec):
     assert not report2.n2 and report2.n2_method is None
 
 
-def test_negative_beta_rejected():
-    with pytest.raises(InputError):
-        LaplaceEigenData(Fraction(-1), TorusRep(1, 1))
+ROT1 = TorusRep.rotation(1, [1])
 
 
-def test_marker_length_checked():
-    with pytest.raises(InputError):
-        MatrixEigenData(Fraction(1), TorusRep.rotation(1, [1]), (1, 0))
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        ({"l": 0}, "domain torus rank must be at least 1"),
+        ({"r": -1}, "system torus rank must be nonnegative"),
+        (
+            {"matrix_spectrum": (MatrixEigenData(1, TorusRep.rotation(1, [1, 1])),)},
+            "matrix eigenvalue 1: eigenspace of rank 2, not r=1",
+        ),
+        (
+            {"laplace_spectrum": (LaplaceEigenData(0, TorusRep(2, 1)),)},
+            "Laplace eigenvalue 0: eigenspace of rank 2, not l=1",
+        ),
+        ({"matrix_spectrum": (MatrixEigenData(1, TorusRep(1)),)}, "matrix eigenvalue 1: eigenspace of dimension 0"),
+        ({"laplace_spectrum": (LaplaceEigenData(0, TorusRep(1)),)}, "Laplace eigenvalue 0: eigenspace of dimension 0"),
+        ({"matrix_spectrum": (MatrixEigenData(1, ROT1, (1, 0)),)}, "matrix eigenvalue 1: marker of length 2, not r=1"),
+        (
+            {"laplace_spectrum": (LaplaceEigenData(1, ROT1, True, (1, 0)),)},
+            "Laplace eigenvalue 1: highest weight of length 2, not l=1",
+        ),
+        (
+            {"laplace_spectrum": (LaplaceEigenData(Fraction(-1, 2), TorusRep(1, 1)),)},
+            "Laplace eigenvalue -1/2: must be nonnegative",
+        ),
+        (
+            {"origin_degree_neg": EulerElement.unit(2)},
+            "origin degree for negative levels lives in the ring of T^2, not of T^r with r=1",
+        ),
+    ],
+    ids=[
+        "l", "r", "matrix-rank", "laplace-rank", "matrix-dimension", "laplace-dimension", "marker-length",
+        "highest-weight-length", "negative-beta", "degree-ring",
+    ],
+)
+def test_spec_checks_every_content_rule(overrides, message):
+    # the rules of a well-formed spec come first in validate's one message, so each reports SCHEMA
+    with pytest.raises(InputError) as info:
+        make_spec(**overrides)
+    assert info.value.code == "SCHEMA"
+    assert str(info.value).startswith(f"SCHEMA: {message}")
+
+
+def test_spec_normalises_its_entries():
+    spec = make_spec(
+        matrix_spectrum=[MatrixEigenData(2, ROT1, [1])],
+        laplace_spectrum=[LaplaceEigenData(1, ROT1, True, [-1]), LaplaceEigenData(0, TorusRep(1, 1), False, [0])],
+        beta_cutoff=1,
+    )
+    [matrix] = spec.matrix_spectrum
+    assert type(matrix.alpha) is Fraction and type(spec.beta_cutoff) is Fraction
+    assert type(matrix.marker_weight) is tuple and matrix.marker_weight == (1,)
+    assert [e.beta for e in spec.laplace_spectrum] == [0, 1]  # sorted
+    for e in spec.laplace_spectrum:
+        assert type(e.beta) is Fraction and type(e.highest_weight) is tuple
+    # so a level beta / alpha of two int inputs stays exact
+    assert spec.laplace_spectrum[1].beta / matrix.alpha == Fraction(1, 2)
 
 
 def test_make_and_replace_rerun_the_checks(circle_spec):
     with pytest.raises(InputError) as info:
         circle_spec._replace(p=3)
     assert info.value.code == "DIM_MISMATCH"
+    # an entry is a plain record; the spec that holds it checks it again
     matrix, laplace = circle_spec.matrix_spectrum[0], circle_spec.laplace_spectrum[1]
     for bad in (
-        lambda: laplace._replace(beta=-1),
-        lambda: LaplaceEigenData._make((laplace.beta, laplace.eigenspace, True, (1, 0))),
-        lambda: matrix._replace(marker_weight=(1, 0)),
-        lambda: MatrixEigenData._make((matrix.alpha, TorusRep(1), None)),
+        {"laplace_spectrum": (laplace._replace(beta=-1),)},
+        {"laplace_spectrum": (LaplaceEigenData._make((laplace.beta, laplace.eigenspace, True, (1, 0))),)},
+        {"matrix_spectrum": (matrix._replace(marker_weight=(1, 0)),)},
+        {"matrix_spectrum": (MatrixEigenData._make((matrix.alpha, TorusRep(1), None)),)},
     ):
-        with pytest.raises(InputError):
-            bad()
-    # and their conversions: the rational fields are Fractions again
-    assert type(matrix._replace(alpha=2).alpha) is Fraction
-    assert type(LaplaceEigenData._make((4, *laplace[1:])).beta) is Fraction
+        with pytest.raises(InputError) as info:
+            circle_spec._replace(**bad)
+        assert info.value.code == "SCHEMA"
 
 
 def test_replace_validates_afresh(circle_spec):
