@@ -1,12 +1,14 @@
 """Independent brute-force verifiers for the exact algebra pipeline.
 
 Every invariant of the lattice, ring, representation, and bifurcation
-layers is registered here as a named suite driven by a seeded generator,
-so the whole stack can be revalidated deterministically from the command
-line.  Suites that exercise the ring product or the tensor rule accept
-the implementation as a parameter; passing a deliberately broken rule
-must make at least one suite fail, which guards the suites themselves
-against vacuity.
+layers is registered here as a named suite, so the whole stack can be
+revalidated deterministically from the command line.  A randomized suite
+is one trial drawn from a seeded generator; a fixture suite is a check of
+one analysed level of one spec.  ``run_selftest`` is the one driver of
+both.  Suites that exercise the ring product or the tensor rule take the
+implementation as a parameter; passing a deliberately broken rule must
+make at least one suite fail, which guards the suites themselves against
+vacuity.
 """
 
 from __future__ import annotations
@@ -244,16 +246,18 @@ _FIXTURES = Path(__file__).parent / "fixtures"
 FixtureRecord = tuple[str, ProblemSpec, bif.LevelAnalysis]
 
 
+def _sweep(name: str, spec: ProblemSpec, levels: Sequence[int] | None = None) -> list[FixtureRecord]:
+    """(name, spec, analysis) at each of the levels (every candidate level by default), in one sweep."""
+    return [(name, spec, a) for a in bif.analyze_levels(spec, levels).analyses()]
+
+
 def _fixture_levels() -> list[FixtureRecord]:
     """(fixture, spec, analysis) at every candidate level, one sweep per fixture."""
-    records = []
-    for name, spec in (
-        ("circle", circle_quartic_spec(25)),
-        ("circle-inverted", circle_inverted_spec(9)),
-        ("sphere", parse_problem(_FIXTURES / "sphere_p1.json")),
-    ):
-        records.extend((name, spec, a) for a in bif.analyze_levels(spec).analyses())
-    return records
+    return [
+        *_sweep("circle", circle_quartic_spec(25)),
+        *_sweep("circle-inverted", circle_inverted_spec(9)),
+        *_sweep("sphere", parse_problem(_FIXTURES / "sphere_p1.json")),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -349,77 +353,63 @@ def _suite_membership(rng: random.Random) -> Trial:
     return (lambda: f"members of {h}"), ok
 
 
-def _suite_ring_axioms(star_impl: StarImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 3)
-        x = _rand_element(rng, r)
-        y = _rand_element(rng, r)
-        z = _rand_element(rng, r)
-        xy = star_impl(x, y)
-        ok = xy == star_impl(y, x)
-        ok = ok and star_impl(xy, z) == star_impl(x, star_impl(y, z))
-        ok = ok and star_impl(x, y + z) == xy + star_impl(x, z)
-        ok = ok and star_impl(EulerElement.unit(r), x) == x
-        # fixed transversal triple in T^2
-        a = EulerElement.generator(subgroup_canonical(2, [[1, 0]]))
-        b = EulerElement.generator(subgroup_canonical(2, [[0, 1]]))
-        c = EulerElement.generator(subgroup_canonical(2, [[1, 1]]))
-        ok = ok and star_impl(star_impl(a, b), c) == star_impl(a, star_impl(b, c))
-        ok = ok and star_impl(EulerElement.unit(2), a) == a
-        return (lambda: f"x={x}; y={y}; z={z}"), ok
-
-    return run
+def _suite_ring_axioms(rng: random.Random, star_impl: StarImpl) -> Trial:
+    r = rng.randint(1, 3)
+    x = _rand_element(rng, r)
+    y = _rand_element(rng, r)
+    z = _rand_element(rng, r)
+    xy = star_impl(x, y)
+    ok = xy == star_impl(y, x)
+    ok = ok and star_impl(xy, z) == star_impl(x, star_impl(y, z))
+    ok = ok and star_impl(x, y + z) == xy + star_impl(x, z)
+    ok = ok and star_impl(EulerElement.unit(r), x) == x
+    # fixed transversal triple in T^2
+    a = EulerElement.generator(subgroup_canonical(2, [[1, 0]]))
+    b = EulerElement.generator(subgroup_canonical(2, [[0, 1]]))
+    c = EulerElement.generator(subgroup_canonical(2, [[1, 1]]))
+    ok = ok and star_impl(star_impl(a, b), c) == star_impl(a, star_impl(b, c))
+    ok = ok and star_impl(EulerElement.unit(2), a) == a
+    return (lambda: f"x={x}; y={y}; z={z}"), ok
 
 
-def _suite_codim_ideal(star_impl: StarImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(2, 3)
-        x = _rand_element(rng, r)
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            while True:
-                h = _rand_subgroup(rng, r, proper=True)
-                if h.codim >= 2:
-                    break
-                h = subgroup_intersect(h, _rand_subgroup(rng, r, proper=True))
-                if h.codim >= 2:
-                    break
-            terms.append((h, rng.randint(-3, 3) or 1))
-        y = EulerElement(r, terms)
-        prod = star_impl(x, y)
-        ok = all(h.codim >= 2 for h, _ in prod.terms)
-        return (lambda: f"x={x}; y={y}"), ok
-
-    return run
+def _suite_codim_ideal(rng: random.Random, star_impl: StarImpl) -> Trial:
+    r = rng.randint(2, 3)
+    x = _rand_element(rng, r)
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            h = _rand_subgroup(rng, r, proper=True)
+            if h.codim >= 2:
+                break
+            h = subgroup_intersect(h, _rand_subgroup(rng, r, proper=True))
+            if h.codim >= 2:
+                break
+        terms.append((h, rng.randint(-3, 3) or 1))
+    y = EulerElement(r, terms)
+    prod = star_impl(x, y)
+    ok = all(h.codim >= 2 for h, _ in prod.terms)
+    return (lambda: f"x={x}; y={y}"), ok
 
 
-def _suite_truncation(star_impl: StarImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 3)
-        v = _rand_rep(rng, r)
-        deg = deg_minus_id(v, star_impl)
-        low = EulerElement(r, [(h, c) for h, c in deg.terms if h.codim <= 1])
-        sign = -1 if v.dim % 2 else 1
-        expected = EulerElement.unit(r)
-        for m, k in v.weights:
-            expected = expected - k * EulerElement.generator(subgroup_canonical(r, [m]))
-        ok = low == sign * expected
-        return (lambda: f"V={v}"), ok
-
-    return run
+def _suite_truncation(rng: random.Random, star_impl: StarImpl) -> Trial:
+    r = rng.randint(1, 3)
+    v = _rand_rep(rng, r)
+    deg = deg_minus_id(v, star_impl)
+    low = EulerElement(r, [(h, c) for h, c in deg.terms if h.codim <= 1])
+    sign = -1 if v.dim % 2 else 1
+    expected = EulerElement.unit(r)
+    for m, k in v.weights:
+        expected = expected - k * EulerElement.generator(subgroup_canonical(r, [m]))
+    ok = low == sign * expected
+    return (lambda: f"V={v}"), ok
 
 
-def _suite_multiplicative(star_impl: StarImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 3)
-        v = _rand_rep(rng, r)
-        w = _rand_rep(rng, r)
-        ok = deg_minus_id(direct_sum(v, w), star_impl) == star_impl(
-            deg_minus_id(v, star_impl), deg_minus_id(w, star_impl)
-        )
-        return (lambda: f"V={v}; W={w}"), ok
-
-    return run
+def _suite_multiplicative(rng: random.Random, star_impl: StarImpl) -> Trial:
+    r = rng.randint(1, 3)
+    v = _rand_rep(rng, r)
+    w = _rand_rep(rng, r)
+    ok = deg_minus_id(direct_sum(v, w), star_impl) == star_impl(deg_minus_id(v, star_impl), deg_minus_id(w, star_impl))
+    return (lambda: f"V={v}; W={w}"), ok
 
 
 def _suite_lift(rng: random.Random) -> Trial:
@@ -435,62 +425,48 @@ def _suite_lift(rng: random.Random) -> Trial:
     return (lambda: f"x={x}; y={y}; l={l}"), ok
 
 
-def _suite_tensor_dim(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 2)
-        l = rng.randint(1, 2)
-        w = _rand_rep(rng, r)
-        v = _rand_rep(rng, l)
-        ok = tensor_impl(w, v).dim == w.dim * v.dim
-        return (lambda: f"W={w}; V={v}"), ok
-
-    return run
+def _suite_tensor_dim(rng: random.Random, tensor_impl: TensorImpl) -> Trial:
+    r = rng.randint(1, 2)
+    l = rng.randint(1, 2)
+    w = _rand_rep(rng, r)
+    v = _rand_rep(rng, l)
+    ok = tensor_impl(w, v).dim == w.dim * v.dim
+    return (lambda: f"W={w}; V={v}"), ok
 
 
-def _suite_tensor_character(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 2)
-        l = rng.randint(1, 2)
-        w = _rand_rep(rng, r)
-        v = _rand_rep(rng, l)
-        q1 = _rand_point(rng, r)
-        q2 = _rand_point(rng, l)
-        lhs = character(tensor_impl(w, v), q1 + q2)
-        rhs = character(w, q1) * character(v, q2)
-        ok = abs(lhs - rhs) < 1e-9
-        return (lambda: f"W={w}; V={v}; q={(q1, q2)}"), ok
-
-    return run
+def _suite_tensor_character(rng: random.Random, tensor_impl: TensorImpl) -> Trial:
+    r = rng.randint(1, 2)
+    l = rng.randint(1, 2)
+    w = _rand_rep(rng, r)
+    v = _rand_rep(rng, l)
+    q1 = _rand_point(rng, r)
+    q2 = _rand_point(rng, l)
+    lhs = character(tensor_impl(w, v), q1 + q2)
+    rhs = character(w, q1) * character(v, q2)
+    ok = abs(lhs - rhs) < 1e-9
+    return (lambda: f"W={w}; V={v}; q={(q1, q2)}"), ok
 
 
-def _suite_tensor_weights(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 2)
-        l = rng.randint(1, 2)
-        w = _rand_rep(rng, r)
-        v = _rand_rep(rng, l)
-        ok = tensor_impl(w, v) == _tensor_by_complexification(w, v)
-        return (lambda: f"W={w}; V={v}"), ok
-
-    return run
+def _suite_tensor_weights(rng: random.Random, tensor_impl: TensorImpl) -> Trial:
+    r = rng.randint(1, 2)
+    l = rng.randint(1, 2)
+    w = _rand_rep(rng, r)
+    v = _rand_rep(rng, l)
+    ok = tensor_impl(w, v) == _tensor_by_complexification(w, v)
+    return (lambda: f"W={w}; V={v}"), ok
 
 
-def _suite_rep_algebra(tensor_impl: TensorImpl):
-    def run(rng: random.Random) -> Trial:
-        r = rng.randint(1, 2)
-        l = rng.randint(1, 2)
-        a = _rand_rep(rng, r)
-        b = _rand_rep(rng, r)
-        c = _rand_rep(rng, r)
-        w = _rand_rep(rng, l)
-        ok = direct_sum(a, b) == direct_sum(b, a)
-        ok = ok and direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
-        ok = ok and tensor_impl(direct_sum(a, b), w) == direct_sum(
-            tensor_impl(a, w), tensor_impl(b, w)
-        )
-        return (lambda: f"a={a}; b={b}; c={c}; w={w}"), ok
-
-    return run
+def _suite_rep_algebra(rng: random.Random, tensor_impl: TensorImpl) -> Trial:
+    r = rng.randint(1, 2)
+    l = rng.randint(1, 2)
+    a = _rand_rep(rng, r)
+    b = _rand_rep(rng, r)
+    c = _rand_rep(rng, r)
+    w = _rand_rep(rng, l)
+    ok = direct_sum(a, b) == direct_sum(b, a)
+    ok = ok and direct_sum(direct_sum(a, b), c) == direct_sum(a, direct_sum(b, c))
+    ok = ok and tensor_impl(direct_sum(a, b), w) == direct_sum(tensor_impl(a, w), tensor_impl(b, w))
+    return (lambda: f"a={a}; b={b}; c={c}; w={w}"), ok
 
 
 def _suite_separation(rng: random.Random) -> Trial:
@@ -541,144 +517,131 @@ def _suite_nontrivial_product(rng: random.Random) -> Trial:
     return (lambda: f"A={a}; B={b}"), ok
 
 
-def _fixture_checks_kernel(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    checks = []
-    for name, spec, a in records:
-        expected = 0
-        base = 0  # zero eigenvalues contributed by beta = 0 blocks
-        for me in spec.matrix_spectrum:
-            for le in spec.laplace_spectrum:
-                if le.beta == a.lambda0 * me.alpha:
-                    if le.beta != 0 and me.alpha != 0:
-                        expected += me.eigenspace.dim * le.eigenspace.dim
-                    elif le.beta == 0:
-                        base += me.eigenspace.dim * le.eigenspace.dim
-        zero_part = sum(
-            h.multiplicity for h in bif.hessian_spectrum(spec, a.lambda0) if h.value == 0
-        )
-        ok = a.kernel.dim == expected and zero_part - base == expected
-        checks.append((f"{name}@{a.lambda0}", ok))
-    return checks
+# ---------------------------------------------------------------------------
+# fixture checks: each judges one analysed level of one spec, and is None where it does not apply
 
 
-def _fixture_checks_two_routes(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    """Index against the product through the kernel degree at every nonzero level.
+def _check_kernel(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool:
+    """The kernel against the eigenvalue pairs with beta = lambda0 alpha, and the Hessian's zero block."""
+    expected = 0
+    base = 0  # zero eigenvalues contributed by beta = 0 blocks
+    for me in spec.matrix_spectrum:
+        for le in spec.laplace_spectrum:
+            if le.beta == a.lambda0 * me.alpha:
+                if le.beta != 0 and me.alpha != 0:
+                    expected += me.eigenspace.dim * le.eigenspace.dim
+                elif le.beta == 0:
+                    base += me.eigenspace.dim * le.eigenspace.dim
+    zero_part = sum(h.multiplicity for h in bif.hessian_spectrum(spec, a.lambda0) if h.value == 0)
+    return a.kernel.dim == expected and zero_part - base == expected
+
+
+def _check_two_routes(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool | None:
+    """The index against the product through the kernel degree, at a nonzero level.
 
     Above 0: lift(F_pos) * deg(below) * (deg(kernel) - I); below 0 the
     mirror image -lift(F_neg) * deg(above) * (deg(kernel) - I).
     """
-    checks = []
-    for name, spec, a in records:
-        lam = a.lambda0
-        if lam == 0:
-            continue
-        positive = lam > 0
-        explicit = star(
-            star(
-                lift(spec.origin_degree_pos if positive else spec.origin_degree_neg, spec.l),
-                deg_minus_id(a.negative_below if positive else a.negative_above),
-            ),
-            deg_minus_id(a.kernel) - EulerElement.unit(spec.r + spec.l),
-        )
-        checks.append((f"{name}@{lam}", a.index == (explicit if positive else -explicit)))
-    return checks
+    if a.lambda0 == 0:
+        return None
+    positive = a.lambda0 > 0
+    explicit = star(
+        star(
+            lift(spec.origin_degree_pos if positive else spec.origin_degree_neg, spec.l),
+            deg_minus_id(a.negative_below if positive else a.negative_above),
+        ),
+        deg_minus_id(a.kernel) - EulerElement.unit(spec.r + spec.l),
+    )
+    return a.index == (explicit if positive else -explicit)
 
 
-def _fixture_checks_accumulation(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    checks = []
-    for name, _, a in records:
-        if a.lambda0 > 0:
-            ok = a.negative_above == direct_sum(a.negative_below, a.kernel)
-        elif a.lambda0 < 0:
-            ok = a.negative_below == direct_sum(a.negative_above, a.kernel)
-        else:
-            ok = a.negative_below.dim == 0 and a.negative_above.dim == 0
-        checks.append((f"{name}@{a.lambda0}", ok))
-    return checks
+def _check_accumulation(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool:
+    """The negative space past the level is the one before it plus the kernel; both are 0 at level 0."""
+    if a.lambda0 > 0:
+        return a.negative_above == direct_sum(a.negative_below, a.kernel)
+    if a.lambda0 < 0:
+        return a.negative_below == direct_sum(a.negative_above, a.kernel)
+    return a.negative_below.dim == 0 and a.negative_above.dim == 0
 
 
-def _fixture_checks_verdict(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    checks = []
-    for name, spec, a in records:
-        if a.lambda0 == 0:
-            continue
-        domain = any(any(w[spec.r :]) for w, _ in a.kernel.weights)
-        odd = a.kernel.dim % 2 == 1
-        if (spec.validation.n1 or spec.validation.n2) and (domain or odd):
-            checks.append((f"{name}@{a.lambda0}", not a.index.is_zero))
-    # constructed degenerate-origin cases: unit coefficient zero
-    odd_case = degenerate_origin_spec(odd_kernel=True)
-    checks.append(("degenerate-odd@2", not bif.analyze_levels(odd_case, [2]).analyses()[0].index.is_zero))
-    even_case = degenerate_origin_spec(odd_kernel=False)
-    checks.append(("degenerate-even@1", not bif.analyze_levels(even_case, [1]).analyses()[0].index.is_zero))
-    # unit-coefficient route on the standard fixture
-    base = parse_problem(_FIXTURES / "circle_quartic.json")
-    checks.append(("unit-route@1", not bif.analyze_levels(base, [1]).analyses()[0].index.is_zero))
-    return checks
+def _check_verdict(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool | None:
+    """A nonzero index where N1 or N2 holds and the kernel is odd or carries a domain weight."""
+    if a.lambda0 == 0:
+        return None
+    domain = any(any(w[spec.r :]) for w, _ in a.kernel.weights)
+    odd = a.kernel.dim % 2 == 1
+    if not ((spec.validation.n1 or spec.validation.n2) and (domain or odd)):
+        return None
+    return not a.index.is_zero
 
 
-def _fixture_checks_exclusion(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    checks = []
-    for name, spec, a in records:
-        if a.lambda0 == 0:
-            continue
-        cert = a.verdict.unbounded
-        ok = cert is not None and a.verdict.unbounded_reason is None
-        if ok:
-            me_alpha, le_beta, mu, nu = cert.witness
-            combined = mu + nu
-            ok = a.kernel.occurs(combined)
-            for lam in cert.excluded_levels:
-                ok = ok and not bif.kernel_rep(spec, lam).occurs(combined)
-        checks.append((f"{name}@{a.lambda0}", ok))
-    return checks
+def _check_exclusion(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool | None:
+    """A certificate at each nonzero level whose witness weight occurs in its kernel and no excluded one."""
+    if a.lambda0 == 0:
+        return None
+    cert = a.verdict.unbounded
+    if cert is None or a.verdict.unbounded_reason is not None:
+        return False
+    _, _, mu, nu = cert.witness
+    combined = mu + nu
+    return a.kernel.occurs(combined) and not any(
+        bif.kernel_rep(spec, lam).occurs(combined) for lam in cert.excluded_levels
+    )
 
 
-def _fixture_checks_symmetry(records: Sequence[FixtureRecord]) -> list[tuple[str, bool]]:
-    return [
-        (f"{name}@{a.lambda0}", a.verdict.symmetry_breaking == (spec.validation.n2 and a.lambda0 != 0))
-        for name, spec, a in records
-    ]
+def _check_symmetry(spec: ProblemSpec, a: bif.LevelAnalysis) -> bool:
+    """Symmetry breaking is flagged exactly at the nonzero levels of a spec with N2."""
+    return a.verdict.symmetry_breaking == (spec.validation.n2 and a.lambda0 != 0)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-def _randomized_suites(
-    star_impl: StarImpl, tensor_impl: TensorImpl
-) -> dict[str, Callable[[random.Random], Trial]]:
-    """The seeded suites in run order, closed over the ring and tensor rules under test."""
-    return {
-        "snf-decomposition": _suite_snf,
-        "hnf-canonical": _suite_hnf,
-        "subgroup-intersection": _suite_intersection,
-        "dimension-lemma": _suite_dimension_lemma,
-        "membership-closure": _suite_membership,
-        "ring-axioms": _suite_ring_axioms(star_impl),
-        "codim-ideal": _suite_codim_ideal(star_impl),
-        "degree-truncation": _suite_truncation(star_impl),
-        "degree-multiplicative": _suite_multiplicative(star_impl),
-        "lift-homomorphism": _suite_lift,
-        "tensor-dimension": _suite_tensor_dim(tensor_impl),
-        "tensor-character": _suite_tensor_character(tensor_impl),
-        "tensor-weights": _suite_tensor_weights(tensor_impl),
-        "rep-algebra": _suite_rep_algebra(tensor_impl),
-        "intersection-separation": _suite_separation,
-        "product-nontrivial": _suite_nontrivial_product,
-    }
-
-
-_FIXTURE_SUITES: dict[str, Callable[[Sequence[FixtureRecord]], list[tuple[str, bool]]]] = {
-    "kernel-consistency": _fixture_checks_kernel,
-    "index-two-routes": _fixture_checks_two_routes,
-    "negative-accumulation": _fixture_checks_accumulation,
-    "verdict-soundness": _fixture_checks_verdict,
-    "highest-weight-exclusion": _fixture_checks_exclusion,
-    "symmetry-breaking-flag": _fixture_checks_symmetry,
+# The seeded suites in run order, each with the rule under test it takes (None, "star" or "tensor").
+_RANDOMIZED: dict[str, tuple[Callable[..., Trial], str | None]] = {
+    "snf-decomposition": (_suite_snf, None),
+    "hnf-canonical": (_suite_hnf, None),
+    "subgroup-intersection": (_suite_intersection, None),
+    "dimension-lemma": (_suite_dimension_lemma, None),
+    "membership-closure": (_suite_membership, None),
+    "ring-axioms": (_suite_ring_axioms, "star"),
+    "codim-ideal": (_suite_codim_ideal, "star"),
+    "degree-truncation": (_suite_truncation, "star"),
+    "degree-multiplicative": (_suite_multiplicative, "star"),
+    "lift-homomorphism": (_suite_lift, None),
+    "tensor-dimension": (_suite_tensor_dim, "tensor"),
+    "tensor-character": (_suite_tensor_character, "tensor"),
+    "tensor-weights": (_suite_tensor_weights, "tensor"),
+    "rep-algebra": (_suite_rep_algebra, "tensor"),
+    "intersection-separation": (_suite_separation, None),
+    "product-nontrivial": (_suite_nontrivial_product, None),
 }
 
-SUITE_NAMES = (*_randomized_suites(star, tensor), *_FIXTURE_SUITES)
+FixtureCheck = Callable[[ProblemSpec, bif.LevelAnalysis], bool | None]
+# A constructed case beyond the fixture sweeps: its name, how to build its spec, and its one level.
+FixtureCase = tuple[str, Callable[[], ProblemSpec], int]
+
+# The fixture suites in run order, each with the constructed cases it also judges.
+_FIXTURE_SUITES: dict[str, tuple[FixtureCheck, tuple[FixtureCase, ...]]] = {
+    "kernel-consistency": (_check_kernel, ()),
+    "index-two-routes": (_check_two_routes, ()),
+    "negative-accumulation": (_check_accumulation, ()),
+    "verdict-soundness": (
+        _check_verdict,
+        (
+            # degenerate origin degrees: unit coefficient zero
+            ("degenerate-odd", lambda: degenerate_origin_spec(odd_kernel=True), 2),
+            ("degenerate-even", lambda: degenerate_origin_spec(odd_kernel=False), 1),
+            # the unit-coefficient route on the standard fixture
+            ("unit-route", lambda: parse_problem(_FIXTURES / "circle_quartic.json"), 1),
+        ),
+    ),
+    "highest-weight-exclusion": (_check_exclusion, ()),
+    "symmetry-breaking-flag": (_check_symmetry, ()),
+}
+
+SUITE_NAMES = (*_RANDOMIZED, *_FIXTURE_SUITES)
 
 
 def run_selftest(
@@ -691,31 +654,32 @@ def run_selftest(
 ) -> SelfTestReport:
     """Run the named suites (all by default) with a deterministic seed.
 
-    ``trials`` applies to each randomized suite; fixture-driven suites run
-    their full deterministic check list once and report its length.  The
-    fixture sweeps are made once, when the first selected fixture suite
-    runs, and shared by the fixture suites of this call.  Failures are
-    data, not exceptions.  More than ``SELFTEST_MAX_TRIALS`` trials are
+    ``trials`` applies to each randomized suite.  A fixture suite judges
+    every analysed level of the three fixtures, and then its constructed
+    cases, and counts the levels where its check applies.  The fixture
+    sweeps are made once, when the first selected fixture suite runs,
+    and shared by the fixture suites of this call.  Failures are data,
+    not exceptions.  More than ``SELFTEST_MAX_TRIALS`` trials are
     refused before any suite runs.
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
     if trials > SELFTEST_MAX_TRIALS:
         raise RefusalError(f"{shown(trials)} trials are over the limit {SELFTEST_MAX_TRIALS}; lower the trial count")
-    randomized = _randomized_suites(star_impl or star, tensor_impl or tensor)
+    rules = {None: (), "star": (star_impl or star,), "tensor": (tensor_impl or tensor,)}
 
     selected = tuple(suites) if suites is not None else SUITE_NAMES
     records: list[FixtureRecord] | None = None
     results: list[tuple[str, SuiteResult]] = []
     for name in selected:
-        if name in randomized:
+        if name in _RANDOMIZED:
+            gen, rule = _RANDOMIZED[name]
             rng = random.Random(f"{seed}:{name}")
-            gen = randomized[name]
             failures = 0
             first = None
             for _ in range(trials):
                 try:
-                    describe, ok = gen(rng)
+                    describe, ok = gen(rng, *rules[rule])
                     case = None if ok else describe()
                 except Exception as exc:  # a crash is a failure with evidence
                     case, ok = f"exception: {exc!r}", False
@@ -725,16 +689,19 @@ def run_selftest(
                         first = case
             results.append((name, SuiteResult(trials, failures, first)))
         elif name in _FIXTURE_SUITES:
+            check, cases = _FIXTURE_SUITES[name]
             try:
                 if records is None:
                     records = _fixture_levels()
-                checks = _FIXTURE_SUITES[name](records)
+                judged = list(records)
+                for case, build, level in cases:
+                    judged += _sweep(case, build(), [level])
+                checks = [(f"{fixture}@{a.lambda0}", check(spec, a)) for fixture, spec, a in judged]
             except Exception as exc:
                 checks = [(f"exception: {exc!r}", False)]
-            bad = [case for case, ok in checks if not ok]
-            results.append(
-                (name, SuiteResult(len(checks), len(bad), bad[0] if bad else None))
-            )
+            bad = [label for label, ok in checks if ok is False]
+            count = sum(ok is not None for _, ok in checks)
+            results.append((name, SuiteResult(count, len(bad), bad[0] if bad else None)))
         else:
             raise InputError(f"unknown suite: {name}")
     return SelfTestReport(seed=seed, suites=tuple(results))

@@ -9,6 +9,7 @@ of the parameter.  Everything spectral is an exact rational.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -32,6 +33,8 @@ FLAT_TORUS_MAX_POINTS = 10**6
 # 0.3-0.7 s on a 2-core machine; the shipped, tested and benchmarked problems
 # need at most 82,810 (n = 5, cutoff_k = 6).
 SPHERE_MAX_WORK = 10**7
+# Most structural errors validate's message lists; it counts the rest.
+LISTED_ERRORS = 10
 
 
 class MatrixEigenData(NamedTuple):
@@ -271,7 +274,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     The ``ProblemSpec`` constructor runs it once and stores the result as
     ``spec.validation``, so every spec carries its validation.  It owns
     every content rule of a problem.  Structural problems raise one
-    InputError that lists every one of them, with the code of the first:
+    InputError that lists the first ``LISTED_ERRORS`` of them and counts
+    the rest, with the code of the first:
     SCHEMA for a malformed spec (a torus rank, an eigenspace of the wrong
     rank or of dimension 0, a marker or highest weight of the wrong length,
     a negative beta, a degree in the wrong ring), each entry named by its
@@ -294,11 +298,9 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     if not spec.laplace_spectrum:
         errors.append(("SCHEMA", "empty Laplace spectrum"))
     alphas = [e.alpha for e in spec.matrix_spectrum]
-    if len(set(alphas)) != len(alphas):
-        errors.append(("SCHEMA", "repeated matrix eigenvalue"))
+    errors += [("SCHEMA", f"repeated matrix eigenvalue {shown(a)}") for a, n in Counter(alphas).items() if n > 1]
     betas = [e.beta for e in spec.laplace_spectrum]
-    if len(set(betas)) != len(betas):
-        errors.append(("SCHEMA", "repeated Laplace eigenvalue"))
+    errors += [("SCHEMA", f"repeated Laplace eigenvalue {shown(b)}") for b, n in Counter(betas).items() if n > 1]
     for b in betas:
         if b > spec.beta_cutoff:
             errors.append(
@@ -309,7 +311,10 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     if spec.origin_degree_neg.is_zero:
         errors.append(("B6_TRIVIAL", "origin degree for negative levels is zero"))
     if errors:
-        raise InputError("; ".join(f"{code}: {message}" for code, message in errors), code=errors[0][0])
+        listed = [f"{code}: {message}" for code, message in errors[:LISTED_ERRORS]]
+        if len(errors) > LISTED_ERRORS:
+            listed.append(f"…and {len(errors) - LISTED_ERRORS} more")
+        raise InputError("; ".join(listed), code=errors[0][0])
 
     n1 = all(a != 0 for a in alphas)
 

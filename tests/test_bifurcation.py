@@ -19,7 +19,7 @@ from torbif.bifurcation import (
 from torbif.errors import ConsistencyError, CutoffError, InputError
 from torbif.eulerring import PLUCKER_MAX_RANK, EulerElement, deg_minus_id, lift, plucker_image, star
 from torbif.intlat import subgroup_canonical
-from torbif.oracle import circle_inverted_spec, circle_quartic_spec, degenerate_origin_spec
+from torbif.oracle import _check_two_routes, circle_inverted_spec, circle_quartic_spec, degenerate_origin_spec
 from torbif.problemfile import build_report, parse_problem, parse_problem_dict, render_text, report_to_json
 from torbif.spectra import LaplaceEigenData, MatrixEigenData, ProblemSpec, flat_torus_spectrum
 from torbif.torusrep import TorusRep, direct_sum
@@ -564,6 +564,9 @@ def test_torsion_only_kernel_corruption_passes_the_image_check(monkeypatch, circ
     corrupt_kernel_degree(monkeypatch, circle_spec, 1, EulerElement(2, [(h1, 1), (h2, -1)]))
     [corrupted] = analyze_levels(circle_spec, [1]).analyses()
     assert corrupted.index != honest.index
+    # the from-scratch route of the selftest rejects it
+    assert _check_two_routes(circle_spec, corrupted) is False
+    assert _check_two_routes(circle_spec, honest) is True
 
 
 def high_rank_doc(l):

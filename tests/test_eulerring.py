@@ -30,6 +30,7 @@ from torbif.problemfile import build_report, parse_problem, parse_problem_dict, 
 from torbif.torusrep import TorusRep, direct_sum
 
 from clirun import run_cli
+from problems import p3_problem
 
 
 def plucker_star(a, b):
@@ -257,23 +258,6 @@ def test_sphere_report_meet_count(meets, sphere_fixture_path):
     # this rank-2 sweep meets 9 distinct pairs, 8 of them more than once
     build_report(parse_problem(sphere_fixture_path))
     assert len(meets) == 30
-
-
-def p3_problem(cutoff):
-    """r=1, l=2, p=4 on flat T^2 with alpha 1 (weight [1]) and 3 (weight [2])."""
-    return {
-        "r": 1,
-        "l": 2,
-        "p": 4,
-        "matrix_spectrum": [
-            {"alpha": "1", "trivial_mult": 0, "weights": [{"m": [1], "mult": 1}], "marker": [1]},
-            {"alpha": "3", "trivial_mult": 0, "weights": [{"m": [2], "mult": 1}], "marker": [2]},
-        ],
-        "laplace": {"provider": "flat_torus", "params": {"d": 2, "cutoff": cutoff}},
-        "beta_cutoff": str(cutoff),
-        "degF_pos": [{"characters": [], "coeff": 1}],
-        "degF_neg": [{"characters": [], "coeff": 1}],
-    }
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,19 @@
+from fractions import Fraction
+
 import pytest
 
 import torbif.bifurcation as bif
 from torbif.errors import InputError
 from torbif.oracle import (
+    _FIXTURE_SUITES,
     SUITE_NAMES,
     run_selftest,
     star_dimension_flipped,
     tensor_sign_flipped,
 )
+from torbif.problemfile import parse_problem_dict
+
+from problems import p3_problem
 
 
 def test_all_suites_pass():
@@ -112,3 +118,22 @@ def test_mutation_gate_fails_exactly_the_named_suites():
         "tensor-character",
         "tensor-weights",
     ]
+
+
+def test_fixture_checks_judge_any_spec_and_level():
+    # P3(9), flat T^2, beyond the three fixtures; the cutoff refuses its levels past 3
+    spec = parse_problem_dict(p3_problem(9))
+    analyses = [outcome for _, outcome in bif.analyze_levels(spec).records if not isinstance(outcome, str)]
+    assert [a.lambda0 for a in analyses] == [Fraction(k, 3) for k in (0, 1, 2, 3, 4, 5, 6, 8, 9)]
+    verdicts = {name: [check(spec, a) for a in analyses] for name, (check, _) in _FIXTURE_SUITES.items()}
+    assert verdicts == {
+        "kernel-consistency": [True] * 9,
+        "index-two-routes": [None] + [True] * 8,
+        "negative-accumulation": [True] * 9,
+        "verdict-soundness": [None] + [True] * 8,
+        # flat T^2 eigenspaces are not certified irreducible, so no level gets a certificate:
+        # the check fails there rather than abstaining
+        "highest-weight-exclusion": [None] + [False] * 8,
+        "symmetry-breaking-flag": [True] * 9,
+    }
+    assert spec.validation.certificate_obstacle == "eigenspace at 1 not certified irreducible"

@@ -279,10 +279,19 @@ ROT1 = TorusRep.rotation(1, [1])
             {"origin_degree_neg": EulerElement.unit(2)},
             "origin degree for negative levels lives in the ring of T^2, not of T^r with r=1",
         ),
+        # each repeated eigenvalue is named once
+        (
+            {"p": 10, "matrix_spectrum": [MatrixEigenData(alpha, ROT1, (1,)) for alpha in ("1/2",) * 3 + ("2",) * 2]},
+            "repeated matrix eigenvalue 1/2; SCHEMA: repeated matrix eigenvalue 2",
+        ),
+        (
+            {"laplace_spectrum": [LaplaceEigenData(beta, TorusRep(1, 1)) for beta in (0, 1, 1, 1, 4, 4)]},
+            "repeated Laplace eigenvalue 1; SCHEMA: repeated Laplace eigenvalue 4",
+        ),
     ],
     ids=[
         "l", "r", "matrix-rank", "laplace-rank", "matrix-dimension", "laplace-dimension", "marker-length",
-        "highest-weight-length", "negative-beta", "degree-ring",
+        "highest-weight-length", "negative-beta", "degree-ring", "repeated-alpha", "repeated-beta",
     ],
 )
 def test_spec_checks_every_content_rule(overrides, message):
@@ -291,6 +300,18 @@ def test_spec_checks_every_content_rule(overrides, message):
         make_spec(**overrides)
     assert info.value.code == "SCHEMA"
     assert str(info.value).startswith(f"SCHEMA: {message}")
+
+
+def test_validate_lists_the_first_errors_and_counts_the_rest():
+    # 100,000 explicit Laplace entries past the cutoff make 100,000 structural errors
+    past = [LaplaceEigenData(10 + k, ROT1) for k in range(100_000)]
+    with pytest.raises(InputError) as info:
+        make_spec(laplace_spectrum=flat_torus_spectrum(1, 9) + tuple(past))
+    message = str(info.value)
+    assert info.value.code == "CUTOFF_INSUFFICIENT"
+    assert len(message) < 2000
+    assert message.startswith("CUTOFF_INSUFFICIENT: eigenvalue 10 exceeds declared cutoff 9; ")
+    assert message.endswith("CUTOFF_INSUFFICIENT: eigenvalue 19 exceeds declared cutoff 9; …and 99990 more")
 
 
 def test_spec_normalises_its_entries():
